@@ -15,44 +15,132 @@ from .errors import (
     ComponentShapeError,
     FactorizationViolation,
     FamMismatch,
+    SpanVError,
     TriangleViolation,
 )
-from .finset import FinFn, FinSet, _code_array, compose_fn, product, pullback
-from .span import Span, braiding_span, identity_span, is_identity_span
+from .finset import FinSet, _code_array, compose_fn, pullback
+from .span import Span, braiding_span, identity_span, is_identity_span, tensor_spans
+
+
+class Column:
+    """A sequence of backend values, dictionary-encoded.
+
+    Entry i is values[codes[i]], with codes an int64 array.  A column
+    with one value stores no codes, so it costs O(1) memory at any
+    length.  Columns built from a list, and the results of tensor,
+    compose and braiding, merge values whose backend keys are equal.
+    Operations call the backend once per stored value or occurring pair
+    of values, then take one numpy step over the codes.
+    """
+
+    def __init__(self, values, size, codes=None, key=None):
+        if size == 0:
+            values = []
+        if key is not None and len(values) > 1:
+            merged = Column.from_list(values, key)
+            if len(merged.values) < len(values):
+                values = merged.values
+                codes = None if merged.codes is None else merged.codes[codes]
+        self.values = values
+        self.size = int(size)
+        self.codes = None if len(values) <= 1 else np.asarray(codes, dtype=np.int64)
+
+    @classmethod
+    def from_list(cls, items, key):
+        """Encode a list, merging entries whose keys are equal."""
+        index, values = {}, []
+        codes = np.empty(len(items), dtype=np.int64)
+        for i, item in enumerate(items):
+            codes[i] = index.setdefault(key(item), len(values))
+            if codes[i] == len(values):
+                values.append(item)
+        return cls(values, len(items), codes)
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        return self.values[0 if self.codes is None else self.codes[int(i)]]
+
+    def __iter__(self):
+        return (self[i] for i in range(self.size))
+
+    def expand(self, per_value):
+        """The array whose entry i is per_value[codes[i]]."""
+        per_value = np.asarray(per_value)
+        if self.codes is None:
+            return np.repeat(per_value, self.size)
+        return per_value[self.codes]
+
+    def take(self, index):
+        """Entries at the given positions, in that order."""
+        codes = None if self.codes is None else self.codes[index]
+        return Column(self.values, len(index), codes)
+
+    def map(self, fn):
+        return Column([fn(v) for v in self.values], self.size, self.codes)
+
+    def zip_with(self, other, fn, key=None):
+        """Entry i is fn(self[i], other[i])."""
+        assert self.size == other.size
+        width = len(other.values)
+        return self._pairs(other, self.size, fn, key,
+                           lambda: self._dense() * width + other._dense())
+
+    def outer(self, other, fn, key=None):
+        """Row-major product: entry i * len(other) + j is fn(self[i], other[j])."""
+        width = len(other.values)
+        return self._pairs(other, self.size * other.size, fn, key,
+                           lambda: (self._dense()[:, None] * width + other._dense()).ravel())
+
+    def _dense(self):
+        return np.zeros(self.size, dtype=np.int64) if self.codes is None else self.codes
+
+    def _pairs(self, other, size, fn, key, pair_codes):
+        # fn runs once per distinct pair of values; pair_codes() numbers
+        # each entry's pair and is never built when both sides are constant
+        if self.codes is None and other.codes is None:
+            return Column([fn(x, y) for x in self.values for y in other.values], size, key=key)
+        distinct, codes = np.unique(pair_codes(), return_inverse=True)
+        width = len(other.values)
+        values = [fn(self.values[p // width], other.values[p % width])
+                  for p in distinct.tolist()]
+        return Column(values, size, codes.reshape(-1), key)
+
+    def first_false(self):
+        """The first position holding a false value, or None."""
+        if self.size == 0 or all(self.values):
+            return None
+        return int(np.argmin(self.expand([bool(v) for v in self.values])))
+
+    def all_equal(self, other, eq):
+        return self is other or self.zip_with(other, eq).first_false() is None
 
 
 class VFam:
-    """A family of backend objects indexed by a finite set."""
+    """A family of backend objects indexed by a finite set: a Column, a
+    list with one object per base element, or None for all unit objects."""
 
     def __init__(self, backend, base, objs=None):
         assert isinstance(base, FinSet)
-        if not backend.trivial:
-            assert objs is not None and len(objs) == base.size
+        if objs is None:
+            objs = Column([backend.unit], base.size)
         self.backend = backend
         self.base = base
-        self.objs = objs
-
-    def obj_at(self, x):
-        if self.backend.trivial:
-            return ()
-        return self.objs[int(x)]
+        self.objs = objs if isinstance(objs, Column) else Column.from_list(objs, backend.obj_key)
+        assert self.objs.size == base.size
 
     def __repr__(self):
         return "VFam(%r over %r)" % (self.backend, self.base)
 
 
 def fams_equal(a, b):
-    if a.backend is not b.backend or a.base != b.base:
-        return False
-    if a.backend.trivial:
-        return True
-    return all(a.backend.eq_obj(x, y) for x, y in zip(a.objs, b.objs))
+    return a is b or (a.backend == b.backend and a.base == b.base
+                      and a.objs.all_equal(b.objs, a.backend.eq_obj))
 
 
 def unit_fam(backend):
-    if backend.trivial:
-        return VFam(backend, FinSet(()))
-    return VFam(backend, FinSet(()), [backend.unit])
+    return VFam(backend, FinSet(()))
 
 
 def tensor_fams(a, b):
@@ -60,41 +148,36 @@ def tensor_fams(a, b):
         return b
     if b.base.shape == ():
         return a
-    base = FinSet(a.base.shape + b.base.shape)
-    if a.backend.trivial:
-        return VFam(a.backend, base)
-    objs = [a.backend.tensor_obj(x, y) for x in a.objs for y in b.objs]
-    return VFam(a.backend, base, objs)
+    backend = a.backend
+    objs = a.objs.outer(b.objs, backend.tensor_obj, backend.obj_key)
+    return VFam(backend, FinSet(a.base.shape + b.base.shape), objs)
 
 
 class VCell1:
-    """A span with a backend morphism over every apex element."""
+    """A span with a backend morphism over every apex element: a Column,
+    a list, or None for the identity on the unit object everywhere."""
 
     def __init__(self, dom, cod, span, alphas):
         backend = dom.backend
         if span.left != dom.base or span.right != cod.base:
             raise FamMismatch("span feet %r, %r do not match family bases %r, %r"
                               % (span.left, span.right, dom.base, cod.base))
-        if not backend.trivial:
-            assert alphas is not None and len(alphas) == span.apex.size
-            for s in range(span.apex.size):
-                want_dom = dom.objs[span.f.table[s]]
-                want_cod = cod.objs[span.g.table[s]]
-                if not backend.eq_obj(backend.dom(alphas[s]), want_dom) or not backend.eq_obj(
-                    backend.cod(alphas[s]), want_cod
-                ):
-                    raise ComponentShapeError("component %d has wrong boundary" % s)
+        if alphas is None:
+            alphas = Column([backend.id(backend.unit)], span.apex.size)
+        elif not isinstance(alphas, Column):
+            alphas = Column.from_list(alphas, backend.mor_key)
+        assert alphas.size == span.apex.size
+        ends = (alphas.map(backend.dom).zip_with(dom.objs.take(span.f.table), backend.eq_obj),
+                alphas.map(backend.cod).zip_with(cod.objs.take(span.g.table), backend.eq_obj))
+        bad = [s for s in (end.first_false() for end in ends) if s is not None]
+        if bad:
+            raise ComponentShapeError("component %d has wrong boundary" % min(bad))
         self.backend = backend
         self.dom = dom
         self.cod = cod
         self.span = span
         self.alphas = alphas
         self._is_id = None
-
-    def alpha_at(self, s):
-        if self.backend.trivial:
-            return ()
-        return self.alphas[int(s)]
 
     def __repr__(self):
         return "VCell1(%r => %r, apex %r)" % (self.dom.base, self.cod.base, self.span.apex)
@@ -108,31 +191,20 @@ def cells_equal(a, b):
         return False
     if a.span != b.span:
         return False
-    if a.backend.trivial:
-        return True
-    return all(a.backend.eq_mor(x, y) for x, y in zip(a.alphas, b.alphas))
+    return a.alphas.all_equal(b.alphas, a.backend.eq_mor)
 
 
 def identity_cell(fam):
-    span = identity_span(fam.base)
-    if fam.backend.trivial:
-        alphas = None
-    else:
-        alphas = [fam.backend.id(obj) for obj in fam.objs]
-    cell = VCell1(fam, fam, span, alphas)
+    cell = VCell1(fam, fam, identity_span(fam.base), fam.objs.map(fam.backend.id))
     cell._is_id = True
     return cell
 
 
 def is_identity_cell(cell):
     if cell._is_id is None:
-        ok = is_identity_span(cell.span)
-        if ok and not cell.backend.trivial:
-            ok = all(
-                cell.backend.eq_mor(alpha, cell.backend.id(obj))
-                for alpha, obj in zip(cell.alphas, cell.dom.objs)
-            )
-        cell._is_id = ok
+        backend = cell.backend
+        cell._is_id = is_identity_span(cell.span) and cell.alphas.all_equal(
+            cell.dom.objs.map(backend.id), backend.eq_mor)
     return cell._is_id
 
 
@@ -151,13 +223,9 @@ def compose_cells(a, b):
     apex, p1, p2 = pullback(a.span.g, b.span.f)
     span = Span(a.span.left, apex, b.span.right,
                 compose_fn(p1, a.span.f), compose_fn(p2, b.span.g))
-    if a.backend.trivial:
-        alphas = None
-    else:
-        alphas = [
-            a.backend.compose(a.alphas[i], b.alphas[j])
-            for i, j in zip(p1.table.tolist(), p2.table.tolist())
-        ]
+    backend = a.backend
+    alphas = a.alphas.take(p1.table).zip_with(
+        b.alphas.take(p2.table), backend.compose, backend.mor_key)
     return VCell1(a.dom, b.cod, span, alphas)
 
 
@@ -167,13 +235,9 @@ def tensor_cells(a, b):
         return b
     if _is_unit_identity_cell(b):
         return a
-    from .span import tensor_spans
-
     span = tensor_spans(a.span, b.span)
-    if a.backend.trivial:
-        alphas = None
-    else:
-        alphas = [a.backend.tensor_mor(x, y) for x in a.alphas for y in b.alphas]
+    backend = a.backend
+    alphas = a.alphas.outer(b.alphas, backend.tensor_mor, backend.mor_key)
     return VCell1(tensor_fams(a.dom, b.dom), tensor_fams(a.cod, b.cod), span, alphas)
 
 
@@ -181,19 +245,8 @@ def braiding_cell(a, b):
     """The symmetry (X, A) tensor (Y, B) -> (Y, B) tensor (X, A)."""
     backend = a.backend
     span = braiding_span(a.base, b.base)
-    if backend.trivial:
-        alphas = None
-    else:
-        alphas = [
-            backend.braiding(a.objs[i], b.objs[j])
-            for i in range(a.base.size)
-            for j in range(b.base.size)
-        ]
+    alphas = a.objs.outer(b.objs, backend.braiding, backend.mor_key)
     return VCell1(tensor_fams(a, b), tensor_fams(b, a), span, alphas)
-
-
-def forget_to_span(cell):
-    return cell.span
 
 
 class VCell2:
@@ -242,20 +295,16 @@ def make_2cell(src, tgt, u):
         err = TriangleViolation("right leg disagrees at apex element %d" % bad)
         err.element = tuple(src.span.apex.decode(np.array([bad]))[0].tolist())
         raise err
-    backend = src.backend
-    if not backend.trivial:
-        for s in range(u.size):
-            if not backend.eq_mor(src.alphas[s], tgt.alphas[u[s]]):
-                err = FactorizationViolation("component disagrees at apex element %d" % s)
-                err.element = tuple(src.span.apex.decode(np.array([s]))[0].tolist())
-                raise err
+    s = src.alphas.zip_with(tgt.alphas.take(u), src.backend.eq_mor).first_false()
+    if s is not None:
+        err = FactorizationViolation("component disagrees at apex element %d" % s)
+        err.element = tuple(src.span.apex.decode(np.array([s]))[0].tolist())
+        raise err
     return VCell2(src, tgt, u)
 
 
 def try_make_2cell(src, tgt, u):
     """Validate a 2-cell candidate; return an InvalidCell record on failure."""
-    from .errors import SpanVError
-
     try:
         return make_2cell(src, tgt, u)
     except SpanVError as err:

@@ -99,7 +99,10 @@ def _backend_from_json(data):
     if kind == "mat":
         if data.get("boolean"):
             return MatBackend(boolean=True)
-        return MatBackend(prime=int(_need(data, "prime")))
+        try:
+            return MatBackend(prime=int(_need(data, "prime")))
+        except (AssertionError, TypeError, ValueError):
+            raise SchemaError("backend field 'prime' must be a prime, got %r" % (data["prime"],))
     raise SchemaError("unknown backend kind %r" % (kind,))
 
 
@@ -113,64 +116,67 @@ def _set_from_json(data):
     return FinSet((int(_need(data, "size")),))
 
 
+# the trivial backend's values carry no data: null, read back as the unit
 def _obj_to_json(backend, obj):
-    if backend.trivial:
-        return None
     if isinstance(backend, MatBackend):
         return int(obj)
-    return list(obj.shape)
+    if isinstance(backend, FinSetBackend):
+        return list(obj.shape)
+    return None
 
 
 def _obj_from_json(backend, data):
-    if backend.trivial:
-        return ()
     if isinstance(backend, MatBackend):
         return int(data)
-    return FinSet(data)
+    if isinstance(backend, FinSetBackend):
+        return FinSet(data)
+    return backend.unit
 
 
 def _mor_to_json(backend, mor):
-    if backend.trivial:
-        return None
     if isinstance(backend, MatBackend):
         return {"dom": int(mor.shape[0]), "cod": int(mor.shape[1]),
                 "data": [int(v) for v in mor.ravel()]}
-    return {"dom": list(mor.dom.shape), "cod": list(mor.cod.shape),
-            "table": [int(v) for v in mor.table]}
+    if isinstance(backend, FinSetBackend):
+        return {"dom": list(mor.dom.shape), "cod": list(mor.cod.shape),
+                "table": [int(v) for v in mor.table]}
+    return None
 
 
 def _mor_from_json(backend, data):
-    if backend.trivial:
-        return ()
     if isinstance(backend, MatBackend):
         return backend.mor(_int_list(_need(data, "data")),
                            int(_need(data, "dom")), int(_need(data, "cod")))
-    return FinFn(FinSet(_need(data, "dom")), FinSet(_need(data, "cod")),
-                 _int_list(_need(data, "table")))
+    if isinstance(backend, FinSetBackend):
+        return FinFn(FinSet(_need(data, "dom")), FinSet(_need(data, "cod")),
+                     _int_list(_need(data, "table")))
+    return backend.id(backend.unit)
+
+
+def _column_to_json(backend, column, encode):
+    """One entry per column entry; null when the backend's values carry no data."""
+    if _obj_to_json(backend, backend.unit) is None:
+        return None
+    return list(column.map(lambda v: encode(backend, v)))
 
 
 def _fam_to_json(fam):
-    objs = None
-    if not fam.backend.trivial:
-        objs = [_obj_to_json(fam.backend, o) for o in fam.objs]
-    return {"base": list(fam.base.shape), "objs": objs}
+    return {"base": list(fam.base.shape),
+            "objs": _column_to_json(fam.backend, fam.objs, _obj_to_json)}
 
 
 def _fam_from_json(backend, data):
-    objs = None
-    if not backend.trivial:
-        objs = [_obj_from_json(backend, o) for o in _need(data, "objs")]
+    objs = _need(data, "objs")
+    if objs is not None:
+        objs = [_obj_from_json(backend, o) for o in objs]
     return VFam(backend, FinSet(_need(data, "base")), objs)
 
 
 def _span_cell_to_json(cell):
-    alphas = None
-    if not cell.backend.trivial:
-        alphas = [_mor_to_json(cell.backend, a) for a in cell.alphas]
     return {"apex": _set_to_json(cell.span.apex),
             "f": [int(v) for v in cell.span.f.table],
             "g": [int(v) for v in cell.span.g.table],
-            "alphas": alphas}
+            "alphas": _column_to_json(cell.backend, cell.alphas, _mor_to_json)}
 
 
 def _span_cell_from_json(data, dom_fam, cod_fam):
@@ -179,13 +185,12 @@ def _span_cell_from_json(data, dom_fam, cod_fam):
     span = Span(dom_fam.base, apex, cod_fam.base,
                 FinFn(apex, dom_fam.base, _int_list(_need(data, "f"))),
                 FinFn(apex, cod_fam.base, _int_list(_need(data, "g"))))
-    alphas = None
-    if not backend.trivial:
-        raw = _need(data, "alphas")
+    raw = _need(data, "alphas")
+    if raw is not None:
         if not isinstance(raw, list) or len(raw) != apex.size:
             raise SchemaError("alphas must list one morphism per apex element")
-        alphas = [_mor_from_json(backend, a) for a in raw]
-    return VCell1(dom_fam, cod_fam, span, alphas)
+        raw = [_mor_from_json(backend, a) for a in raw]
+    return VCell1(dom_fam, cod_fam, span, raw)
 
 
 def _u_from_json(data, src_cell, tgt_cell):
@@ -219,16 +224,26 @@ def _bimonoid_block_to_json(bim, antipode=None):
     return out
 
 
-def _bimonoid_block_from_json(backend, data, with_antipode):
+def _monoid_from_json(backend, data):
     carrier = _fam_from_json(backend, _need(data, "carrier"))
-    doubled = tensor_fams(carrier, carrier)
-    unit = unit_fam(backend)
-    monoid = MonoidData(carrier,
-                        _span_cell_from_json(_need(data, "mlt"), doubled, carrier),
-                        _span_cell_from_json(_need(data, "uni"), unit, carrier))
-    comonoid = ComonoidData(carrier,
-                            _span_cell_from_json(_need(data, "lcm"), carrier, doubled),
-                            _span_cell_from_json(_need(data, "lcu"), carrier, unit))
+    return MonoidData(carrier,
+                      _span_cell_from_json(_need(data, "mlt"),
+                                           tensor_fams(carrier, carrier), carrier),
+                      _span_cell_from_json(_need(data, "uni"), unit_fam(backend), carrier))
+
+
+def _comonoid_from_json(carrier, data):
+    return ComonoidData(carrier,
+                        _span_cell_from_json(_need(data, "lcm"),
+                                             carrier, tensor_fams(carrier, carrier)),
+                        _span_cell_from_json(_need(data, "lcu"),
+                                             carrier, unit_fam(carrier.backend)))
+
+
+def _bimonoid_block_from_json(backend, data, with_antipode):
+    monoid = _monoid_from_json(backend, data)
+    carrier = monoid.carrier
+    comonoid = _comonoid_from_json(carrier, data)
     bounds = structure_cell_boundaries(monoid, comonoid)
     cells = _need(data, "cells")
     made = [_u_from_json(_need(cells, name), *bounds[name])
@@ -331,38 +346,25 @@ def load_structure(data):
     kind = _need(data, "kind")
     if kind not in KINDS:
         raise SchemaError("unknown kind %r" % (kind,))
-    backend = _backend_from_json(_need(data, "backend"))
     try:
+        backend = _backend_from_json(_need(data, "backend"))
         if kind == "bimonoid":
             return kind, _bimonoid_block_from_json(backend, data, False)
         if kind == "hopf":
             return kind, _bimonoid_block_from_json(backend, data, True)
         if kind == "frobenius":
-            carrier = _fam_from_json(backend, _need(data, "carrier"))
-            doubled = tensor_fams(carrier, carrier)
-            unit = unit_fam(backend)
-            monoid = MonoidData(carrier,
-                                _span_cell_from_json(_need(data, "mlt"), doubled, carrier),
-                                _span_cell_from_json(_need(data, "uni"), unit, carrier))
-            comonoid = ComonoidData(carrier,
-                                    _span_cell_from_json(_need(data, "lcm"), carrier, doubled),
-                                    _span_cell_from_json(_need(data, "lcu"), carrier, unit))
-            return kind, FrobeniusData(monoid, comonoid)
+            monoid = _monoid_from_json(backend, data)
+            return kind, FrobeniusData(monoid, _comonoid_from_json(monoid.carrier, data))
         if kind == "hopfcat":
             return kind, _hopfcat_from_json(backend, data)
         if kind == "frobcat":
             return kind, _frobcat_from_json(backend, data)
         if kind == "module":
-            mon = _need(data, "monoid")
-            carrier = _fam_from_json(backend, _need(mon, "carrier"))
-            doubled = tensor_fams(carrier, carrier)
-            monoid = MonoidData(carrier,
-                                _span_cell_from_json(_need(mon, "mlt"), doubled, carrier),
-                                _span_cell_from_json(_need(mon, "uni"), unit_fam(backend), carrier))
+            monoid = _monoid_from_json(backend, _need(data, "monoid"))
             modblock = _need(data, "module")
             mod_carrier = _fam_from_json(backend, _need(modblock, "carrier"))
             rho = _span_cell_from_json(_need(modblock, "rho"),
-                                       tensor_fams(mod_carrier, carrier), mod_carrier)
+                                       tensor_fams(mod_carrier, monoid.carrier), mod_carrier)
             (xs, xt), (x0s, x0t) = _module_boundaries(monoid, mod_carrier, rho)
             xi = _u_from_json(_need(modblock, "xi"), xs, xt)
             xi0 = _u_from_json(_need(modblock, "xi0"), x0s, x0t)

@@ -33,7 +33,7 @@ from .finset import (
     swap_fn,
     terminal_fn,
 )
-from .span import Span, spans_isomorphic
+from .span import Span, feet_pairs, spans_isomorphic
 from .structures import (
     AntipodeData,
     AxiomResult,
@@ -450,13 +450,9 @@ def discrete_groupoid(n):
 def _leg_forced_cell(src_cell, tgt_cell):
     """The 2-cell whose apex map is forced element by element by the two
     legs.  Validation failures come back as InvalidCell records."""
-    sf, sg = src_cell.span.f.table, src_cell.span.g.table
-    tf, tg = tgt_cell.span.f.table, tgt_cell.span.g.table
-    u = np.empty(src_cell.span.apex.size, dtype=np.int64)
-    for s in range(u.size):
-        cand = np.nonzero((tf == sf[s]) & (tg == sg[s]))[0]
-        assert len(cand) == 1, "apex map is not forced by the legs"
-        u[s] = cand[0]
+    s, u = feet_pairs(src_cell.span, tgt_cell.span)
+    forced = np.array_equal(s, np.arange(src_cell.span.apex.size))
+    assert forced, "apex map is not forced by the legs"
     return try_make_2cell(src_cell, tgt_cell, u)
 
 
@@ -567,24 +563,15 @@ def _x2_template_spans(n):
     }
 
 
-def _alphas(backend, values):
-    return None if backend.trivial else list(values)
-
-
 def _carrier_fam(backend, n, homs):
-    base = FinSet((n, n))
-    if backend.trivial:
-        return VFam(backend, base)
-    return VFam(backend, base, [homs[x][y] for x in range(n) for y in range(n)])
+    return VFam(backend, FinSet((n, n)), [homs[x][y] for x in range(n) for y in range(n)])
 
 
 def _monoid_part(backend, n, homs, m, u, tm):
     carrier = _carrier_fam(backend, n, homs)
     doubled = tensor_fams(carrier, carrier)
-    mlt = VCell1(doubled, carrier, tm["mlt"],
-                 _alphas(backend, (m[x][y][z] for x, y, _, z in tm["coords"])))
-    uni = VCell1(unit_fam(backend), carrier, tm["uni"],
-                 _alphas(backend, (u[x] for x in range(n))))
+    mlt = VCell1(doubled, carrier, tm["mlt"], [m[x][y][z] for x, y, _, z in tm["coords"]])
+    uni = VCell1(unit_fam(backend), carrier, tm["uni"], list(u))
     return MonoidData(carrier, mlt, uni)
 
 
@@ -598,10 +585,8 @@ def hopfcat_to_spanv(h):
     carrier = monoid.carrier
     doubled = tensor_fams(carrier, carrier)
     pair_idx = [(x, y) for x in range(n) for y in range(n)]
-    lcm = VCell1(carrier, doubled, tm["lcm"],
-                 _alphas(backend, (h.delta[x][y] for x, y in pair_idx)))
-    lcu = VCell1(carrier, unit_fam(backend), tm["lcu"],
-                 _alphas(backend, (h.eps[x][y] for x, y in pair_idx)))
+    lcm = VCell1(carrier, doubled, tm["lcm"], [h.delta[x][y] for x, y in pair_idx])
+    lcu = VCell1(carrier, unit_fam(backend), tm["lcu"], [h.eps[x][y] for x, y in pair_idx])
     comonoid = ComonoidData(carrier, lcm, lcu)
     bounds = structure_cell_boundaries(monoid, comonoid)
     cells = [_leg_forced_cell(*bounds[name])
@@ -609,8 +594,7 @@ def hopfcat_to_spanv(h):
     bim = OplaxBimonoidData(monoid, comonoid, *cells)
     if h.s is None:
         return bim, None
-    s = VCell1(carrier, carrier, tm["anti"],
-               _alphas(backend, (h.s[x][y] for x, y in pair_idx)))
+    s = VCell1(carrier, carrier, tm["anti"], [h.s[x][y] for x, y in pair_idx])
     one = identity_cell(carrier)
     tau1 = _leg_forced_cell(convolution(bim, one, s), convolution_unit(bim))
     tau2 = _leg_forced_cell(convolution(bim, s, one), convolution_unit(bim))
@@ -623,12 +607,9 @@ def _transport(cell, template, label):
     iso = spans_isomorphic(cell.span, template)
     if iso is None:
         raise NotOverX2("%s does not match the squared-index template" % label)
-    if cell.backend.trivial:
-        return [()] * template.apex.size
-    out = [None] * template.apex.size
-    for s, t in enumerate(iso.table):
-        out[t] = cell.alphas[s]
-    return out
+    inverse = np.empty_like(iso.table)
+    inverse[iso.table] = np.arange(iso.table.size)
+    return cell.alphas.take(inverse)
 
 
 def spanv_to_hopfcat(bim, antipode=None):
@@ -644,14 +625,10 @@ def spanv_to_hopfcat(bim, antipode=None):
     n = shape[0]
     tm = _x2_template_spans(n)
     backend = fam.backend
-    if backend.trivial:
-        homs = [[() for _ in range(n)] for _ in range(n)]
-    else:
-        homs = [[fam.objs[x * n + y] for y in range(n)] for x in range(n)]
+    homs = [[fam.objs[x * n + y] for y in range(n)] for x in range(n)]
+    # the template lists composable pairs (x, y), (y, z) in (x, y, z) order
     mvals = _transport(bim.monoid.mlt, tm["mlt"], "multiplication")
-    m = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for idx, (x, y, _, z) in enumerate(tm["coords"]):
-        m[x][y][z] = mvals[idx]
+    m = [[[mvals[(x * n + y) * n + z] for z in range(n)] for y in range(n)] for x in range(n)]
     u = _transport(bim.monoid.uni, tm["uni"], "unit")
     dvals = _transport(bim.comonoid.lcm, tm["lcm"], "comultiplication")
     evals = _transport(bim.comonoid.lcu, tm["lcu"], "counit")
@@ -672,9 +649,8 @@ def vopcat_as_comonoid(fc):
     carrier = _carrier_fam(backend, n, fc.homs)
     doubled = tensor_fams(carrier, carrier)
     lcm = VCell1(carrier, doubled, tm["colcm"],
-                 _alphas(backend, (fc.comlt[x][y][z] for x, y, _, z in tm["coords"])))
-    lcu = VCell1(carrier, unit_fam(backend), tm["colcu"],
-                 _alphas(backend, (fc.couni[x] for x in range(n))))
+                 [fc.comlt[x][y][z] for x, y, _, z in tm["coords"]])
+    lcu = VCell1(carrier, unit_fam(backend), tm["colcu"], list(fc.couni))
     return ComonoidData(carrier, lcm, lcu)
 
 
@@ -700,7 +676,7 @@ def vfunctor_to_spanv(ha, hb, fun):
                  FinFn(base_a, base_b, table))
     pair_idx = [(x, y) for x in range(na) for y in range(na)]
     f = VCell1(bim_a.monoid.carrier, bim_b.monoid.carrier, fspan,
-               _alphas(ha.backend, (fun.components[x][y] for x, y in pair_idx)))
+               [fun.components[x][y] for x, y in pair_idx])
     ff = tensor_cells(f, f)
     phi = _leg_forced_cell(compose_cells(bim_a.monoid.mlt, f),
                            compose_cells(ff, bim_b.monoid.mlt))
@@ -728,13 +704,9 @@ def opposite_vcat(h):
     return HopfVCat(backend, h.objects, homs, m, list(h.u), delta, eps, s)
 
 
-def _same_backend(a, b):
-    return repr(a) == repr(b)
-
-
 def hopfcat_data_equal(a, b):
     """Field-by-field data equality of two enriched categories."""
-    if not _same_backend(a.backend, b.backend) or a.n != b.n:
+    if a.backend != b.backend or a.n != b.n:
         return False
     if (a.s is None) != (b.s is None):
         return False

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cells import VCell2, cells_equal, fams_equal, identity_2cell, make_2cell
 from .errors import OutOfBounds, PasteError
-from .span import match_by_signature
+from .span import feet_pairs, match_by_signature
 
 
 def search_limit(override=None):
@@ -33,13 +33,14 @@ def search_limit(override=None):
 def _signature_cols(a, b):
     cols_a = [a.span.f.table, a.span.g.table]
     cols_b = [b.span.f.table, b.span.g.table]
-    backend = a.backend
-    if not backend.trivial:
-        keys_a = [backend.mor_key(m) for m in a.alphas]
-        keys_b = [backend.mor_key(m) for m in b.alphas]
-        ids = {key: i for i, key in enumerate(sorted(set(keys_a + keys_b)))}
-        cols_a.append(np.array([ids[k] for k in keys_a], dtype=np.int64))
-        cols_b.append(np.array([ids[k] for k in keys_b], dtype=np.int64))
+    key = a.backend.mor_key
+    keys_a = [key(m) for m in a.alphas.values]
+    keys_b = [key(m) for m in b.alphas.values]
+    ids = {k: i for i, k in enumerate(sorted(set(keys_a + keys_b)))}
+    # a constant column would change neither the matching nor the mismatch
+    if len(ids) > 1:
+        cols_a.append(a.alphas.expand([ids[k] for k in keys_a]))
+        cols_b.append(b.alphas.expand([ids[k] for k in keys_b]))
     return cols_a, cols_b
 
 
@@ -69,17 +70,6 @@ def canonical_cell_iso(a, b):
     """The canonical invertible 2-cell between two 1-cells, or None."""
     cell, _ = _canonical_iso_ex(a, b)
     return cell
-
-
-def cells_isomorphic(a, b):
-    return canonical_cell_iso(a, b)
-
-
-def _element_info(x, y, ib, s):
-    src_el = x.src.span.apex.decode(np.array([s]))[0].tolist()
-    lhs_t = int(ib.u[x.u[s]]) if ib is not None else int(x.u[s])
-    this = y.tgt.span.apex.decode(np.array([lhs_t]))[0].tolist()
-    return {"element": src_el, "image": this}
 
 
 def two_cells_equal(x, y):
@@ -140,23 +130,17 @@ def paste_with_boundaries(src_cell, faces, tgt_cell):
 
 
 def _candidate_options(src, tgt):
+    """(count per source apex element, candidates grouped by source): the
+    target elements over the same feet with an equal component, or None."""
     if not fams_equal(src.dom, tgt.dom) or not fams_equal(src.cod, tgt.cod):
         return None
-    backend = src.backend
-    options = []
-    for s in range(src.span.apex.size):
-        mask = (tgt.span.f.table == src.span.f.table[s]) & (
-            tgt.span.g.table == src.span.g.table[s]
-        )
-        cand = np.nonzero(mask)[0]
-        if not backend.trivial:
-            cand = [t for t in cand if backend.eq_mor(src.alphas[s], tgt.alphas[int(t)])]
-        else:
-            cand = cand.tolist()
-        if not cand:
-            return None
-        options.append(cand)
-    return options
+    s, t = feet_pairs(src.span, tgt.span)
+    same = src.alphas.take(s).zip_with(tgt.alphas.take(t), src.backend.eq_mor)
+    keep = same.expand(same.values).astype(bool)
+    counts = np.bincount(s[keep], minlength=src.span.apex.size)
+    if counts.size and counts.min() == 0:
+        return None
+    return counts, t[keep]
 
 
 def find_2cells(src, tgt, limit=None):
@@ -165,25 +149,22 @@ def find_2cells(src, tgt, limit=None):
     options = _candidate_options(src, tgt)
     if options is None:
         return []
+    counts, cand = options
     count = 1
-    for opts in options:
-        count *= len(opts)
+    for c in counts.tolist():
+        count *= c
         if count > cap:
             raise OutOfBounds("more than %d candidate 2-cells" % cap)
+    groups = np.split(cand, np.cumsum(counts)[:-1]) if counts.size else []
     return [
         VCell2(src, tgt, np.array(combo, dtype=np.int64))
-        for combo in itertools.product(*options)
+        for combo in itertools.product(*groups)
     ]
 
 
 def find_unique_2cell(src, tgt):
     """The unique 2-cell src => tgt if there is exactly one, else None."""
     options = _candidate_options(src, tgt)
-    if options is None:
+    if options is None or (options[0] != 1).any():
         return None
-    count = 1
-    for opts in options:
-        count *= len(opts)
-    if count != 1:
-        return None
-    return VCell2(src, tgt, np.array([opts[0] for opts in options], dtype=np.int64))
+    return VCell2(src, tgt, options[1])

@@ -168,6 +168,17 @@ def match_by_signature(cols1, cols2):
     return table, None
 
 
+def feet_pairs(s1, s2):
+    """The apex positions (a, b) of two parallel spans that sit over the
+    same pair of feet, ascending in a and then in b."""
+    width = s1.right.size
+    feet = FinSet((s1.left.size * width,))
+    _, p1, p2 = pullback(
+        FinFn(FinSet((s1.apex.size,)), feet, s1.f.table * width + s1.g.table),
+        FinFn(FinSet((s2.apex.size,)), feet, s2.f.table * width + s2.g.table))
+    return p1.table, p2.table
+
+
 def spans_isomorphic(s1, s2):
     """The canonical leg-preserving bijection between two spans, or None."""
     if s1.left != s2.left or s1.right != s2.right:

@@ -4,16 +4,14 @@ their strict laws, and the report type shared by all checkers."""
 from functools import reduce
 
 from ..cells import (
-    braiding_cell,
     compose_cells,
     identity_cell,
     tensor_2cells,
     tensor_cells,
-    tensor_fams,
-    unit_fam,
     whisker,
 )
-from ..pasting import _canonical_iso_ex
+from ..errors import PasteError
+from ..pasting import _canonical_iso_ex, paste, two_cells_equal
 
 
 def compose_chain(*cells):
@@ -177,6 +175,16 @@ class OplaxMorphismData:
         self.psi0 = psi0
 
 
+def paste_result(name, left_faces, right_faces):
+    """Paste both sides of an axiom and compare them; a boundary that
+    cannot be bridged fails the axiom with its counterexample."""
+    try:
+        ok, info = two_cells_equal(paste(left_faces), paste(right_faces))
+        return AxiomResult(name, ok, info)
+    except PasteError as err:
+        return AxiomResult(name, False, err.counterexample, note=str(err))
+
+
 def _iso_result(name, a, b):
     cell, info = _canonical_iso_ex(a, b)
     return AxiomResult(name, cell is not None, info)
@@ -205,15 +213,6 @@ def check_strict_comonoid(com):
         _iso_result("comon-counit-l", compose_chain(d, tensor_chain(e, one)), one),
         _iso_result("comon-counit-r", compose_chain(d, tensor_chain(one, e)), one),
     ])
-
-
-def tensor_monoid(a, b):
-    """The monoid on a tensor of carriers, mixing middle factors by braiding."""
-    sw = braiding_cell(b.carrier, a.carrier)
-    one_a = identity_cell(a.carrier)
-    one_b = identity_cell(b.carrier)
-    mlt = compose_chain(tensor_chain(one_a, sw, one_b), tensor_chain(a.mlt, b.mlt))
-    return MonoidData(tensor_fams(a.carrier, b.carrier), mlt, tensor_cells(a.uni, b.uni))
 
 
 def check_frobenius(fr):

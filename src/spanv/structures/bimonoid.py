@@ -10,8 +10,8 @@ from ..cells import (
     tensor_cells,
     unit_fam,
 )
-from ..errors import NotMonic, PasteError, SpanVError
-from ..pasting import find_unique_2cell, paste, two_cells_equal
+from ..errors import NotMonic, SpanVError
+from ..pasting import find_unique_2cell
 from ..span import unique_map_to_monic
 from .base import (
     AxiomResult,
@@ -20,6 +20,7 @@ from .base import (
     check_strict_monoid,
     compose_chain,
     framed,
+    paste_result,
     tensor_2chain,
     tensor_chain,
 )
@@ -212,12 +213,7 @@ def check_oplax_bimonoid(bim):
                 {"invalid": bad[0], "element": inv.element},
                 note=inv.error))
             continue
-        try:
-            left, right = build(parts, gens)
-            ok, info = two_cells_equal(paste(left), paste(right))
-            results.append(AxiomResult(name, ok, info))
-        except PasteError as err:
-            results.append(AxiomResult(name, False, err.counterexample, note=str(err)))
+        results.append(paste_result(name, *build(parts, gens)))
     return CheckReport(results)
 
 

@@ -4,6 +4,7 @@ oplax inverses and antipodes, and the fusion reformulation."""
 import itertools
 
 from ..cells import (
+    InvalidCell,
     hcompose_2cells,
     identity_2cell,
     identity_cell,
@@ -13,9 +14,8 @@ from ..cells import (
     whisker,
 )
 from ..errors import NotBimodule, NotFirm
-from ..pasting import cells_isomorphic, find_2cells, paste, two_cells_equal
+from ..pasting import canonical_cell_iso, find_2cells, paste, two_cells_equal
 from .base import (
-    AntipodeData,
     AxiomResult,
     CheckReport,
     MoritaContextData,
@@ -111,8 +111,6 @@ def antipode_context(bim, antipode):
 
 def check_oplax_hopf(bim, antipode):
     """Check an antipode: its context on (identity, s) must be firm."""
-    from ..cells import InvalidCell
-
     bad = [name for name in ("tau1", "tau2")
            if isinstance(getattr(antipode, name), InvalidCell)]
     if bad:
@@ -152,9 +150,9 @@ def _is_bimodule_endo(bim, g):
     one = identity_cell(bim.monoid.carrier)
     act = tensor_chain(bim.monoid.mlt, one)
     coact = tensor_chain(one, bim.comonoid.lcm)
-    linear = cells_isomorphic(
+    linear = canonical_cell_iso(
         compose_chain(act, g), compose_chain(tensor_chain(one, g), act))
-    colinear = cells_isomorphic(
+    colinear = canonical_cell_iso(
         compose_chain(g, coact), compose_chain(coact, tensor_chain(g, one)))
     return linear is not None and colinear is not None
 

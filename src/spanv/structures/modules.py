@@ -9,25 +9,17 @@ from ..cells import (
     tensor_fams,
     unit_fam,
 )
-from ..errors import PasteError
-from ..pasting import canonical_cell_iso, paste, paste_with_boundaries, two_cells_equal
+from ..pasting import canonical_cell_iso, paste_with_boundaries
 from .base import (
     AxiomResult,
     CheckReport,
     OplaxModuleData,
     compose_chain,
     framed,
+    paste_result,
     tensor_2chain,
     tensor_chain,
 )
-
-
-def _module_axiom(name, left_faces, right_faces):
-    try:
-        ok, info = two_cells_equal(paste(left_faces), paste(right_faces))
-        return AxiomResult(name, ok, info)
-    except PasteError as err:
-        return AxiomResult(name, False, err.counterexample, note=str(err))
 
 
 def check_oplax_module(monoid, mod):
@@ -51,7 +43,7 @@ def check_oplax_module(monoid, mod):
         framed(xi, pre=tensor_chain(one_x, one_m, m)),
         framed(xi, pre=tensor_chain(rho, one_m, one_m)),
     ]
-    results.append(_module_axiom("module-assoc", left, right))
+    results.append(paste_result("module-assoc", left, right))
     if isinstance(xi0, InvalidCell):
         results.append(AxiomResult(
             "module-unit", False,
@@ -61,7 +53,7 @@ def check_oplax_module(monoid, mod):
         framed(xi, pre=tensor_chain(one_x, j, one_m)),
         framed(tensor_2chain(xi0, id2_m), post=rho),
     ]
-    results.append(_module_axiom("module-unit", left, [identity_2cell(rho)]))
+    results.append(paste_result("module-unit", left, [identity_2cell(rho)]))
     return CheckReport(results)
 
 

@@ -7,24 +7,16 @@ from ..cells import (
     identity_cell,
     tensor_cells,
 )
-from ..errors import PasteError
-from ..pasting import paste, paste_with_boundaries, two_cells_equal
+from ..pasting import paste_with_boundaries
 from .base import (
     AxiomResult,
     CheckReport,
     compose_chain,
     framed,
+    paste_result,
     tensor_2chain,
     tensor_chain,
 )
-
-
-def _compare(name, left_faces, right_faces):
-    try:
-        ok, info = two_cells_equal(paste(left_faces), paste(right_faces))
-        return AxiomResult(name, ok, info)
-    except PasteError as err:
-        return AxiomResult(name, False, err.counterexample, note=str(err))
 
 
 def monoid_morphism_axioms(mon_a, mon_b, f, phi, phi0):
@@ -33,18 +25,18 @@ def monoid_morphism_axioms(mon_a, mon_b, f, phi, phi0):
     mb = mon_b.mlt
     one_a = identity_cell(mon_a.carrier)
     id2_f = identity_2cell(f)
-    results = [_compare(
+    results = [paste_result(
         "monoid-assoc",
         [framed(phi, pre=tensor_chain(one_a, ma)),
          framed(tensor_2chain(id2_f, phi), post=mb)],
         [framed(phi, pre=tensor_chain(ma, one_a)),
          framed(tensor_2chain(phi, id2_f), post=mb)])]
-    results.append(_compare(
+    results.append(paste_result(
         "monoid-unit-left",
         [framed(phi, pre=tensor_chain(ja, one_a)),
          framed(tensor_2chain(phi0, id2_f), post=mb)],
         [id2_f]))
-    results.append(_compare(
+    results.append(paste_result(
         "monoid-unit-right",
         [framed(phi, pre=tensor_chain(one_a, ja)),
          framed(tensor_2chain(id2_f, phi0), post=mb)],
@@ -62,18 +54,18 @@ def comonoid_morphism_axioms(com_a, com_b, f, psi, psi0):
     db, eb = com_b.lcm, com_b.lcu
     one_b = identity_cell(com_b.carrier)
     id2_f = identity_2cell(f)
-    results = [_compare(
+    results = [paste_result(
         "comonoid-coassoc",
         [framed(tensor_2chain(id2_f, psi), pre=da),
          framed(psi, post=tensor_chain(one_b, db))],
         [framed(tensor_2chain(psi, id2_f), pre=da),
          framed(psi, post=tensor_chain(db, one_b))])]
-    results.append(_compare(
+    results.append(paste_result(
         "comonoid-counit-left",
         [framed(tensor_2chain(psi0, id2_f), pre=da),
          framed(psi, post=tensor_chain(eb, one_b))],
         [id2_f]))
-    results.append(_compare(
+    results.append(paste_result(
         "comonoid-counit-right",
         [framed(tensor_2chain(id2_f, psi0), pre=da),
          framed(psi, post=tensor_chain(one_b, eb))],
@@ -128,7 +120,7 @@ def check_oplax_bimonoid_morphism(bim_a, bim_b, morph):
     results = monoid_morphism_axioms(bim_a.monoid, bim_b.monoid, f, phi, phi0)
     results += comonoid_morphism_axioms(
         bim_a.comonoid, bim_b.comonoid, f, psi, psi0)
-    results.append(_compare(
+    results.append(paste_result(
         "mult-comult",
         [framed(bim_a.theta, post=ff),
          framed(tensor_2chain(phi, phi), pre=share_a),
@@ -136,17 +128,17 @@ def check_oplax_bimonoid_morphism(bim_a, bim_b, morph):
         [framed(psi, pre=ma),
          framed(phi, post=db),
          framed(bim_b.theta, pre=ff)]))
-    results.append(_compare(
+    results.append(paste_result(
         "unit-comult",
         [framed(bim_a.theta0, post=ff), tensor_2chain(phi0, phi0)],
         [framed(psi, pre=ja), framed(phi0, post=db), bim_b.theta0]))
-    results.append(_compare(
+    results.append(paste_result(
         "mult-counit",
         [bim_a.chi, tensor_2chain(psi0, psi0)],
         [framed(psi0, pre=ma),
          framed(phi, post=eb),
          framed(bim_b.chi, pre=ff)]))
-    results.append(_compare(
+    results.append(paste_result(
         "unit-counit",
         [bim_a.chi0],
         [framed(psi0, pre=ja), framed(phi0, post=eb), bim_b.chi0]))
@@ -159,14 +151,14 @@ def check_module_morphism(monoid, mod_x, mod_y, f, phi):
     one_m = identity_cell(monoid.carrier)
     one_x = identity_cell(mod_x.carrier)
     id2_m = identity_2cell(one_m)
-    results = [_compare(
+    results = [paste_result(
         "action-square",
         [framed(mod_x.xi, post=f),
          framed(phi, pre=tensor_chain(mod_x.rho, one_m)),
          framed(tensor_2chain(phi, id2_m), post=mod_y.rho)],
         [framed(phi, pre=tensor_chain(one_x, m)),
          framed(mod_y.xi, pre=tensor_chain(f, one_m, one_m))])]
-    results.append(_compare(
+    results.append(paste_result(
         "unit-square",
         [framed(phi, pre=tensor_chain(one_x, j)),
          framed(mod_y.xi0, pre=f)],
@@ -179,7 +171,7 @@ def check_module_transformation(monoid, mod_x, mod_y, morph_f, morph_g, a):
     f, phi = morph_f
     g, psi = morph_g
     id2_m = identity_2cell(identity_cell(monoid.carrier))
-    result = _compare(
+    result = paste_result(
         "action-compat",
         [phi, framed(tensor_2chain(a, id2_m), post=mod_y.rho)],
         [framed(a, pre=mod_x.rho), psi])

@@ -13,10 +13,19 @@ from .errors import ShapeMismatch, UnsupportedBackend
 from .finset import UNIT, FinFn, FinSet, compose_fn, identity_fn, swap_fn
 
 
-class TrivialBackend:
+class _Backend:
+    """Backends are values: equal when they have the same kind and parameters."""
+
+    def __eq__(self, other):
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((type(self).__name__,) + tuple(sorted(vars(self).items())))
+
+
+class TrivialBackend(_Backend):
     """One object, one morphism.  Enrichment in this backend is vacuous."""
 
-    trivial = True
     unit = ()
 
     def eq_obj(self, a, b):
@@ -59,7 +68,7 @@ class TrivialBackend:
         return "TrivialBackend()"
 
 
-class MatBackend:
+class MatBackend(_Backend):
     """Matrices over Z/p (p prime) or over the boolean semiring.
 
     Objects are dimensions; a morphism n -> m is an n x m integer matrix
@@ -68,7 +77,6 @@ class MatBackend:
     row-major pairing of basis vectors.
     """
 
-    trivial = False
     unit = 1
 
     def __init__(self, prime=None, boolean=False):
@@ -145,10 +153,9 @@ class MatBackend:
         return "MatBackend(prime=%d)" % self.prime
 
 
-class FinSetBackend:
+class FinSetBackend(_Backend):
     """Finite sets and functions with the cartesian monoidal structure."""
 
-    trivial = False
     unit = UNIT
 
     def eq_obj(self, a, b):

@@ -12,7 +12,6 @@ from spanv.vbackend import FinSetBackend, MatBackend, TrivialBackend, left_kan_a
 
 def test_trivial_backend():
     tb = TrivialBackend()
-    assert tb.trivial
     assert tb.compose(tb.id(()), ()) == ()
     assert tb.eq_mor((), ())
     with pytest.raises(UnsupportedBackend):

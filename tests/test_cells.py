@@ -34,7 +34,6 @@ from spanv.errors import (
 from spanv.finset import FinFn, FinSet, identity_fn
 from spanv.pasting import (
     canonical_cell_iso,
-    cells_isomorphic,
     find_2cells,
     find_unique_2cell,
     paste,
@@ -68,7 +67,7 @@ def test_tensor_fams_row_major():
     a = _mat_fam(be, [2, 3])
     b = _mat_fam(be, [1, 4])
     t = tensor_fams(a, b)
-    assert t.objs == [2, 8, 3, 12]
+    assert list(t.objs) == [2, 8, 3, 12]
     assert tensor_fams(unit_fam(be), a) is a
 
 
@@ -121,7 +120,7 @@ def test_braiding_cell_is_invertible():
     # braiding then braiding back is isomorphic to the identity
     back = braiding_cell(b, a)
     round_trip = compose_cells(br, back)
-    assert cells_isomorphic(round_trip, identity_cell(tensor_fams(a, b))) is not None
+    assert canonical_cell_iso(round_trip, identity_cell(tensor_fams(a, b))) is not None
 
 
 def test_make_2cell_validations():
@@ -146,6 +145,42 @@ def test_make_2cell_validations():
     assert bad.element == (0,)
 
 
+def test_cells_over_equal_backends_compose():
+    # separately built backends with the same parameters are the same backend
+    a, b = MatBackend(prime=3), MatBackend(prime=3)
+    assert a == b and hash(a) == hash(b)
+    assert a != MatBackend(prime=5) and a != MatBackend(boolean=True)
+    fa, fb = _mat_fam(a, [2]), _mat_fam(b, [2])
+    f = _point_cell(a, fa, fa, 0, 0, a.mor([[1, 1], [0, 1]]))
+    g = _point_cell(b, fb, fb, 0, 0, b.mor([[1, 2], [0, 1]]))
+    assert np.array_equal(compose_cells(f, g).alphas[0], [[1, 0], [0, 1]])
+
+
+def test_constant_components_store_no_codes():
+    # one distinct value costs O(1) memory at any length, also after a tensor
+    fam = VFam(TrivialBackend(), FinSet((300,)))
+    assert tensor_fams(fam, fam).objs.codes is None
+    cell = tensor_cells(identity_cell(fam), identity_cell(fam))
+    assert len(cell.alphas) == 300 * 300 and cell.alphas.codes is None
+
+
+def test_first_bad_component_is_first_in_apex_order():
+    be = MatBackend(prime=3)
+    fam = _mat_fam(be, [2])
+    a, b = be.mor([[1, 0], [0, 1]]), be.mor([[1, 1], [0, 1]])
+    apex = FinSet((4,))
+    span = Span(fam.base, apex, fam.base,
+                FinFn(apex, fam.base, [0] * 4), FinFn(apex, fam.base, [0] * 4))
+    src = VCell1(fam, fam, span, [b, a, a, b])
+    assert len(src.alphas.values) == 2  # equal morphisms are stored once
+    # the pair (b, a) at element 3 sorts before (a, b) at element 2
+    with pytest.raises(FactorizationViolation) as err:
+        make_2cell(src, VCell1(fam, fam, span, [b, a, b, a]), [0, 1, 2, 3])
+    assert err.value.element == (2,)
+    with pytest.raises(ComponentShapeError, match="component 2 "):
+        VCell1(fam, fam, span, [a, b, be.mor(np.zeros((2, 3))), be.mor(np.zeros((3, 2)))])
+
+
 def test_make_2cell_checks_components():
     be = MatBackend(prime=3)
     fam = _mat_fam(be, [2])
@@ -156,7 +191,7 @@ def test_make_2cell_checks_components():
     assert err.value.element == (0,)
 
 
-_TB = TrivialBackend()  # families compare by backend identity
+_TB = TrivialBackend()
 
 
 def _parallel_pair(seed, nl=2, na=4, nr=2):

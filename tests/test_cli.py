@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,22 @@ def test_parse_and_schema_errors(tmp_path):
         path = tmp_path / "mangled.json"
         path.write_text(json.dumps(copy))
         assert main(["check", str(path)]) == 2
+
+
+def test_malformed_backend_exits_2_without_traceback(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    data = json.loads((FIXTURES / "mat-frobenius.json").read_text())
+    for prime in (4, "x"):
+        data["backend"]["prime"] = prime
+        path = tmp_path / "bad-prime.json"
+        path.write_text(json.dumps(data))
+        run = subprocess.run([sys.executable, "-m", "spanv.cli", "check", str(path)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 2, run.stderr
+        assert "Traceback" not in run.stderr
+        assert "prime" in run.stderr
 
 
 def test_reports_match_goldens(tmp_path):

@@ -9,16 +9,16 @@ from spanv.cells import (
     cells_equal,
     identity_cell,
     invert_2cell,
+    make_2cell,
     tensor_cells,
     tensor_fams,
     unit_fam,
 )
 from spanv.errors import NotBimodule
 from spanv.finset import UNIT, FinFn, FinSet, diagonal_fn, identity_fn, reindex_fn, terminal_fn
-from spanv.hopfcat import codiscrete_groupoid, groupoid_structures
+from spanv.hopfcat import codiscrete_groupoid, discrete_groupoid, groupoid_structures
 from spanv.pasting import (
     canonical_cell_iso,
-    cells_isomorphic,
     find_2cells,
     find_unique_2cell,
     identity_2cell,
@@ -32,11 +32,13 @@ from spanv.structures import (
     FrobeniusData,
     MonoidData,
     OplaxBimonoidData,
+    OplaxModuleData,
     OplaxMorphismData,
     antipode_context,
     check_frobenius,
     check_fusion_inverse,
     check_module_morphism,
+    check_module_transformation,
     check_oplax_bimonoid,
     check_oplax_bimonoid_morphism,
     check_oplax_hopf,
@@ -179,9 +181,9 @@ def test_convolution_endo_correspondence(pair2):
         conv_fg = convolution(bim, f, g)
         lhs = convolution_to_endo(bim, conv_fg)
         rhs = compose_chain(convolution_to_endo(bim, f), convolution_to_endo(bim, g))
-        assert cells_isomorphic(lhs, rhs) is not None
+        assert canonical_cell_iso(lhs, rhs) is not None
         back = endo_to_convolution(bim, convolution_to_endo(bim, f))
-        assert cells_isomorphic(back, f) is not None
+        assert canonical_cell_iso(back, f) is not None
 
 
 def test_convolution_associative_up_to_iso(pair2):
@@ -191,7 +193,7 @@ def test_convolution_associative_up_to_iso(pair2):
     f, g, h = (_random_endo(rng, carrier) for _ in range(3))
     lhs = convolution(bim, f, convolution(bim, g, h))
     rhs = convolution(bim, convolution(bim, f, g), h)
-    assert cells_isomorphic(lhs, rhs) is not None
+    assert canonical_cell_iso(lhs, rhs) is not None
 
 
 def _relabel(cell, perm):
@@ -246,6 +248,37 @@ def test_tensor_of_strict_module_morphisms(pair2):
     assert invert_2cell(tau) is not None
     double = tensor_modules(bim, reg, reg)
     assert check_module_morphism(mon, double, double, fg, tau).ok
+
+
+def test_module_transformation(pair2):
+    mon, _, _, _, _, _ = pair2
+    reg = regular_module(mon)
+    f = identity_cell(reg.carrier)
+    phi = canonical_cell_iso(
+        compose_chain(reg.rho, f),
+        compose_chain(tensor_chain(f, identity_cell(mon.carrier)), reg.rho))
+    same = (f, phi)
+    assert check_module_transformation(mon, reg, reg, same, same, identity_2cell(f)).ok
+
+
+def test_module_transformation_detects_mismatched_mediators():
+    # a one-element carrier acting on itself through two apex elements over
+    # the same feet: swapping them gives a second mediating cell
+    monoid = groupoid_structures(discrete_groupoid(1))[0]
+    carrier = monoid.carrier
+    one, two, feet = FinSet((1,)), FinSet((2,)), FinSet((1, 1))
+    rho = VCell1(tensor_fams(carrier, carrier), carrier,
+                 Span(feet, two, one, FinFn(two, feet, [0, 0]), FinFn(two, one, [0, 0])),
+                 None)
+    mod = OplaxModuleData(carrier, rho, None, None)  # only the action is read
+    f = identity_cell(carrier)
+    phi, psi = identity_2cell(rho), make_2cell(rho, rho, [1, 0])
+    report = check_module_transformation(monoid, mod, mod, (f, phi), (f, psi),
+                                         identity_2cell(f))
+    assert not report.ok
+    assert report["action-compat"].counterexample["element"] == [0]
+    assert check_module_transformation(monoid, mod, mod, (f, psi), (f, psi),
+                                       identity_2cell(f)).ok
 
 
 def test_identity_bimonoid_morphism(pair2):
