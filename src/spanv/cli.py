@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cells import VCell1, VFam, identity_cell, tensor_cells, tensor_fams, try_make_2cell, unit_fam
-from .errors import OutOfBounds, ParseError, SchemaError, SpanVError
+from .errors import InvalidBackend, OutOfBounds, ParseError, SchemaError, SpanVError
 from .finset import FinFn, FinSet
 from .hopfcat import (
     FrobVCat,
@@ -99,10 +99,16 @@ def _backend_from_json(data):
     if kind == "mat":
         if data.get("boolean"):
             return MatBackend(boolean=True)
+        prime = _need(data, "prime")
         try:
-            return MatBackend(prime=int(_need(data, "prime")))
-        except (AssertionError, TypeError, ValueError):
-            raise SchemaError("backend field 'prime' must be a prime, got %r" % (data["prime"],))
+            # the cap comes before MatBackend's trial division, and keeps
+            # the int64 sums k * (p - 1)**2 of a matrix product far below 2**63
+            if int(prime) <= MAX_PRIME:
+                return MatBackend(prime=int(prime))
+        except (InvalidBackend, TypeError, ValueError, OverflowError):
+            pass
+        raise SchemaError("backend field 'prime' must be a prime at most %d, got %r"
+                          % (MAX_PRIME, prime))
     raise SchemaError("unknown backend kind %r" % (kind,))
 
 
@@ -382,8 +388,10 @@ def load_structure(data):
             return kind, (bim_a, bim_b, morph)
     except SchemaError:
         raise
-    except (SpanVError, AssertionError, KeyError, TypeError, ValueError) as err:
+    except (SpanVError, AssertionError, KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaError("invalid %s data: %s" % (kind, err))
+    except MemoryError:
+        raise SchemaError("structure too large to load")
     raise AssertionError("unreachable")
 
 

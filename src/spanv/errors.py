@@ -25,6 +25,10 @@ class UnsupportedBackend(SpanVError):
     """The chosen backend does not implement the requested operation."""
 
 
+class InvalidBackend(SpanVError):
+    """A backend was constructed with parameters it cannot work with."""
+
+
 class FamMismatch(SpanVError):
     """Two indexed families disagree on their index set or entries."""
 

@@ -9,7 +9,7 @@ backend are provided.
 
 import numpy as np
 
-from .errors import ShapeMismatch, UnsupportedBackend
+from .errors import InvalidBackend, ShapeMismatch, UnsupportedBackend
 from .finset import UNIT, FinFn, FinSet, compose_fn, identity_fn, swap_fn
 
 
@@ -71,18 +71,21 @@ class TrivialBackend(_Backend):
 class MatBackend(_Backend):
     """Matrices over Z/p (p prime) or over the boolean semiring.
 
-    Objects are dimensions; a morphism n -> m is an n x m integer matrix
-    acting on row vectors, so diagrammatic composition is plain matrix
-    product.  Tensor is the Kronecker product, which matches the
-    row-major pairing of basis vectors.
+    Objects are dimensions; a morphism n -> m is an n x m int64 matrix,
+    reduced mod p (0/1 for the boolean semiring), acting on row vectors,
+    so diagrammatic composition is plain matrix product.  Tensor is the
+    Kronecker product, which matches the row-major pairing of basis
+    vectors.
     """
 
     unit = 1
 
     def __init__(self, prime=None, boolean=False):
-        assert (prime is None) != (not boolean), "pass a prime or boolean=True"
-        if prime is not None:
-            assert prime >= 2 and all(prime % d for d in range(2, int(prime**0.5) + 1))
+        if (prime is None) == (not boolean):
+            raise InvalidBackend("pass a prime or boolean=True")
+        if prime is not None and not (
+                prime >= 2 and all(prime % d for d in range(2, int(prime**0.5) + 1))):
+            raise InvalidBackend("modulus %r is not a prime" % (prime,))
         self.prime = prime
         self.boolean = boolean
 
@@ -95,7 +98,8 @@ class MatBackend(_Backend):
         a = self._reduce(np.asarray(data, dtype=np.int64))
         if dom is not None:
             a = a.reshape(dom, cod)
-        assert a.ndim == 2
+        if a.ndim != 2:
+            raise ShapeMismatch("a morphism is a matrix, got %d axes" % a.ndim)
         return a
 
     def eq_obj(self, a, b):
@@ -110,13 +114,31 @@ class MatBackend(_Backend):
     def compose(self, f, g):
         if f.shape[1] != g.shape[0]:
             raise ShapeMismatch("cannot chain %r after %r" % (g.shape, f.shape))
-        return self._reduce(f @ g)
+        if 8 * np.count_nonzero(f) > f.size:
+            return self._reduce(f @ g)
+        # Gustavson's row-wise product: row i of f @ g sums the rows of g
+        # that row i's nonzeros select.  np.nonzero is row-major, so each
+        # output row is one contiguous segment; chunks of f.shape[0]
+        # nonzeros keep the gathered rows no larger than the output.
+        rows, cols = np.nonzero(f)
+        out = np.zeros((f.shape[0], g.shape[1]), dtype=np.int64)
+        step = max(f.shape[0], 1)
+        for start in range(0, rows.size, step):
+            r, c = rows[start:start + step], cols[start:start + step]
+            heads = np.flatnonzero(np.diff(r, prepend=-1))
+            out[r[heads]] += np.add.reduceat(f[r, c, None] * g[c], heads, axis=0)
+        return self._reduce(out)
 
     def tensor_obj(self, a, b):
         return a * b
 
     def tensor_mor(self, f, g):
-        return self._reduce(np.kron(f, g))
+        out = np.kron(f, g)
+        # operands are reduced, so when no product of two entries reaches p
+        # neither does any entry of the Kronecker product
+        if self.boolean or f.max(initial=0) * g.max(initial=0) < self.prime:
+            return out
+        return self._reduce(out)
 
     def braiding(self, a, b):
         p = np.zeros((a * b, b * a), dtype=np.int64)

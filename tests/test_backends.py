@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spanv.errors import ShapeMismatch, UnsupportedBackend
+from spanv.errors import InvalidBackend, ShapeMismatch, UnsupportedBackend
 from spanv.finset import FinFn, FinSet
 from spanv.vbackend import FinSetBackend, MatBackend, TrivialBackend, left_kan_along_function
 
@@ -29,8 +31,35 @@ def test_mat_compose_mod_p():
         be.compose(be.mor(np.zeros((2, 3))), be.mor(np.zeros((2, 3))))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 97, None]), st.integers(0, 6), st.integers(0, 24),
+       st.integers(0, 6), st.floats(0, 1), st.integers(0, 96), st.integers(0, 96),
+       st.integers(0, 2**32))
+def test_mat_products_are_exact(p, n, k, m, density, f_top, g_top, seed):
+    # compose picks a sparse or a dense product from f's density, and
+    # tensor_mor skips its reduction when the operands' maxima allow it;
+    # every choice must equal reducing the plain int64 product
+    be = MatBackend(boolean=True) if p is None else MatBackend(prime=p)
+    modulus = 2 if p is None else p
+    rng = np.random.default_rng(seed)
+
+    def operand(rows, cols, top):
+        entries = rng.integers(0, top % modulus + 1, size=(rows, cols))
+        return be.mor(np.where(rng.random((rows, cols)) < density, entries, 0))
+
+    def reduced(a):
+        return (a != 0).astype(np.int64) if p is None else np.mod(a, p)
+
+    f, g = operand(n, k, f_top), operand(k, m, g_top)
+    for got, want in ((be.compose(f, g), reduced(f @ g)),
+                      (be.tensor_mor(f, g), reduced(np.kron(f, g)))):
+        assert got.dtype == np.int64
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_mat_rejects_composite_modulus():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidBackend):
         MatBackend(prime=4)
 
 

@@ -56,6 +56,7 @@ def test_parse_and_schema_errors(tmp_path):
         lambda d: d.pop("mlt"),
         lambda d: d["cells"].update(theta=d["cells"]["theta"][:-1]),
         lambda d: d["backend"].update(kind="unknown"),
+        lambda d: d["mlt"]["apex"].update(size=float("inf")),
     ):
         copy = json.loads(json.dumps(data))
         mangle(copy)
@@ -64,20 +65,52 @@ def test_parse_and_schema_errors(tmp_path):
         assert main(["check", str(path)]) == 2
 
 
-def test_malformed_backend_exits_2_without_traceback(tmp_path):
+def _spanv_check(path, *python_flags):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *python_flags, "-m", "spanv.cli", "check", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def _with_prime(tmp_path, prime):
     data = json.loads((FIXTURES / "mat-frobenius.json").read_text())
-    for prime in (4, "x"):
-        data["backend"]["prime"] = prime
-        path = tmp_path / "bad-prime.json"
-        path.write_text(json.dumps(data))
-        run = subprocess.run([sys.executable, "-m", "spanv.cli", "check", str(path)],
-                             capture_output=True, text=True, env=env)
+    data["backend"]["prime"] = prime
+    path = tmp_path / ("prime-%s.json" % prime)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_malformed_backend_exits_2_without_traceback(tmp_path):
+    # 2**61 - 1 is prime but past the cap, and is refused before any
+    # trial division (which would take minutes)
+    for prime in (4, "x", 2**61 - 1, float("inf")):
+        run = _spanv_check(_with_prime(tmp_path, prime))
         assert run.returncode == 2, run.stderr
         assert "Traceback" not in run.stderr
         assert "prime" in run.stderr
+
+
+def test_oversized_structure_exits_2_without_traceback(tmp_path):
+    data = json.loads((FIXTURES / "x2-hopf.json").read_text())
+    data["carrier"]["base"] = [10000000]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    run = _spanv_check(path)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "too large" in run.stderr
+
+
+def test_exit_codes_hold_under_python_O(tmp_path):
+    # python -O strips asserts, so input checks must not rely on them
+    paths = [FIXTURES / ("%s.json" % stem)
+             for stem in ("x2-hopf", "mat-frobenius", "corrupted-theta0")]
+    paths += [_with_prime(tmp_path, prime) for prime in (4, "x")]
+    for path, want in zip(paths, (0, 0, 1, 2, 2)):
+        run = _spanv_check(path, "-O")
+        assert run.returncode == want, (path.name, run.stderr)
+        assert "Traceback" not in run.stderr
 
 
 def test_reports_match_goldens(tmp_path):
