@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .cells import VCell1, VFam, identity_cell, tensor_cells, tensor_fams, try_make_2cell, unit_fam
+from .cells import VCell1, VFam, tensor_fams, try_make_2cell, unit_fam
 from .errors import InvalidBackend, OutOfBounds, ParseError, SchemaError, SpanVError
 from .finset import FinFn, FinSet
 from .hopfcat import (
@@ -42,17 +42,16 @@ from .structures import (
     OplaxBimonoidData,
     OplaxModuleData,
     OplaxMorphismData,
+    antipode_boundaries,
     check_frobenius,
     check_oplax_bimonoid,
     check_oplax_bimonoid_morphism,
     check_oplax_hopf,
     check_oplax_module,
     check_strict_monoid,
-    compose_chain,
-    convolution,
-    convolution_unit,
+    module_boundaries,
+    morphism_boundaries,
     structure_cell_boundaries,
-    tensor_chain,
 )
 from .vbackend import FinSetBackend, MatBackend, TrivialBackend
 
@@ -97,7 +96,11 @@ def _backend_from_json(data):
     if kind == "finset":
         return FinSetBackend()
     if kind == "mat":
-        if data.get("boolean"):
+        boolean = data.get("boolean", False)
+        if not isinstance(boolean, bool):
+            raise SchemaError("backend field 'boolean' must be true or false, got %r"
+                              % (boolean,))
+        if boolean:
             return MatBackend(boolean=True)
         prime = _need(data, "prime")
         try:
@@ -207,6 +210,11 @@ def _u_from_json(data, src_cell, tgt_cell):
     return try_make_2cell(src_cell, tgt_cell, u)
 
 
+def _cells_from_json(block, bounds):
+    """Read each generator's apex map and validate it against its boundary."""
+    return {name: _u_from_json(_need(block, name), *pair) for name, pair in bounds.items()}
+
+
 def _bimonoid_block_to_json(bim, antipode=None):
     out = {
         "carrier": _fam_to_json(bim.monoid.carrier),
@@ -250,21 +258,13 @@ def _bimonoid_block_from_json(backend, data, with_antipode):
     monoid = _monoid_from_json(backend, data)
     carrier = monoid.carrier
     comonoid = _comonoid_from_json(carrier, data)
-    bounds = structure_cell_boundaries(monoid, comonoid)
-    cells = _need(data, "cells")
-    made = [_u_from_json(_need(cells, name), *bounds[name])
-            for name in ("theta", "theta0", "chi", "chi0")]
-    bim = OplaxBimonoidData(monoid, comonoid, *made)
+    bim = OplaxBimonoidData(monoid, comonoid, **_cells_from_json(
+        _need(data, "cells"), structure_cell_boundaries(monoid, comonoid)))
     if not with_antipode:
         return bim, None
     anti = _need(data, "antipode")
     s = _span_cell_from_json(_need(anti, "s"), carrier, carrier)
-    one = identity_cell(carrier)
-    tau1 = _u_from_json(_need(anti, "tau1"),
-                        convolution(bim, one, s), convolution_unit(bim))
-    tau2 = _u_from_json(_need(anti, "tau2"),
-                        convolution(bim, s, one), convolution_unit(bim))
-    return bim, AntipodeData(s, tau1, tau2)
+    return bim, AntipodeData(s, **_cells_from_json(anti, antipode_boundaries(bim, s)))
 
 
 def _vcat_tables_to_json(h, local_names):
@@ -324,24 +324,6 @@ def _frobcat_from_json(backend, data):
     return FrobVCat(backend, FinSet((n,)), homs, m, u, comlt, couni)
 
 
-def _module_boundaries(monoid, mod_carrier, rho):
-    one_x = identity_cell(mod_carrier)
-    one_m = identity_cell(monoid.carrier)
-    xi_src = compose_chain(tensor_chain(one_x, monoid.mlt), rho)
-    xi_tgt = compose_chain(tensor_chain(rho, one_m), rho)
-    xi0_src = compose_chain(tensor_chain(one_x, monoid.uni), rho)
-    return (xi_src, xi_tgt), (xi0_src, one_x)
-
-
-def _morphism_boundaries(bim_a, bim_b, f):
-    ff = tensor_cells(f, f)
-    phi = (compose_chain(bim_a.monoid.mlt, f), compose_chain(ff, bim_b.monoid.mlt))
-    phi0 = (compose_chain(bim_a.monoid.uni, f), bim_b.monoid.uni)
-    psi = (compose_chain(bim_a.comonoid.lcm, ff), compose_chain(f, bim_b.comonoid.lcm))
-    psi0 = (bim_a.comonoid.lcu, compose_chain(f, bim_b.comonoid.lcu))
-    return {"phi": phi, "phi0": phi0, "psi": psi, "psi0": psi0}
-
-
 def load_structure(data):
     """Parsed JSON -> (kind, checkable structure)."""
     if not isinstance(data, dict):
@@ -371,21 +353,15 @@ def load_structure(data):
             mod_carrier = _fam_from_json(backend, _need(modblock, "carrier"))
             rho = _span_cell_from_json(_need(modblock, "rho"),
                                        tensor_fams(mod_carrier, monoid.carrier), mod_carrier)
-            (xs, xt), (x0s, x0t) = _module_boundaries(monoid, mod_carrier, rho)
-            xi = _u_from_json(_need(modblock, "xi"), xs, xt)
-            xi0 = _u_from_json(_need(modblock, "xi0"), x0s, x0t)
-            return kind, (monoid, OplaxModuleData(mod_carrier, rho, xi, xi0))
+            cells = _cells_from_json(modblock, module_boundaries(monoid, mod_carrier, rho))
+            return kind, (monoid, OplaxModuleData(mod_carrier, rho, **cells))
         if kind == "morphism":
             bim_a, _ = _bimonoid_block_from_json(backend, _need(data, "source"), False)
             bim_b, _ = _bimonoid_block_from_json(backend, _need(data, "target"), False)
             f = _span_cell_from_json(_need(data, "f"),
                                      bim_a.monoid.carrier, bim_b.monoid.carrier)
-            bounds = _morphism_boundaries(bim_a, bim_b, f)
-            cells = {name: _u_from_json(_need(data, name), *bounds[name])
-                     for name in ("phi", "phi0", "psi", "psi0")}
-            morph = OplaxMorphismData(f, cells["phi"], cells["phi0"],
-                                      cells["psi"], cells["psi0"])
-            return kind, (bim_a, bim_b, morph)
+            cells = _cells_from_json(data, morphism_boundaries(bim_a, bim_b, f))
+            return kind, (bim_a, bim_b, OplaxMorphismData(f, **cells))
     except SchemaError:
         raise
     except (SpanVError, AssertionError, KeyError, TypeError, ValueError, OverflowError) as err:
@@ -453,7 +429,7 @@ def _dump_json(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_check(path, bounds=None, report_path=None, quiet=False, out=sys.stdout):
+def cmd_check(path, report_path=None, quiet=False, out=sys.stdout):
     """Check one structure file; returns the process exit code."""
     try:
         with open(path, "rb") as fh:
@@ -461,9 +437,6 @@ def cmd_check(path, bounds=None, report_path=None, quiet=False, out=sys.stdout):
     except OSError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-    saved = os.environ.get("OHL_MAX_APEX")
-    if bounds is not None:
-        os.environ["OHL_MAX_APEX"] = str(bounds)
     try:
         try:
             data = json.loads(raw.decode("utf-8"))
@@ -477,12 +450,6 @@ def cmd_check(path, bounds=None, report_path=None, quiet=False, out=sys.stdout):
     except SchemaError as err:
         print("schema error: %s" % err, file=sys.stderr)
         return 2
-    finally:
-        if bounds is not None:
-            if saved is None:
-                os.environ.pop("OHL_MAX_APEX", None)
-            else:
-                os.environ["OHL_MAX_APEX"] = saved
     if not quiet:
         for line in report.lines():
             print(line, file=out)
@@ -575,8 +542,6 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     chk = sub.add_parser("check", help="run the axiom suite for one file")
     chk.add_argument("file")
-    chk.add_argument("--bounds", type=int, default=None,
-                     help="cap for 2-cell searches (overrides OHL_MAX_APEX)")
     chk.add_argument("--report", default=None, help="write a JSON report here")
     chk.add_argument("--quiet", action="store_true")
     dem = sub.add_parser("demo", help="write a ready-made structure file")
@@ -590,8 +555,7 @@ def main(argv=None):
                      help="largest matrix size for the mat demo")
     args = parser.parse_args(argv)
     if args.command == "check":
-        return cmd_check(args.file, bounds=args.bounds,
-                         report_path=args.report, quiet=args.quiet)
+        return cmd_check(args.file, report_path=args.report, quiet=args.quiet)
     try:
         path, report_path = cmd_demo(
             args.name, out_dir=args.out, size=args.size, objects=args.objects,

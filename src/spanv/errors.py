@@ -9,6 +9,14 @@ class ShapeMismatch(SpanVError):
     """A table or matrix does not have the expected shape."""
 
 
+class NegativeSize(SpanVError):
+    """A finite set was given a factor below zero."""
+
+
+class TableOutOfRange(SpanVError):
+    """A function table names a position outside its codomain."""
+
+
 class CodMismatch(SpanVError):
     """Two arrows were chained but the middle objects differ."""
 

@@ -9,7 +9,7 @@ as position tables, so composition is table lookup.
 
 import numpy as np
 
-from .errors import CodMismatch, ShapeMismatch
+from .errors import CodMismatch, NegativeSize, ShapeMismatch, TableOutOfRange
 
 # Apex ambients concatenate through pullbacks and products, so their
 # sizes outgrow int64 quickly even while the apexes stay small.  Codes
@@ -29,7 +29,9 @@ class FinSet:
 
     def __init__(self, shape=()):
         self.shape = tuple(int(n) for n in shape)
-        assert all(n >= 0 for n in self.shape)
+        if any(n < 0 for n in self.shape):
+            raise NegativeSize("factor %d of shape %r is negative"
+                               % (min(self.shape), self.shape))
         size = 1
         strides = []
         for n in reversed(self.shape):
@@ -167,8 +169,10 @@ class FinFn:
         table = np.asarray(table, dtype=np.int64)
         if table.shape != (dom.size,):
             raise ShapeMismatch("table has shape %r, domain has size %d" % (table.shape, dom.size))
-        if table.size:
-            assert table.min() >= 0 and table.max() < cod.size
+        if table.size and (table.min() < 0 or table.max() >= cod.size):
+            bad = int(np.argmax((table < 0) | (table >= cod.size)))
+            raise TableOutOfRange("table value %d at position %d is outside a codomain of size %d"
+                                  % (table[bad], bad, cod.size))
         self.dom = dom
         self.cod = cod
         self.table = table

@@ -14,9 +14,6 @@ import numpy as np
 from .cells import (
     VCell1,
     VFam,
-    compose_cells,
-    identity_cell,
-    tensor_cells,
     tensor_fams,
     try_make_2cell,
     unit_fam,
@@ -43,9 +40,9 @@ from .structures import (
     MonoidData,
     OplaxBimonoidData,
     OplaxMorphismData,
-    convolution,
-    convolution_unit,
+    antipode_boundaries,
     infer_unique_structure_cells,
+    morphism_boundaries,
     structure_cell_boundaries,
 )
 from .vbackend import FinSetBackend, MatBackend, TrivialBackend
@@ -456,6 +453,11 @@ def _leg_forced_cell(src_cell, tgt_cell):
     return try_make_2cell(src_cell, tgt_cell, u)
 
 
+def _forced_cells(bounds):
+    """Each generator of a boundary table as its leg-forced 2-cell."""
+    return {name: _leg_forced_cell(*pair) for name, pair in bounds.items()}
+
+
 def groupoid_structures(G):
     """All span-layer structures carried by a finite groupoid.
 
@@ -490,10 +492,7 @@ def groupoid_structures(G):
     assert cells is not None
     bim = OplaxBimonoidData(monoid, comonoid, *cells)
     s = VCell1(carrier, carrier, Span(g1, g1, g1, identity_fn(g1), G.inv), None)
-    one = identity_cell(carrier)
-    tau1 = _leg_forced_cell(convolution(bim, one, s), convolution_unit(bim))
-    tau2 = _leg_forced_cell(convolution(bim, s, one), convolution_unit(bim))
-    antipode = AntipodeData(s, tau1, tau2)
+    antipode = AntipodeData(s, **_forced_cells(antipode_boundaries(bim, s)))
     frobenius = FrobeniusData(monoid, cocomposition)
     return monoid, comonoid, cocomposition, bim, antipode, frobenius
 
@@ -588,17 +587,12 @@ def hopfcat_to_spanv(h):
     lcm = VCell1(carrier, doubled, tm["lcm"], [h.delta[x][y] for x, y in pair_idx])
     lcu = VCell1(carrier, unit_fam(backend), tm["lcu"], [h.eps[x][y] for x, y in pair_idx])
     comonoid = ComonoidData(carrier, lcm, lcu)
-    bounds = structure_cell_boundaries(monoid, comonoid)
-    cells = [_leg_forced_cell(*bounds[name])
-             for name in ("theta", "theta0", "chi", "chi0")]
-    bim = OplaxBimonoidData(monoid, comonoid, *cells)
+    bim = OplaxBimonoidData(
+        monoid, comonoid, **_forced_cells(structure_cell_boundaries(monoid, comonoid)))
     if h.s is None:
         return bim, None
     s = VCell1(carrier, carrier, tm["anti"], [h.s[x][y] for x, y in pair_idx])
-    one = identity_cell(carrier)
-    tau1 = _leg_forced_cell(convolution(bim, one, s), convolution_unit(bim))
-    tau2 = _leg_forced_cell(convolution(bim, s, one), convolution_unit(bim))
-    return bim, AntipodeData(s, tau1, tau2)
+    return bim, AntipodeData(s, **_forced_cells(antipode_boundaries(bim, s)))
 
 
 def _transport(cell, template, label):
@@ -677,15 +671,7 @@ def vfunctor_to_spanv(ha, hb, fun):
     pair_idx = [(x, y) for x in range(na) for y in range(na)]
     f = VCell1(bim_a.monoid.carrier, bim_b.monoid.carrier, fspan,
                [fun.components[x][y] for x, y in pair_idx])
-    ff = tensor_cells(f, f)
-    phi = _leg_forced_cell(compose_cells(bim_a.monoid.mlt, f),
-                           compose_cells(ff, bim_b.monoid.mlt))
-    phi0 = _leg_forced_cell(compose_cells(bim_a.monoid.uni, f), bim_b.monoid.uni)
-    psi = _leg_forced_cell(compose_cells(bim_a.comonoid.lcm, ff),
-                           compose_cells(f, bim_b.comonoid.lcm))
-    psi0 = _leg_forced_cell(bim_a.comonoid.lcu,
-                            compose_cells(f, bim_b.comonoid.lcu))
-    return OplaxMorphismData(f, phi, phi0, psi, psi0)
+    return OplaxMorphismData(f, **_forced_cells(morphism_boundaries(bim_a, bim_b, f)))
 
 
 def opposite_vcat(h):

@@ -10,7 +10,6 @@ boundaries agree only up to isomorphism.
 """
 
 import itertools
-import os
 
 import numpy as np
 
@@ -20,14 +19,8 @@ from .span import feet_pairs, match_by_signature
 
 
 def search_limit(override=None):
-    """Cap on exhaustive 2-cell searches: argument, then the OHL_MAX_APEX
-    environment variable, then 8."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get("OHL_MAX_APEX")
-    if env is not None:
-        return int(env)
-    return 8
+    """Cap on exhaustive 2-cell searches: the argument, else 8."""
+    return 8 if override is None else int(override)
 
 
 def _signature_cols(a, b):

@@ -4,6 +4,7 @@ their strict laws, and the report type shared by all checkers."""
 from functools import reduce
 
 from ..cells import (
+    InvalidCell,
     compose_cells,
     identity_cell,
     tensor_2cells,
@@ -183,6 +184,29 @@ def paste_result(name, left_faces, right_faces):
         return AxiomResult(name, ok, info)
     except PasteError as err:
         return AxiomResult(name, False, err.counterexample, note=str(err))
+
+
+def invalid_result(name, gen, cell):
+    """Fail an axiom whose generator gen failed validation as cell."""
+    return AxiomResult(name, False, {"invalid": gen, "element": cell.element},
+                       note=cell.error)
+
+
+def run_axioms(rows, gens, *args):
+    """Run a table of (name, needs, build) rows over the generators gens.
+
+    An axiom that needs a generator which failed validation fails with
+    the first such generator in its needs; every other axiom pastes the
+    two sides build(*args) returns and compares them.
+    """
+    results = []
+    for name, needs, build in rows:
+        bad = [gen for gen in needs if isinstance(gens[gen], InvalidCell)]
+        if bad:
+            results.append(invalid_result(name, bad[0], gens[bad[0]]))
+        else:
+            results.append(paste_result(name, *build(*args)))
+    return results
 
 
 def _iso_result(name, a, b):

@@ -2,7 +2,6 @@
 structure 2-cells, plus inference of those cells when they are unique."""
 
 from ..cells import (
-    InvalidCell,
     braiding_cell,
     identity_2cell,
     identity_cell,
@@ -14,13 +13,12 @@ from ..errors import NotMonic, SpanVError
 from ..pasting import find_unique_2cell
 from ..span import unique_map_to_monic
 from .base import (
-    AxiomResult,
     CheckReport,
     check_strict_comonoid,
     check_strict_monoid,
     compose_chain,
     framed,
-    paste_result,
+    run_axioms,
     tensor_2chain,
     tensor_chain,
 )
@@ -204,16 +202,7 @@ def check_oplax_bimonoid(bim):
     results += check_strict_comonoid(bim.comonoid).results
     parts = _Parts(bim.monoid, bim.comonoid)
     gens = {"theta": bim.theta, "theta0": bim.theta0, "chi": bim.chi, "chi0": bim.chi0}
-    for name, needs, build in AXIOMS:
-        bad = [gen for gen in needs if isinstance(gens[gen], InvalidCell)]
-        if bad:
-            inv = gens[bad[0]]
-            results.append(AxiomResult(
-                name, False,
-                {"invalid": bad[0], "element": inv.element},
-                note=inv.error))
-            continue
-        results.append(paste_result(name, *build(parts, gens)))
+    results += run_axioms(AXIOMS, gens, parts, gens)
     return CheckReport(results)
 
 

@@ -20,6 +20,7 @@ from .base import (
     CheckReport,
     MoritaContextData,
     compose_chain,
+    invalid_result,
     tensor_chain,
 )
 
@@ -32,6 +33,14 @@ def convolution(bim, f, g):
 def convolution_unit(bim):
     """lcu then uni: the unit object of the convolution product."""
     return compose_chain(bim.comonoid.lcu, bim.monoid.uni)
+
+
+def antipode_boundaries(bim, s):
+    """Source and target 1-cells of an antipode s's two convolution cells."""
+    one = identity_cell(bim.monoid.carrier)
+    unit = convolution_unit(bim)
+    return {"tau1": (convolution(bim, one, s), unit),
+            "tau2": (convolution(bim, s, one), unit)}
 
 
 def convolution_2cells(bim, x, y):
@@ -111,13 +120,10 @@ def antipode_context(bim, antipode):
 
 def check_oplax_hopf(bim, antipode):
     """Check an antipode: its context on (identity, s) must be firm."""
-    bad = [name for name in ("tau1", "tau2")
-           if isinstance(getattr(antipode, name), InvalidCell)]
-    if bad:
-        inv = getattr(antipode, bad[0])
-        return CheckReport([AxiomResult(
-            "antipode-cells", False,
-            {"invalid": bad[0], "element": inv.element}, note=inv.error)])
+    for name in ("tau1", "tau2"):
+        cell = getattr(antipode, name)
+        if isinstance(cell, InvalidCell):
+            return CheckReport([invalid_result("antipode-cells", name, cell)])
     return check_oplax_inverse(bim, antipode_context(bim, antipode))
 
 

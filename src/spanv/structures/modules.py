@@ -2,7 +2,6 @@
 regular and unit modules, and the tensor of modules over a bimonoid."""
 
 from ..cells import (
-    InvalidCell,
     braiding_cell,
     identity_2cell,
     identity_cell,
@@ -11,15 +10,25 @@ from ..cells import (
 )
 from ..pasting import canonical_cell_iso, paste_with_boundaries
 from .base import (
-    AxiomResult,
     CheckReport,
     OplaxModuleData,
     compose_chain,
     framed,
-    paste_result,
+    run_axioms,
     tensor_2chain,
     tensor_chain,
 )
+
+
+def module_boundaries(monoid, carrier, rho):
+    """Source and target 1-cells of an action rho's two coherence cells."""
+    one_x = identity_cell(carrier)
+    one_m = identity_cell(monoid.carrier)
+    return {
+        "xi": (compose_chain(tensor_chain(one_x, monoid.mlt), rho),
+               compose_chain(tensor_chain(rho, one_m), rho)),
+        "xi0": (compose_chain(tensor_chain(one_x, monoid.uni), rho), one_x),
+    }
 
 
 def check_oplax_module(monoid, mod):
@@ -29,32 +38,18 @@ def check_oplax_module(monoid, mod):
     one_x = identity_cell(mod.carrier)
     id2_m = identity_2cell(one_m)
     rho, xi, xi0 = mod.rho, mod.xi, mod.xi0
-    results = []
-    if isinstance(xi, InvalidCell):
-        info = {"invalid": "xi", "element": xi.element}
-        results.append(AxiomResult("module-assoc", False, info, note=xi.error))
-        results.append(AxiomResult("module-unit", False, info, note=xi.error))
-        return CheckReport(results)
-    left = [
-        framed(xi, pre=tensor_chain(one_x, m, one_m)),
-        framed(tensor_2chain(xi, id2_m), post=rho),
+    rows = [
+        ("module-assoc", ("xi",), lambda: (
+            [framed(xi, pre=tensor_chain(one_x, m, one_m)),
+             framed(tensor_2chain(xi, id2_m), post=rho)],
+            [framed(xi, pre=tensor_chain(one_x, one_m, m)),
+             framed(xi, pre=tensor_chain(rho, one_m, one_m))])),
+        ("module-unit", ("xi", "xi0"), lambda: (
+            [framed(xi, pre=tensor_chain(one_x, j, one_m)),
+             framed(tensor_2chain(xi0, id2_m), post=rho)],
+            [identity_2cell(rho)])),
     ]
-    right = [
-        framed(xi, pre=tensor_chain(one_x, one_m, m)),
-        framed(xi, pre=tensor_chain(rho, one_m, one_m)),
-    ]
-    results.append(paste_result("module-assoc", left, right))
-    if isinstance(xi0, InvalidCell):
-        results.append(AxiomResult(
-            "module-unit", False,
-            {"invalid": "xi0", "element": xi0.element}, note=xi0.error))
-        return CheckReport(results)
-    left = [
-        framed(xi, pre=tensor_chain(one_x, j, one_m)),
-        framed(tensor_2chain(xi0, id2_m), post=rho),
-    ]
-    results.append(paste_result("module-unit", left, [identity_2cell(rho)]))
-    return CheckReport(results)
+    return CheckReport(run_axioms(rows, {"xi": xi, "xi0": xi0}))
 
 
 def regular_module(monoid):
@@ -73,14 +68,10 @@ def regular_module(monoid):
 def unit_module(bim):
     """The unit family as a module; the action is the counit and the
     structure cells are the counit halves of the bimonoid structure."""
-    m = bim.monoid.mlt
     e = bim.comonoid.lcu
-    one_i = identity_cell(unit_fam(bim.monoid.carrier.backend))
-    one_m = identity_cell(bim.monoid.carrier)
-    src = compose_chain(tensor_chain(one_i, m), e)
-    tgt = compose_chain(tensor_chain(e, one_m), e)
-    xi = paste_with_boundaries(src, [bim.chi], tgt)
-    return OplaxModuleData(one_i.dom, e, xi, bim.chi0)
+    unit = unit_fam(bim.monoid.carrier.backend)
+    src, tgt = module_boundaries(bim.monoid, unit, e)["xi"]
+    return OplaxModuleData(unit, e, paste_with_boundaries(src, [bim.chi], tgt), bim.chi0)
 
 
 def tensor_modules(bim, modx, mody):
@@ -90,7 +81,6 @@ def tensor_modules(bim, modx, mody):
     the coherence cells combine the bimonoid's theta cells with the two
     modules' own cells.
     """
-    m, j = bim.monoid.mlt, bim.monoid.uni
     carrier = bim.monoid.carrier
     one_m = identity_cell(carrier)
     one_x = identity_cell(modx.carrier)
@@ -111,18 +101,12 @@ def tensor_modules(bim, modx, mody):
         tensor_chain(one_x, one_y, d, d),
         tensor_chain(one_x, one_y, one_m, s_mm, one_m),
         tensor_chain(one_x, s_ymm, one_m, one_m))
-    xi = paste_with_boundaries(
-        compose_chain(tensor_chain(one_x, one_y, m), rho),
-        [
-            framed(tensor_2chain(id2_xy, bim.theta), post=tail),
-            framed(tensor_2chain(modx.xi, mody.xi), pre=share),
-        ],
-        compose_chain(tensor_chain(rho, one_m), rho))
-    xi0 = paste_with_boundaries(
-        compose_chain(tensor_chain(one_x, one_y, j), rho),
-        [
-            framed(tensor_2chain(id2_xy, bim.theta0), post=tail),
-            tensor_2chain(modx.xi0, mody.xi0),
-        ],
-        identity_cell(xy))
-    return OplaxModuleData(xy, rho, xi, xi0)
+    faces = {
+        "xi": [framed(tensor_2chain(id2_xy, bim.theta), post=tail),
+               framed(tensor_2chain(modx.xi, mody.xi), pre=share)],
+        "xi0": [framed(tensor_2chain(id2_xy, bim.theta0), post=tail),
+                tensor_2chain(modx.xi0, mody.xi0)],
+    }
+    cells = {name: paste_with_boundaries(src, faces[name], tgt)
+             for name, (src, tgt) in module_boundaries(bim.monoid, xy, rho).items()}
+    return OplaxModuleData(xy, rho, **cells)

@@ -13,6 +13,7 @@ import pytest
 from spanv.cli import SCHEMA_VERSION, cmd_check, cmd_demo, load_structure, main, run_checks
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _STAMP = re.compile(rb'"generated_at": "[^"]*"')
@@ -65,18 +66,21 @@ def test_parse_and_schema_errors(tmp_path):
         assert main(["check", str(path)]) == 2
 
 
-def _spanv_check(path, *python_flags):
+def _env():
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _spanv_check(path, *python_flags):
     return subprocess.run([sys.executable, *python_flags, "-m", "spanv.cli", "check", str(path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_env(), timeout=60)
 
 
-def _with_prime(tmp_path, prime):
+def _with_backend(tmp_path, field, value):
     data = json.loads((FIXTURES / "mat-frobenius.json").read_text())
-    data["backend"]["prime"] = prime
-    path = tmp_path / ("prime-%s.json" % prime)
+    data["backend"][field] = value
+    path = tmp_path / ("%s-%s.json" % (field, value))
     path.write_text(json.dumps(data))
     return path
 
@@ -84,11 +88,12 @@ def _with_prime(tmp_path, prime):
 def test_malformed_backend_exits_2_without_traceback(tmp_path):
     # 2**61 - 1 is prime but past the cap, and is refused before any
     # trial division (which would take minutes)
-    for prime in (4, "x", 2**61 - 1, float("inf")):
-        run = _spanv_check(_with_prime(tmp_path, prime))
+    for field, value in (("prime", 4), ("prime", "x"), ("prime", 2**61 - 1),
+                         ("prime", float("inf")), ("boolean", "no"), ("boolean", 1)):
+        run = _spanv_check(_with_backend(tmp_path, field, value))
         assert run.returncode == 2, run.stderr
         assert "Traceback" not in run.stderr
-        assert "prime" in run.stderr
+        assert field in run.stderr
 
 
 def test_oversized_structure_exits_2_without_traceback(tmp_path):
@@ -102,15 +107,34 @@ def test_oversized_structure_exits_2_without_traceback(tmp_path):
     assert "too large" in run.stderr
 
 
+def _x2_with(tmp_path, name, mangle):
+    data = json.loads((FIXTURES / "x2-hopf.json").read_text())
+    mangle(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return path
+
+
 def test_exit_codes_hold_under_python_O(tmp_path):
     # python -O strips asserts, so input checks must not rely on them
     paths = [FIXTURES / ("%s.json" % stem)
              for stem in ("x2-hopf", "mat-frobenius", "corrupted-theta0")]
-    paths += [_with_prime(tmp_path, prime) for prime in (4, "x")]
+    paths += [_with_backend(tmp_path, "prime", prime) for prime in (4, "x")]
     for path, want in zip(paths, (0, 0, 1, 2, 2)):
         run = _spanv_check(path, "-O")
         assert run.returncode == want, (path.name, run.stderr)
         assert "Traceback" not in run.stderr
+    # a leg value outside its codomain and a negative apex size are named
+    # by the same message with and without -O
+    bad_leg = _x2_with(tmp_path, "bad-leg.json",
+                       lambda d: d["mlt"].update(f=[99] + d["mlt"]["f"][1:]))
+    bad_size = _x2_with(tmp_path, "bad-size.json", lambda d: d["mlt"]["apex"].update(size=-1))
+    for path, named in ((bad_leg, "99"), (bad_size, "-1")):
+        plain, optimised = _spanv_check(path), _spanv_check(path, "-O")
+        assert plain.returncode == optimised.returncode == 2, (path.name, plain.stderr)
+        assert "Traceback" not in optimised.stderr
+        assert named in plain.stderr
+        assert plain.stderr == optimised.stderr
 
 
 def test_reports_match_goldens(tmp_path):
@@ -181,13 +205,14 @@ def test_all_kinds_load_and_check(tmp_path):
     assert not run_checks(kind, structure).ok  # diagonal comonoid is not frobenius here
 
 
-def test_module_and_morphism_files(tmp_path):
+def _pair_module_and_morphism_files(tmp_path):
+    """A regular module and an identity bimonoid morphism on pairs of 2."""
     from spanv.cli import (_backend_to_json, _bimonoid_block_to_json, _fam_to_json,
-                           _morphism_boundaries, _span_cell_to_json)
+                           _span_cell_to_json)
     from spanv.hopfcat import codiscrete_groupoid, groupoid_structures
     from spanv.cells import identity_cell
     from spanv.pasting import canonical_cell_iso
-    from spanv.structures import regular_module
+    from spanv.structures import morphism_boundaries, regular_module
     from spanv.vbackend import TrivialBackend
 
     mon, _, _, bim, _, _ = groupoid_structures(codiscrete_groupoid(2))
@@ -203,10 +228,9 @@ def test_module_and_morphism_files(tmp_path):
                    "rho": _span_cell_to_json(mod.rho),
                    "xi": [int(v) for v in mod.xi.u],
                    "xi0": [int(v) for v in mod.xi0.u]}}))
-    assert main(["check", str(module_file), "--quiet"]) == 0
 
     f = identity_cell(bim.monoid.carrier)
-    bounds = _morphism_boundaries(bim, bim, f)
+    bounds = morphism_boundaries(bim, bim, f)
     cells = {name: canonical_cell_iso(*pair) for name, pair in bounds.items()}
     morphism_file = tmp_path / "morphism.json"
     morphism_file.write_text(json.dumps({
@@ -219,9 +243,74 @@ def test_module_and_morphism_files(tmp_path):
         "phi0": [int(v) for v in cells["phi0"].u],
         "psi": [int(v) for v in cells["psi"].u],
         "psi0": [int(v) for v in cells["psi0"].u]}))
+    return module_file, morphism_file
+
+
+def test_module_and_morphism_files(tmp_path):
+    module_file, morphism_file = _pair_module_and_morphism_files(tmp_path)
+    assert main(["check", str(module_file), "--quiet"]) == 0
     assert main(["check", str(morphism_file), "--quiet"]) == 0
     # corrupt one mediating cell: the checker must fail, not crash
     data = json.loads(morphism_file.read_text())
     data["phi"][0] = (data["phi"][0] + 1) % 8
     morphism_file.write_text(json.dumps(data))
     assert main(["check", str(morphism_file), "--quiet"]) == 1
+
+
+def _failures(tmp_path, path, corrupt):
+    """Check a copy of path with one apex map entry moved; failed id -> record."""
+    data = json.loads(path.read_text())
+    corrupt(data)
+    copy, report_path = tmp_path / "corrupted.json", tmp_path / "report.json"
+    copy.write_text(json.dumps(data))
+    assert main(["check", str(copy), "--quiet", "--report", str(report_path)]) == 1
+    report = json.loads(report_path.read_text())
+    return {r["id"]: r for r in report["results"] if r["status"] == "fail"}
+
+
+def _move_first(cells, name):
+    cells[name][0] = (cells[name][0] + 1) % 8
+
+
+def test_invalid_cells_fail_exactly_the_axioms_that_use_them(tmp_path):
+    module_file, morphism_file = _pair_module_and_morphism_files(tmp_path)
+    note = "left leg disagrees at apex element 0"
+    failed = _failures(tmp_path, module_file, lambda d: _move_first(d["module"], "xi"))
+    assert sorted(failed) == ["module-assoc", "module-unit"]
+    for record in failed.values():
+        assert record["counterexample"] == {"invalid": "xi", "element": [0, 0, 0, 0]}
+        assert record["note"] == note
+    failed = _failures(tmp_path, module_file, lambda d: _move_first(d["module"], "xi0"))
+    assert list(failed) == ["module-unit"]
+    assert failed["module-unit"]["counterexample"] == {"invalid": "xi0", "element": [0, 0, 0, 0]}
+    assert failed["module-unit"]["note"] == note
+    # psi appears in the comonoid laws and in the two comultiplication squares
+    failed = _failures(tmp_path, morphism_file, lambda d: _move_first(d, "psi"))
+    assert list(failed) == ["comonoid-coassoc", "comonoid-counit-left",
+                            "comonoid-counit-right", "mult-comult", "unit-comult"]
+    for record in failed.values():
+        assert record["counterexample"] == {"invalid": "psi", "element": [0, 0, 0]}
+        assert record["note"] == note
+
+
+def test_bridged_hopf_structure_survives_the_file_format():
+    # the loader and the bridge build each generator on the same boundary
+    from spanv.cli import _backend_to_json, _bimonoid_block_to_json
+    from spanv.hopfcat import group_algebra_hopf, hopfcat_to_spanv
+
+    bim, anti = hopfcat_to_spanv(group_algebra_hopf(3, 2))
+    data = {"schema_version": SCHEMA_VERSION, "kind": "hopf",
+            "backend": _backend_to_json(bim.monoid.carrier.backend)}
+    data.update(_bimonoid_block_to_json(bim, anti))
+    kind, structure = load_structure(json.loads(json.dumps(data)))
+    loaded = run_checks(kind, structure).results
+    bridged = run_checks("hopf", (bim, anti)).results
+    assert [r.as_dict() for r in loaded] == [r.as_dict() for r in bridged]
+    assert len(loaded) == 22 and all(r.ok for r in loaded)
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    run = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path,
+                         capture_output=True, text=True, env=_env(), timeout=120)
+    assert run.returncode == 0, run.stderr

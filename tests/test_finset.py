@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanv.errors import CodMismatch
+from spanv.errors import CodMismatch, TableOutOfRange
 from spanv.finset import (
     UNIT,
     FinFn,
@@ -158,5 +158,5 @@ def test_pullback_needs_shared_codomain():
 
 
 def test_fn_validates_range():
-    with pytest.raises(AssertionError):
+    with pytest.raises(TableOutOfRange):
         FinFn(FinSet((2,)), FinSet((2,)), [0, 2])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spanv.cells import (
+    InvalidCell,
     VCell1,
     VFam,
     cells_equal,
@@ -12,6 +13,7 @@ from spanv.cells import (
     make_2cell,
     tensor_cells,
     tensor_fams,
+    try_make_2cell,
     unit_fam,
 )
 from spanv.errors import NotBimodule
@@ -279,6 +281,27 @@ def test_module_transformation_detects_mismatched_mediators():
     assert report["action-compat"].counterexample["element"] == [0]
     assert check_module_transformation(monoid, mod, mod, (f, psi), (f, psi),
                                        identity_2cell(f)).ok
+
+
+def test_module_morphism_checks_fail_on_an_invalid_cell(pair2):
+    mon, _, _, _, _, _ = pair2
+    reg = regular_module(mon)
+    f = identity_cell(reg.carrier)
+    src = compose_chain(reg.rho, f)
+    tgt = compose_chain(tensor_chain(f, identity_cell(mon.carrier)), reg.rho)
+    u = canonical_cell_iso(src, tgt).u.copy()
+    u[0] = u[1]  # apex elements 0 and 1 sit over different left feet
+    bad = try_make_2cell(src, tgt, u)
+    assert isinstance(bad, InvalidCell)
+    poisoned = {"invalid": "phi", "element": bad.element}
+    report = check_module_morphism(mon, reg, reg, f, bad)
+    assert [(r.name, r.ok, r.counterexample) for r in report.results] == [
+        ("action-square", False, poisoned), ("unit-square", False, poisoned)]
+    report = check_module_transformation(mon, reg, reg, (f, bad), (f, bad),
+                                         identity_2cell(f))
+    assert [(r.name, r.ok, r.counterexample) for r in report.results] == [
+        ("action-compat", False, poisoned)]
+    assert report["action-compat"].note == bad.error
 
 
 def test_identity_bimonoid_morphism(pair2):
