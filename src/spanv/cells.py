@@ -15,6 +15,7 @@ from .errors import (
     ComponentShapeError,
     FactorizationViolation,
     FamMismatch,
+    ShapeMismatch,
     SpanVError,
     TriangleViolation,
 )
@@ -128,7 +129,9 @@ class VFam:
         self.backend = backend
         self.base = base
         self.objs = objs if isinstance(objs, Column) else Column.from_list(objs, backend.obj_key)
-        assert self.objs.size == base.size
+        if self.objs.size != base.size:
+            raise ShapeMismatch("family has %d objects for a base of %d elements"
+                                % (self.objs.size, base.size))
 
     def __repr__(self):
         return "VFam(%r over %r)" % (self.backend, self.base)
@@ -166,7 +169,9 @@ class VCell1:
             alphas = Column([backend.id(backend.unit)], span.apex.size)
         elif not isinstance(alphas, Column):
             alphas = Column.from_list(alphas, backend.mor_key)
-        assert alphas.size == span.apex.size
+        if alphas.size != span.apex.size:
+            raise ShapeMismatch("cell has %d components for an apex of %d elements"
+                                % (alphas.size, span.apex.size))
         ends = (alphas.map(backend.dom).zip_with(dom.objs.take(span.f.table), backend.eq_obj),
                 alphas.map(backend.cod).zip_with(cod.objs.take(span.g.table), backend.eq_obj))
         bad = [s for s in (end.first_false() for end in ends) if s is not None]

@@ -21,6 +21,7 @@ from .cells import VCell1, VFam, tensor_fams, try_make_2cell, unit_fam
 from .errors import InvalidBackend, OutOfBounds, ParseError, SchemaError, SpanVError
 from .finset import FinFn, FinSet
 from .hopfcat import (
+    FIELDS,
     FrobVCat,
     HopfVCat,
     check_frobenius_vcat,
@@ -70,13 +71,30 @@ def _need(data, key):
     return data[key]
 
 
+def _json_int(value, what):
+    """A JSON integer as an int.  int() runs first, so a value it rejects
+    keeps int()'s message; a value it would truncate or convert (2.9,
+    true, "2") is refused here instead."""
+    number = int(value)
+    if type(value) is not int:
+        raise SchemaError("%s must be a JSON integer, got %s" % (what, json.dumps(value)))
+    return number
+
+
 def _int_list(values):
     if not isinstance(values, list):
         raise SchemaError("expected a list of integers, got %r" % type(values).__name__)
     try:
-        return np.asarray(values, dtype=np.int64)
+        table = np.asarray(values, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
         raise SchemaError("expected a list of integers")
+    for value in values:
+        _json_int(value, "list entry")
+    return table
+
+
+def _shape(values):
+    return FinSet([_json_int(v, "shape entry") for v in values])
 
 
 def _backend_to_json(backend):
@@ -106,9 +124,9 @@ def _backend_from_json(data):
         try:
             # the cap comes before MatBackend's trial division, and keeps
             # the int64 sums k * (p - 1)**2 of a matrix product far below 2**63
-            if int(prime) <= MAX_PRIME:
-                return MatBackend(prime=int(prime))
-        except (InvalidBackend, TypeError, ValueError, OverflowError):
+            if type(prime) is int and prime <= MAX_PRIME:
+                return MatBackend(prime=prime)
+        except InvalidBackend:
             pass
         raise SchemaError("backend field 'prime' must be a prime at most %d, got %r"
                           % (MAX_PRIME, prime))
@@ -122,7 +140,7 @@ def _set_to_json(s):
 
 
 def _set_from_json(data):
-    return FinSet((int(_need(data, "size")),))
+    return FinSet((_json_int(_need(data, "size"), "field 'size'"),))
 
 
 # the trivial backend's values carry no data: null, read back as the unit
@@ -136,9 +154,9 @@ def _obj_to_json(backend, obj):
 
 def _obj_from_json(backend, data):
     if isinstance(backend, MatBackend):
-        return int(data)
+        return _json_int(data, "object")
     if isinstance(backend, FinSetBackend):
-        return FinSet(data)
+        return _shape(data)
     return backend.unit
 
 
@@ -155,9 +173,10 @@ def _mor_to_json(backend, mor):
 def _mor_from_json(backend, data):
     if isinstance(backend, MatBackend):
         return backend.mor(_int_list(_need(data, "data")),
-                           int(_need(data, "dom")), int(_need(data, "cod")))
+                           _json_int(_need(data, "dom"), "field 'dom'"),
+                           _json_int(_need(data, "cod"), "field 'cod'"))
     if isinstance(backend, FinSetBackend):
-        return FinFn(FinSet(_need(data, "dom")), FinSet(_need(data, "cod")),
+        return FinFn(_shape(_need(data, "dom")), _shape(_need(data, "cod")),
                      _int_list(_need(data, "table")))
     return backend.id(backend.unit)
 
@@ -178,7 +197,7 @@ def _fam_from_json(backend, data):
     objs = _need(data, "objs")
     if objs is not None:
         objs = [_obj_from_json(backend, o) for o in objs]
-    return VFam(backend, FinSet(_need(data, "base")), objs)
+    return VFam(backend, _shape(_need(data, "base")), objs)
 
 
 def _span_cell_to_json(cell):
@@ -267,30 +286,6 @@ def _bimonoid_block_from_json(backend, data, with_antipode):
     return bim, AntipodeData(s, **_cells_from_json(anti, antipode_boundaries(bim, s)))
 
 
-def _vcat_tables_to_json(h, local_names):
-    backend, n = h.backend, h.n
-    out = {
-        "objects": n,
-        "homs": [[_obj_to_json(backend, h.homs[x][y]) for y in range(n)] for x in range(n)],
-        "m": [[[_mor_to_json(backend, h.m[x][y][z]) for z in range(n)]
-               for y in range(n)] for x in range(n)],
-        "u": [_mor_to_json(backend, h.u[x]) for x in range(n)],
-    }
-    for name in local_names:
-        value = getattr(h, name)
-        if value is None:
-            out[name] = None
-        elif name == "comlt":
-            out[name] = [[[_mor_to_json(backend, value[x][y][z]) for z in range(n)]
-                          for y in range(n)] for x in range(n)]
-        elif name == "couni":
-            out[name] = [_mor_to_json(backend, value[x]) for x in range(n)]
-        else:
-            out[name] = [[_mor_to_json(backend, value[x][y]) for y in range(n)]
-                         for x in range(n)]
-    return out
-
-
 def _grid(data, n, depth, loader):
     if not isinstance(data, list) or len(data) != n:
         raise SchemaError("expected %d entries per object axis" % n)
@@ -299,29 +294,24 @@ def _grid(data, n, depth, loader):
     return [_grid(v, n, depth - 1, loader) for v in data]
 
 
-def _hopfcat_from_json(backend, data):
-    n = int(_need(data, "objects"))
-    homs = _grid(_need(data, "homs"), n, 2, lambda v: _obj_from_json(backend, v))
-    mor = lambda v: _mor_from_json(backend, v)
-    m = _grid(_need(data, "m"), n, 3, mor)
-    u = _grid(_need(data, "u"), n, 1, mor)
-    delta = _grid(_need(data, "delta"), n, 2, mor)
-    eps = _grid(_need(data, "eps"), n, 2, mor)
-    s = None
-    if data.get("s") is not None:
-        s = _grid(data["s"], n, 2, mor)
-    return HopfVCat(backend, FinSet((n,)), homs, m, u, delta, eps, s)
+def _vcat_to_json(v):
+    backend, n = v.backend, v.n
+    out = {"objects": n, "homs": _grid(v.homs, n, 2, lambda o: _obj_to_json(backend, o))}
+    for name in v.fields:
+        table = getattr(v, name)
+        out[name] = None if table is None else _grid(
+            table, n, FIELDS[name][0], lambda f: _mor_to_json(backend, f))
+    return out
 
 
-def _frobcat_from_json(backend, data):
-    n = int(_need(data, "objects"))
+def _vcat_from_json(cls, backend, data):
+    n = _json_int(_need(data, "objects"), "field 'objects'")
     homs = _grid(_need(data, "homs"), n, 2, lambda v: _obj_from_json(backend, v))
-    mor = lambda v: _mor_from_json(backend, v)
-    m = _grid(_need(data, "m"), n, 3, mor)
-    u = _grid(_need(data, "u"), n, 1, mor)
-    comlt = _grid(_need(data, "comlt"), n, 3, mor)
-    couni = _grid(_need(data, "couni"), n, 1, mor)
-    return FrobVCat(backend, FinSet((n,)), homs, m, u, comlt, couni)
+    tables = [None if name in cls.optional and data.get(name) is None
+              else _grid(_need(data, name), n, FIELDS[name][0],
+                         lambda v: _mor_from_json(backend, v))
+              for name in cls.fields]
+    return cls(backend, FinSet((n,)), homs, *tables)
 
 
 def load_structure(data):
@@ -344,9 +334,9 @@ def load_structure(data):
             monoid = _monoid_from_json(backend, data)
             return kind, FrobeniusData(monoid, _comonoid_from_json(monoid.carrier, data))
         if kind == "hopfcat":
-            return kind, _hopfcat_from_json(backend, data)
+            return kind, _vcat_from_json(HopfVCat, backend, data)
         if kind == "frobcat":
-            return kind, _frobcat_from_json(backend, data)
+            return kind, _vcat_from_json(FrobVCat, backend, data)
         if kind == "module":
             monoid = _monoid_from_json(backend, _need(data, "monoid"))
             modblock = _need(data, "module")
@@ -482,7 +472,7 @@ def _demo_groupoid(objects):
     h = groupoid_to_hopfcat(codiscrete_groupoid(objects))
     data = {"schema_version": SCHEMA_VERSION, "kind": "hopfcat",
             "backend": _backend_to_json(h.backend)}
-    data.update(_vcat_tables_to_json(h, ("delta", "eps", "s")))
+    data.update(_vcat_to_json(h))
     return "groupoid-hopfcat.json", data
 
 
@@ -497,7 +487,7 @@ def _demo_group_hopf(p, group):
     h = group_algebra_hopf(p, order)
     data = {"schema_version": SCHEMA_VERSION, "kind": "hopfcat",
             "backend": _backend_to_json(h.backend)}
-    data.update(_vcat_tables_to_json(h, ("delta", "eps", "s")))
+    data.update(_vcat_to_json(h))
     return "group-hopf.json", data
 
 
@@ -509,7 +499,7 @@ def _demo_mat(p, max_n):
     fc = mat_frobenius_example(p, max_n)
     data = {"schema_version": SCHEMA_VERSION, "kind": "frobcat",
             "backend": _backend_to_json(fc.backend)}
-    data.update(_vcat_tables_to_json(fc, ("comlt", "couni")))
+    data.update(_vcat_to_json(fc))
     return "mat-frobenius.json", data
 
 

@@ -27,7 +27,6 @@ from .finset import (
     identity_fn,
     pullback,
     reindex_fn,
-    swap_fn,
     terminal_fn,
 )
 from .span import Span, feet_pairs, spans_isomorphic
@@ -41,81 +40,106 @@ from .structures import (
     OplaxBimonoidData,
     OplaxMorphismData,
     antipode_boundaries,
-    infer_unique_structure_cells,
     morphism_boundaries,
     structure_cell_boundaries,
 )
 from .vbackend import FinSetBackend, MatBackend, TrivialBackend
 
+# Every field of an enriched category, declared once:
+#   name: (number of object indices of an entry,
+#          (dom, cod) of the entry at those indices, from the homs H, the
+#          object tensor t and the unit I,
+#          the span of _groupoid_spans that carries the entries over the
+#          squared index set, in row-major index order)
+FIELDS = {
+    "m": (3, lambda H, t, I, x, y, z: (t(H[x][y], H[y][z]), H[x][z]), "mlt"),
+    "u": (1, lambda H, t, I, x: (I, H[x][x]), "uni"),
+    "delta": (2, lambda H, t, I, x, y: (H[x][y], t(H[x][y], H[x][y])), "lcm"),
+    "eps": (2, lambda H, t, I, x, y: (H[x][y], I), "lcu"),
+    "s": (2, lambda H, t, I, x, y: (H[x][y], H[y][x]), "anti"),
+    "comlt": (3, lambda H, t, I, x, y, z: (H[x][z], t(H[x][y], H[y][z])), "colcm"),
+    "couni": (1, lambda H, t, I, x: (H[x][x], I), "colcu"),
+}
 
-def _expect(backend, mor, dom, cod, label):
-    if not backend.eq_obj(backend.dom(mor), dom):
-        raise ShapeMismatch("%s has wrong domain" % label)
-    if not backend.eq_obj(backend.cod(mor), cod):
-        raise ShapeMismatch("%s has wrong codomain" % label)
+
+def _indices(n, arity):
+    """Every index tuple over n objects, row-major."""
+    return itertools.product(range(n), repeat=arity)
 
 
-class HopfVCat:
-    """An enriched category with a comonoid on every hom, and optionally
-    an antipode family s[x][y]: H[x][y] -> H[y][x]."""
+def _entries(table, n, arity):
+    """A nested table's entries with their indices, row-major."""
+    for idx in _indices(n, arity):
+        entry = table
+        for i in idx:
+            entry = entry[i]
+        yield idx, entry
 
-    def __init__(self, backend, objects, homs, m, u, delta, eps, s=None):
+
+def _nest(flat, n, arity):
+    """Row-major entries as nested lists, arity levels deep."""
+    rows = list(flat)
+    for _ in range(arity - 1):
+        rows = [rows[i:i + n] for i in range(0, len(rows), n)]
+    return rows
+
+
+def _tabulate(n, arity, entry):
+    """The nested table holding entry(*idx) at every index."""
+    return _nest([entry(*idx) for idx in _indices(n, arity)], n, arity)
+
+
+class _VCat:
+    """The homs and the declared fields of an enriched category; every
+    entry of every given field must have the ends FIELDS gives it."""
+
+    fields = ()
+    optional = ()
+
+    def __init__(self, backend, objects, homs, *tables):
         assert isinstance(objects, FinSet) and len(objects.shape) == 1
         n = objects.size
         self.backend = backend
         self.objects = objects
         self.n = n
         self.homs = homs
-        self.m = m
-        self.u = u
-        self.delta = delta
-        self.eps = eps
-        self.s = s
-        t = backend.tensor_obj
-        for x, y, z in itertools.product(range(n), repeat=3):
-            _expect(backend, m[x][y][z], t(homs[x][y], homs[y][z]), homs[x][z],
-                    "m[%d][%d][%d]" % (x, y, z))
-        for x in range(n):
-            _expect(backend, u[x], backend.unit, homs[x][x], "u[%d]" % x)
-        for x, y in itertools.product(range(n), repeat=2):
-            _expect(backend, delta[x][y], homs[x][y], t(homs[x][y], homs[x][y]),
-                    "delta[%d][%d]" % (x, y))
-            _expect(backend, eps[x][y], homs[x][y], backend.unit, "eps[%d][%d]" % (x, y))
-            if s is not None:
-                _expect(backend, s[x][y], homs[x][y], homs[y][x], "s[%d][%d]" % (x, y))
+        for name, table in zip(self.fields, tables):
+            setattr(self, name, table)
+            if table is None and name in self.optional:
+                continue
+            arity, ends, _ = FIELDS[name]
+            for idx, mor in _entries(table, n, arity):
+                dom, cod = ends(homs, backend.tensor_obj, backend.unit, *idx)
+                label = name + "[%d]" * arity % idx
+                if not backend.eq_obj(backend.dom(mor), dom):
+                    raise ShapeMismatch("%s has wrong domain" % label)
+                if not backend.eq_obj(backend.cod(mor), cod):
+                    raise ShapeMismatch("%s has wrong codomain" % label)
 
     def __repr__(self):
-        return "HopfVCat(%r, %d objects)" % (self.backend, self.n)
+        return "%s(%r, %d objects)" % (type(self).__name__, self.backend, self.n)
 
 
-class FrobVCat:
+class HopfVCat(_VCat):
+    """An enriched category with a comonoid on every hom, and optionally
+    an antipode family s[x][y]: H[x][y] -> H[y][x]."""
+
+    fields = ("m", "u", "delta", "eps", "s")
+    optional = ("s",)
+
+    def __init__(self, backend, objects, homs, m, u, delta, eps, s=None):
+        super().__init__(backend, objects, homs, m, u, delta, eps, s)
+
+
+class FrobVCat(_VCat):
     """An enriched category with an enriched cocategory structure:
     comlt[x][y][z]: H[x][z] -> H[x][y] (x) H[y][z] and couni[x] on the
     endo homs."""
 
-    def __init__(self, backend, objects, homs, m, u, comlt, couni):
-        assert isinstance(objects, FinSet) and len(objects.shape) == 1
-        n = objects.size
-        self.backend = backend
-        self.objects = objects
-        self.n = n
-        self.homs = homs
-        self.m = m
-        self.u = u
-        self.comlt = comlt
-        self.couni = couni
-        t = backend.tensor_obj
-        for x, y, z in itertools.product(range(n), repeat=3):
-            _expect(backend, m[x][y][z], t(homs[x][y], homs[y][z]), homs[x][z],
-                    "m[%d][%d][%d]" % (x, y, z))
-            _expect(backend, comlt[x][y][z], homs[x][z], t(homs[x][y], homs[y][z]),
-                    "comlt[%d][%d][%d]" % (x, y, z))
-        for x in range(n):
-            _expect(backend, u[x], backend.unit, homs[x][x], "u[%d]" % x)
-            _expect(backend, couni[x], homs[x][x], backend.unit, "couni[%d]" % x)
+    fields = ("m", "u", "comlt", "couni")
 
-    def __repr__(self):
-        return "FrobVCat(%r, %d objects)" % (self.backend, self.n)
+    def __init__(self, backend, objects, homs, m, u, comlt, couni):
+        super().__init__(backend, objects, homs, m, u, comlt, couni)
 
 
 class VFunctorData:
@@ -142,143 +166,119 @@ def _first_mor_diff(lhs, rhs):
     return None
 
 
-def _eq_axiom(backend, name, triples):
-    """Pass iff lhs == rhs at every index; record the first difference."""
-    for where, lhs, rhs in triples:
-        if not backend.eq_mor(lhs, rhs):
-            return AxiomResult(name, False,
-                               {"at": list(where), "diff": _first_mor_diff(lhs, rhs)})
-    return AxiomResult(name, True)
-
-
-def _category_axioms(backend, n, homs, m, u):
-    t, c, iden = backend.tensor_mor, backend.compose, backend.id
-    results = [_eq_axiom(backend, "cat-assoc", (
-        ((x, y, z, w),
-         c(t(m[x][y][z], iden(homs[z][w])), m[x][z][w]),
-         c(t(iden(homs[x][y]), m[y][z][w]), m[x][y][w]))
-        for x, y, z, w in itertools.product(range(n), repeat=4)))]
-    results.append(_eq_axiom(backend, "cat-unit-left", (
-        ((x, y), c(t(u[x], iden(homs[x][y])), m[x][x][y]), iden(homs[x][y]))
-        for x, y in itertools.product(range(n), repeat=2))))
-    results.append(_eq_axiom(backend, "cat-unit-right", (
-        ((x, y), c(t(iden(homs[x][y]), u[y]), m[x][y][y]), iden(homs[x][y]))
-        for x, y in itertools.product(range(n), repeat=2))))
+def _run_laws(backend, n, rows):
+    """One result per (name, arity, sides) row.  A law holds when the two
+    morphisms sides(*idx) are equal at every index; a failure records the
+    first index, row-major, and the first entry that differs there."""
+    results = []
+    for name, arity, sides in rows:
+        result = AxiomResult(name, True)
+        for idx in _indices(n, arity):
+            lhs, rhs = sides(*idx)
+            if not backend.eq_mor(lhs, rhs):
+                result = AxiomResult(name, False,
+                                     {"at": list(idx), "diff": _first_mor_diff(lhs, rhs)})
+                break
+        results.append(result)
     return results
+
+
+def _category_laws(v):
+    """Rows for associativity and the two unit laws of composition."""
+    backend, H, m, u = v.backend, v.homs, v.m, v.u
+    t, c, iden = backend.tensor_mor, backend.compose, backend.id
+    return [
+        ("cat-assoc", 4, lambda x, y, z, w: (
+            c(t(m[x][y][z], iden(H[z][w])), m[x][z][w]),
+            c(t(iden(H[x][y]), m[y][z][w]), m[x][y][w]))),
+        ("cat-unit-left", 2, lambda x, y: (
+            c(t(u[x], iden(H[x][y])), m[x][x][y]), iden(H[x][y]))),
+        ("cat-unit-right", 2, lambda x, y: (
+            c(t(iden(H[x][y]), u[y]), m[x][y][y]), iden(H[x][y]))),
+    ]
 
 
 def check_semi_hopf_vcat(h):
     """Category laws, a comonoid on every hom, and the compatibility of
     composition and identities with those comonoids."""
-    backend, n, homs = h.backend, h.n, h.homs
+    backend, H = h.backend, h.homs
     m, u, delta, eps = h.m, h.u, h.delta, h.eps
     t, c, iden = backend.tensor_mor, backend.compose, backend.id
-    results = _category_axioms(backend, n, homs, m, u)
-    results.append(_eq_axiom(backend, "local-coassoc", (
-        ((x, y),
-         c(delta[x][y], t(delta[x][y], iden(homs[x][y]))),
-         c(delta[x][y], t(iden(homs[x][y]), delta[x][y])))
-        for x, y in itertools.product(range(n), repeat=2))))
-    results.append(_eq_axiom(backend, "local-counit-left", (
-        ((x, y), c(delta[x][y], t(eps[x][y], iden(homs[x][y]))), iden(homs[x][y]))
-        for x, y in itertools.product(range(n), repeat=2))))
-    results.append(_eq_axiom(backend, "local-counit-right", (
-        ((x, y), c(delta[x][y], t(iden(homs[x][y]), eps[x][y])), iden(homs[x][y]))
-        for x, y in itertools.product(range(n), repeat=2))))
 
     def split(x, y, z):
         dd = t(delta[x][y], delta[y][z])
-        mid = t(t(iden(homs[x][y]), backend.braiding(homs[x][y], homs[y][z])),
-                iden(homs[y][z]))
+        mid = t(t(iden(H[x][y]), backend.braiding(H[x][y], H[y][z])), iden(H[y][z]))
         return c(c(dd, mid), t(m[x][y][z], m[x][y][z]))
 
-    results.append(_eq_axiom(backend, "mult-comult", (
-        ((x, y, z), c(m[x][y][z], delta[x][z]), split(x, y, z))
-        for x, y, z in itertools.product(range(n), repeat=3))))
-    results.append(_eq_axiom(backend, "unit-comult", (
-        ((x,), c(u[x], delta[x][x]), t(u[x], u[x])) for x in range(n))))
-    results.append(_eq_axiom(backend, "mult-counit", (
-        ((x, y, z), c(m[x][y][z], eps[x][z]), t(eps[x][y], eps[y][z]))
-        for x, y, z in itertools.product(range(n), repeat=3))))
-    results.append(_eq_axiom(backend, "unit-counit", (
-        ((x,), c(u[x], eps[x][x]), iden(backend.unit)) for x in range(n))))
-    return CheckReport(results)
+    return CheckReport(_run_laws(backend, h.n, _category_laws(h) + [
+        ("local-coassoc", 2, lambda x, y: (
+            c(delta[x][y], t(delta[x][y], iden(H[x][y]))),
+            c(delta[x][y], t(iden(H[x][y]), delta[x][y])))),
+        ("local-counit-left", 2, lambda x, y: (
+            c(delta[x][y], t(eps[x][y], iden(H[x][y]))), iden(H[x][y]))),
+        ("local-counit-right", 2, lambda x, y: (
+            c(delta[x][y], t(iden(H[x][y]), eps[x][y])), iden(H[x][y]))),
+        ("mult-comult", 3, lambda x, y, z: (c(m[x][y][z], delta[x][z]), split(x, y, z))),
+        ("unit-comult", 1, lambda x: (c(u[x], delta[x][x]), t(u[x], u[x]))),
+        ("mult-counit", 3, lambda x, y, z: (
+            c(m[x][y][z], eps[x][z]), t(eps[x][y], eps[y][z]))),
+        ("unit-counit", 1, lambda x: (c(u[x], eps[x][x]), iden(backend.unit))),
+    ]))
 
 
 def check_hopf_vcat(h):
     """The semi checks plus the two antipode equations at every hom."""
     assert h.s is not None
-    backend, n, homs = h.backend, h.n, h.homs
+    backend, H = h.backend, h.homs
+    m, u, delta, eps, s = h.m, h.u, h.delta, h.eps, h.s
     t, c, iden = backend.tensor_mor, backend.compose, backend.id
-    results = check_semi_hopf_vcat(h).results
-    results.append(_eq_axiom(backend, "antipode-left", (
-        ((x, y),
-         c(c(h.delta[x][y], t(h.s[x][y], iden(homs[x][y]))), h.m[y][x][y]),
-         c(h.eps[x][y], h.u[y]))
-        for x, y in itertools.product(range(n), repeat=2))))
-    results.append(_eq_axiom(backend, "antipode-right", (
-        ((x, y),
-         c(c(h.delta[x][y], t(iden(homs[x][y]), h.s[x][y])), h.m[x][y][x]),
-         c(h.eps[x][y], h.u[x]))
-        for x, y in itertools.product(range(n), repeat=2))))
-    return CheckReport(results)
+    return CheckReport(check_semi_hopf_vcat(h).results + _run_laws(backend, h.n, [
+        ("antipode-left", 2, lambda x, y: (
+            c(c(delta[x][y], t(s[x][y], iden(H[x][y]))), m[y][x][y]), c(eps[x][y], u[y]))),
+        ("antipode-right", 2, lambda x, y: (
+            c(c(delta[x][y], t(iden(H[x][y]), s[x][y])), m[x][y][x]), c(eps[x][y], u[x]))),
+    ]))
 
 
 def check_frobenius_vcat(fc):
     """Category and cocategory laws plus both indexed exchange squares."""
-    backend, n, homs = fc.backend, fc.n, fc.homs
-    m, u, comlt, couni = fc.m, fc.u, fc.comlt, fc.couni
+    backend, H = fc.backend, fc.homs
+    m, comlt, couni = fc.m, fc.comlt, fc.couni
     t, c, iden = backend.tensor_mor, backend.compose, backend.id
-    results = _category_axioms(backend, n, homs, m, u)
-    results.append(_eq_axiom(backend, "cocat-coassoc", (
-        ((x, y, z, w),
-         c(comlt[x][z][w], t(comlt[x][y][z], iden(homs[z][w]))),
-         c(comlt[x][y][w], t(iden(homs[x][y]), comlt[y][z][w])))
-        for x, y, z, w in itertools.product(range(n), repeat=4))))
-    results.append(_eq_axiom(backend, "cocat-counit-left", (
-        ((x, y), c(comlt[x][x][y], t(couni[x], iden(homs[x][y]))), iden(homs[x][y]))
-        for x, y in itertools.product(range(n), repeat=2))))
-    results.append(_eq_axiom(backend, "cocat-counit-right", (
-        ((x, y), c(comlt[x][y][y], t(iden(homs[x][y]), couni[y])), iden(homs[x][y]))
-        for x, y in itertools.product(range(n), repeat=2))))
-    results.append(_eq_axiom(backend, "frobenius-left", (
-        ((x, y, z, w),
-         c(m[x][y][z], comlt[x][w][z]),
-         c(t(comlt[x][w][y], iden(homs[y][z])),
-           t(iden(homs[x][w]), m[w][y][z])))
-        for x, y, z, w in itertools.product(range(n), repeat=4))))
-    results.append(_eq_axiom(backend, "frobenius-right", (
-        ((x, y, z, w),
-         c(m[x][y][z], comlt[x][w][z]),
-         c(t(iden(homs[x][y]), comlt[y][w][z]),
-           t(m[x][y][w], iden(homs[w][z]))))
-        for x, y, z, w in itertools.product(range(n), repeat=4))))
-    return CheckReport(results)
+    return CheckReport(_run_laws(backend, fc.n, _category_laws(fc) + [
+        ("cocat-coassoc", 4, lambda x, y, z, w: (
+            c(comlt[x][z][w], t(comlt[x][y][z], iden(H[z][w]))),
+            c(comlt[x][y][w], t(iden(H[x][y]), comlt[y][z][w])))),
+        ("cocat-counit-left", 2, lambda x, y: (
+            c(comlt[x][x][y], t(couni[x], iden(H[x][y]))), iden(H[x][y]))),
+        ("cocat-counit-right", 2, lambda x, y: (
+            c(comlt[x][y][y], t(iden(H[x][y]), couni[y])), iden(H[x][y]))),
+        ("frobenius-left", 4, lambda x, y, z, w: (
+            c(m[x][y][z], comlt[x][w][z]),
+            c(t(comlt[x][w][y], iden(H[y][z])), t(iden(H[x][w]), m[w][y][z])))),
+        ("frobenius-right", 4, lambda x, y, z, w: (
+            c(m[x][y][z], comlt[x][w][z]),
+            c(t(iden(H[x][y]), comlt[y][w][z]), t(m[x][y][w], iden(H[w][z]))))),
+    ]))
 
 
 def check_frobenius_vfunctor(ca, cb, fun):
     """The four squares: composition, identities, cocomposition and
     coidentities all commute with the components."""
     backend = ca.backend
-    t, c, iden = backend.tensor_mor, backend.compose, backend.id
-    n = ca.n
+    t, c = backend.tensor_mor, backend.compose
     f0 = fun.obj_map.table
     fc = fun.components
-    results = [_eq_axiom(backend, "functor-mult", (
-        ((x, y, z),
-         c(ca.m[x][y][z], fc[x][z]),
-         c(t(fc[x][y], fc[y][z]), cb.m[f0[x]][f0[y]][f0[z]]))
-        for x, y, z in itertools.product(range(n), repeat=3)))]
-    results.append(_eq_axiom(backend, "functor-unit", (
-        ((x,), c(ca.u[x], fc[x][x]), cb.u[f0[x]]) for x in range(n))))
-    results.append(_eq_axiom(backend, "opfunctor-comult", (
-        ((x, y, z),
-         c(ca.comlt[x][y][z], t(fc[x][y], fc[y][z])),
-         c(fc[x][z], cb.comlt[f0[x]][f0[y]][f0[z]]))
-        for x, y, z in itertools.product(range(n), repeat=3))))
-    results.append(_eq_axiom(backend, "opfunctor-counit", (
-        ((x,), ca.couni[x], c(fc[x][x], cb.couni[f0[x]])) for x in range(n))))
-    return CheckReport(results)
+    return CheckReport(_run_laws(backend, ca.n, [
+        ("functor-mult", 3, lambda x, y, z: (
+            c(ca.m[x][y][z], fc[x][z]),
+            c(t(fc[x][y], fc[y][z]), cb.m[f0[x]][f0[y]][f0[z]]))),
+        ("functor-unit", 1, lambda x: (c(ca.u[x], fc[x][x]), cb.u[f0[x]])),
+        ("opfunctor-comult", 3, lambda x, y, z: (
+            c(ca.comlt[x][y][z], t(fc[x][y], fc[y][z])),
+            c(fc[x][z], cb.comlt[f0[x]][f0[y]][f0[z]]))),
+        ("opfunctor-counit", 1, lambda x: (ca.couni[x], c(fc[x][x], cb.couni[f0[x]]))),
+    ]))
 
 
 def mat_frobenius_example(p, max_n):
@@ -290,38 +290,34 @@ def mat_frobenius_example(p, max_n):
     index and the coidentity reads off the trace.
     """
     assert max_n >= 1
-    backend = MatBackend(prime=p)
-    objects = FinSet((max_n,))
     size = [x + 1 for x in range(max_n)]
-    homs = [[size[x] * size[y] for y in range(max_n)] for x in range(max_n)]
+    homs = _tabulate(max_n, 2, lambda x, y: size[x] * size[y])
 
     def cell(x, y, i, j):
         return i * size[y] + j
 
-    m = [[[None] * max_n for _ in range(max_n)] for _ in range(max_n)]
-    comlt = [[[None] * max_n for _ in range(max_n)] for _ in range(max_n)]
-    for x, y, z in itertools.product(range(max_n), repeat=3):
+    def mult(x, y, z):
         mm = np.zeros((homs[x][y] * homs[y][z], homs[x][z]), dtype=np.int64)
-        for i, j, k, w in itertools.product(
-                range(size[x]), range(size[y]), range(size[y]), range(size[z])):
-            if j == k:
-                mm[cell(x, y, i, j) * homs[y][z] + cell(y, z, k, w), cell(x, z, i, w)] = 1
-        m[x][y][z] = mm
+        for i, j, w in itertools.product(range(size[x]), range(size[y]), range(size[z])):
+            mm[cell(x, y, i, j) * homs[y][z] + cell(y, z, j, w), cell(x, z, i, w)] = 1
+        return mm
+
+    def cocomp(x, y, z):
         dd = np.zeros((homs[x][z], homs[x][y] * homs[y][z]), dtype=np.int64)
         for i, j, t in itertools.product(range(size[x]), range(size[z]), range(size[y])):
             dd[cell(x, z, i, j), cell(x, y, i, t) * homs[y][z] + cell(y, z, t, j)] = 1
-        comlt[x][y][z] = dd
-    u = []
-    couni = []
-    for x in range(max_n):
-        uu = np.zeros((1, homs[x][x]), dtype=np.int64)
-        ee = np.zeros((homs[x][x], 1), dtype=np.int64)
-        for i in range(size[x]):
-            uu[0, cell(x, x, i, i)] = 1
-            ee[cell(x, x, i, i), 0] = 1
-        u.append(uu)
-        couni.append(ee)
-    return FrobVCat(backend, objects, homs, m, u, comlt, couni)
+        return dd
+
+    def trace(x):
+        tr = np.zeros(homs[x][x], dtype=np.int64)
+        tr[[cell(x, x, i, i) for i in range(size[x])]] = 1
+        return tr
+
+    return FrobVCat(MatBackend(prime=p), FinSet((max_n,)), homs,
+                    _tabulate(max_n, 3, mult),
+                    _tabulate(max_n, 1, lambda x: trace(x).reshape(1, -1)),
+                    _tabulate(max_n, 3, cocomp),
+                    _tabulate(max_n, 1, lambda x: trace(x).reshape(-1, 1)))
 
 
 def group_algebra_hopf(p, order):
@@ -331,17 +327,17 @@ def group_algebra_hopf(p, order):
     backend = MatBackend(prime=p)
     k = int(order)
     assert k >= 1
+    g = np.arange(k)
+    pairs = np.arange(k * k)
     mm = np.zeros((k * k, k), dtype=np.int64)
-    for g, h in itertools.product(range(k), repeat=2):
-        mm[g * k + h, (g + h) % k] = 1
+    mm[pairs, (pairs // k + pairs % k) % k] = 1
     uu = np.zeros((1, k), dtype=np.int64)
     uu[0, 0] = 1
     dd = np.zeros((k, k * k), dtype=np.int64)
+    dd[g, g * k + g] = 1
     ee = np.ones((k, 1), dtype=np.int64)
     ss = np.zeros((k, k), dtype=np.int64)
-    for g in range(k):
-        dd[g, g * k + g] = 1
-        ss[g, (-g) % k] = 1
+    ss[g, (-g) % k] = 1
     return HopfVCat(backend, FinSet((1,)), [[k]], [[[mm]]], [uu],
                     [[dd]], [[ee]], [[ss]])
 
@@ -444,6 +440,81 @@ def discrete_groupoid(n):
                         ident, ident)
 
 
+def groupoid_to_hopfcat(G, backend=None):
+    """A groupoid as an enriched category over finite sets: homs are the
+    hom-sets, comultiplication is the diagonal, antipode the inversion."""
+    if backend is None:
+        backend = FinSetBackend()
+    t = backend.tensor_obj
+    n = G.g0.size
+    n1 = G.g1.size
+    mems = _tabulate(n, 2, G.hom)
+    homs = _tabulate(n, 2, lambda x, y: FinSet((len(mems[x][y]),)))
+    loc = np.zeros(n1, dtype=np.int64)
+    for _, mem in _entries(mems, n, 2):
+        loc[mem] = np.arange(len(mem))
+    pos = G.pairs.position_of
+
+    def mult(x, y, z):
+        codes = (mems[x][y][:, None] * n1 + mems[y][z][None, :]).ravel()
+        return FinFn(t(homs[x][y], homs[y][z]), homs[x][z], loc[G.comp.table[pos(codes)]])
+
+    def diagonal(x, y):
+        d = np.arange(homs[x][y].size, dtype=np.int64)
+        return FinFn(homs[x][y], t(homs[x][y], homs[x][y]), d * d.size + d)
+
+    return HopfVCat(
+        backend, G.g0, homs,
+        _tabulate(n, 3, mult),
+        _tabulate(n, 1, lambda x: FinFn(UNIT, homs[x][x], [loc[G.e.table[x]]])),
+        _tabulate(n, 2, diagonal),
+        _tabulate(n, 2, lambda x, y: FinFn(homs[x][y], UNIT,
+                                           np.zeros(homs[x][y].size, dtype=np.int64))),
+        _tabulate(n, 2, lambda x, y: FinFn(homs[x][y], homs[y][x],
+                                           loc[G.inv.table[mems[x][y]]])))
+
+
+def _groupoid_spans(G):
+    """The spans of a groupoid's structures over its morphisms: composition
+    (mlt) and identities (uni), the diagonal comonoid (lcm, lcu), inversion
+    (anti), and reversed composition with its counit (colcm, colcu).  Those
+    of codiscrete_groupoid(n) carry every enriched category on n objects."""
+    g1, pairs = G.g1, G.pairs
+    base2 = FinSet(g1.shape + g1.shape)
+    incl = FinFn(pairs, base2, pairs.members)
+    return {
+        "mlt": Span(base2, pairs, g1, incl, G.comp),
+        "uni": Span(UNIT, G.g0, g1, terminal_fn(G.g0), G.e),
+        "lcm": Span(g1, g1, base2, identity_fn(g1), diagonal_fn(g1)),
+        "lcu": Span(g1, g1, UNIT, identity_fn(g1), terminal_fn(g1)),
+        "anti": Span(g1, g1, g1, identity_fn(g1), G.inv),
+        "colcm": Span(g1, pairs, base2, G.comp, incl),
+        "colcu": Span(g1, G.g0, UNIT, G.e, terminal_fn(G.g0)),
+    }
+
+
+def _span_cells(spans, carrier, components):
+    """Each named span as a 1-cell with the given components (None:
+    identities on the unit).  Its feet pick its families: the carrier,
+    the carrier's tensor square or the unit family."""
+    fams = {fam.base.shape: fam for fam in
+            (carrier, tensor_fams(carrier, carrier), unit_fam(carrier.backend))}
+    return {name: VCell1(fams[spans[name].left.shape], fams[spans[name].right.shape],
+                         spans[name], alphas)
+            for name, alphas in components.items()}
+
+
+def _field_cells(v):
+    """Each given field of an enriched category as a 1-cell over the
+    squared index set, its entries laid on its span in row-major order."""
+    n = v.n
+    carrier = VFam(v.backend, FinSet((n, n)), [hom for _, hom in _entries(v.homs, n, 2)])
+    tables = {name: getattr(v, name) for name in v.fields}
+    components = {FIELDS[name][2]: [mor for _, mor in _entries(table, n, FIELDS[name][0])]
+                  for name, table in tables.items() if table is not None}
+    return _span_cells(_groupoid_spans(codiscrete_groupoid(n)), carrier, components)
+
+
 def _leg_forced_cell(src_cell, tgt_cell):
     """The 2-cell whose apex map is forced element by element by the two
     legs.  Validation failures come back as InvalidCell records."""
@@ -458,6 +529,20 @@ def _forced_cells(bounds):
     return {name: _leg_forced_cell(*pair) for name, pair in bounds.items()}
 
 
+def _bimonoid(cells):
+    """The bimonoid of the mlt, uni, lcm and lcu cells with its forced
+    structure cells, and the antipode on the anti cell if there is one."""
+    carrier = cells["mlt"].cod
+    monoid = MonoidData(carrier, cells["mlt"], cells["uni"])
+    comonoid = ComonoidData(carrier, cells["lcm"], cells["lcu"])
+    bim = OplaxBimonoidData(
+        monoid, comonoid, **_forced_cells(structure_cell_boundaries(monoid, comonoid)))
+    s = cells.get("anti")
+    if s is None:
+        return bim, None
+    return bim, AntipodeData(s, **_forced_cells(antipode_boundaries(bim, s)))
+
+
 def groupoid_structures(G):
     """All span-layer structures carried by a finite groupoid.
 
@@ -468,131 +553,19 @@ def groupoid_structures(G):
     convolution cells, and the Frobenius pairing of composition with
     reversed composition.
     """
-    backend = TrivialBackend()
-    carrier = VFam(backend, G.g1)
-    doubled = tensor_fams(carrier, carrier)
-    unit = unit_fam(backend)
-    g1, pairs = G.g1, G.pairs
-    base2 = FinSet(g1.shape + g1.shape)
-    incl = FinFn(pairs, base2, pairs.members)
-    mlt = VCell1(doubled, carrier, Span(base2, pairs, g1, incl, G.comp), None)
-    uni = VCell1(unit, carrier,
-                 Span(UNIT, G.g0, g1, terminal_fn(G.g0), G.e), None)
-    monoid = MonoidData(carrier, mlt, uni)
-    lcm = VCell1(carrier, doubled,
-                 Span(g1, g1, base2, identity_fn(g1), diagonal_fn(g1)), None)
-    lcu = VCell1(carrier, unit,
-                 Span(g1, g1, UNIT, identity_fn(g1), terminal_fn(g1)), None)
-    comonoid = ComonoidData(carrier, lcm, lcu)
-    colcm = VCell1(carrier, doubled, Span(g1, pairs, base2, G.comp, incl), None)
-    colcu = VCell1(carrier, unit,
-                   Span(g1, G.g0, UNIT, G.e, terminal_fn(G.g0)), None)
-    cocomposition = ComonoidData(carrier, colcm, colcu)
-    cells = infer_unique_structure_cells(monoid, comonoid)
-    assert cells is not None
-    bim = OplaxBimonoidData(monoid, comonoid, *cells)
-    s = VCell1(carrier, carrier, Span(g1, g1, g1, identity_fn(g1), G.inv), None)
-    antipode = AntipodeData(s, **_forced_cells(antipode_boundaries(bim, s)))
-    frobenius = FrobeniusData(monoid, cocomposition)
-    return monoid, comonoid, cocomposition, bim, antipode, frobenius
-
-
-def groupoid_to_hopfcat(G, backend=None):
-    """A groupoid as an enriched category over finite sets: homs are the
-    hom-sets, comultiplication is the diagonal, antipode the inversion."""
-    if backend is None:
-        backend = FinSetBackend()
-    n = G.g0.size
-    n1 = G.g1.size
-    mems = [[G.hom(x, y) for y in range(n)] for x in range(n)]
-    homs = [[FinSet((len(mems[x][y]),)) for y in range(n)] for x in range(n)]
-    loc = np.zeros(n1, dtype=np.int64)
-    for x, y in itertools.product(range(n), repeat=2):
-        loc[mems[x][y]] = np.arange(len(mems[x][y]))
-    pos = G.pairs.position_of
-    m = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for x, y, z in itertools.product(range(n), repeat=3):
-        a, b = mems[x][y], mems[y][z]
-        codes = (a[:, None] * n1 + b[None, :]).ravel()
-        m[x][y][z] = FinFn(backend.tensor_obj(homs[x][y], homs[y][z]), homs[x][z],
-                           loc[G.comp.table[pos(codes)]])
-    u = [FinFn(UNIT, homs[x][x], [loc[G.e.table[x]]]) for x in range(n)]
-    delta = [[None] * n for _ in range(n)]
-    eps = [[None] * n for _ in range(n)]
-    s = [[None] * n for _ in range(n)]
-    for x, y in itertools.product(range(n), repeat=2):
-        k = homs[x][y].size
-        d = np.arange(k, dtype=np.int64)
-        delta[x][y] = FinFn(homs[x][y], backend.tensor_obj(homs[x][y], homs[x][y]),
-                            d * k + d)
-        eps[x][y] = FinFn(homs[x][y], UNIT, np.zeros(k, dtype=np.int64))
-        s[x][y] = FinFn(homs[x][y], homs[y][x], loc[G.inv.table[mems[x][y]]])
-    return HopfVCat(backend, G.g0, homs, m, u, delta, eps, s)
-
-
-def _x2_pairs(n):
-    base = FinSet((n, n))
-    first = reindex_fn(base, FinSet((n,)), (0,))
-    second = reindex_fn(base, FinSet((n,)), (1,))
-    pairs, _, _ = pullback(second, first)
-    coords = pairs.decode(np.arange(pairs.size))
-    return base, pairs, coords
-
-
-def _x2_template_spans(n):
-    """The spans every squared-index instance is built on."""
-    base, pairs, coords = _x2_pairs(n)
-    objline = FinSet((n,))
-    base2 = FinSet(base.shape + base.shape)
-    incl = FinFn(pairs, base2, pairs.members)
-    comp = FinFn(pairs, base, coords[:, 0] * n + coords[:, 3])
-    return {
-        "base": base,
-        "pairs": pairs,
-        "coords": coords,
-        "mlt": Span(base2, pairs, base, incl, comp),
-        "uni": Span(UNIT, objline, base, terminal_fn(objline), diagonal_fn(objline)),
-        "lcm": Span(base, base, base2, identity_fn(base), diagonal_fn(base)),
-        "lcu": Span(base, base, UNIT, identity_fn(base), terminal_fn(base)),
-        "anti": Span(base, base, base, identity_fn(base),
-                     swap_fn(objline, objline)),
-        "colcm": Span(base, pairs, base2, comp, incl),
-        "colcu": Span(base, objline, UNIT, diagonal_fn(objline),
-                      terminal_fn(objline)),
-    }
-
-
-def _carrier_fam(backend, n, homs):
-    return VFam(backend, FinSet((n, n)), [homs[x][y] for x in range(n) for y in range(n)])
-
-
-def _monoid_part(backend, n, homs, m, u, tm):
-    carrier = _carrier_fam(backend, n, homs)
-    doubled = tensor_fams(carrier, carrier)
-    mlt = VCell1(doubled, carrier, tm["mlt"], [m[x][y][z] for x, y, _, z in tm["coords"]])
-    uni = VCell1(unit_fam(backend), carrier, tm["uni"], list(u))
-    return MonoidData(carrier, mlt, uni)
+    spans = _groupoid_spans(G)
+    cells = _span_cells(spans, VFam(TrivialBackend(), G.g1), dict.fromkeys(spans))
+    bim, antipode = _bimonoid(cells)
+    cocomposition = ComonoidData(bim.monoid.carrier, cells["colcm"], cells["colcu"])
+    return (bim.monoid, bim.comonoid, cocomposition, bim, antipode,
+            FrobeniusData(bim.monoid, cocomposition))
 
 
 def hopfcat_to_spanv(h):
     """Realize an enriched category over the span layer: composition
     over the composable-pairs span, hom comonoids over the diagonal,
     plus the forced structure cells, and the antipode if present."""
-    backend, n = h.backend, h.n
-    tm = _x2_template_spans(n)
-    monoid = _monoid_part(backend, n, h.homs, h.m, h.u, tm)
-    carrier = monoid.carrier
-    doubled = tensor_fams(carrier, carrier)
-    pair_idx = [(x, y) for x in range(n) for y in range(n)]
-    lcm = VCell1(carrier, doubled, tm["lcm"], [h.delta[x][y] for x, y in pair_idx])
-    lcu = VCell1(carrier, unit_fam(backend), tm["lcu"], [h.eps[x][y] for x, y in pair_idx])
-    comonoid = ComonoidData(carrier, lcm, lcu)
-    bim = OplaxBimonoidData(
-        monoid, comonoid, **_forced_cells(structure_cell_boundaries(monoid, comonoid)))
-    if h.s is None:
-        return bim, None
-    s = VCell1(carrier, carrier, tm["anti"], [h.s[x][y] for x, y in pair_idx])
-    return bim, AntipodeData(s, **_forced_cells(antipode_boundaries(bim, s)))
+    return _bimonoid(_field_cells(h))
 
 
 def _transport(cell, template, label):
@@ -617,43 +590,31 @@ def spanv_to_hopfcat(bim, antipode=None):
     if len(shape) != 2 or shape[0] != shape[1]:
         raise NotOverX2("carrier base %r is not a squared index set" % (shape,))
     n = shape[0]
-    tm = _x2_template_spans(n)
-    backend = fam.backend
-    homs = [[fam.objs[x * n + y] for y in range(n)] for x in range(n)]
-    # the template lists composable pairs (x, y), (y, z) in (x, y, z) order
-    mvals = _transport(bim.monoid.mlt, tm["mlt"], "multiplication")
-    m = [[[mvals[(x * n + y) * n + z] for z in range(n)] for y in range(n)] for x in range(n)]
-    u = _transport(bim.monoid.uni, tm["uni"], "unit")
-    dvals = _transport(bim.comonoid.lcm, tm["lcm"], "comultiplication")
-    evals = _transport(bim.comonoid.lcu, tm["lcu"], "counit")
-    delta = [[dvals[x * n + y] for y in range(n)] for x in range(n)]
-    eps = [[evals[x * n + y] for y in range(n)] for x in range(n)]
-    s = None
-    if antipode is not None:
-        svals = _transport(antipode.s, tm["anti"], "antipode")
-        s = [[svals[x * n + y] for y in range(n)] for x in range(n)]
-    return HopfVCat(backend, FinSet((n,)), homs, m, list(u), delta, eps, s)
+    spans = _groupoid_spans(codiscrete_groupoid(n))
+    cells = {"mlt": bim.monoid.mlt, "uni": bim.monoid.uni,
+             "lcm": bim.comonoid.lcm, "lcu": bim.comonoid.lcu,
+             "anti": None if antipode is None else antipode.s}
+    tables = []
+    for name in HopfVCat.fields:
+        arity, _, span = FIELDS[name]
+        tables.append(None if cells[span] is None else _nest(
+            _transport(cells[span], spans[span], "the %s span" % span), n, arity))
+    return HopfVCat(fam.backend, FinSet((n,)), _nest(fam.objs, n, 2), *tables)
 
 
 def vopcat_as_comonoid(fc):
     """The cocomposition of an enriched cocategory as a span-layer
     comonoid on the squared carrier."""
-    backend, n = fc.backend, fc.n
-    tm = _x2_template_spans(n)
-    carrier = _carrier_fam(backend, n, fc.homs)
-    doubled = tensor_fams(carrier, carrier)
-    lcm = VCell1(carrier, doubled, tm["colcm"],
-                 [fc.comlt[x][y][z] for x, y, _, z in tm["coords"]])
-    lcu = VCell1(carrier, unit_fam(backend), tm["colcu"], list(fc.couni))
-    return ComonoidData(carrier, lcm, lcu)
+    return frobcat_to_spanv(fc).comonoid
 
 
 def frobcat_to_spanv(fc):
     """Composition monoid plus cocomposition comonoid on the squared
     carrier."""
-    tm = _x2_template_spans(fc.n)
-    monoid = _monoid_part(fc.backend, fc.n, fc.homs, fc.m, fc.u, tm)
-    return FrobeniusData(monoid, vopcat_as_comonoid(fc))
+    cells = _field_cells(fc)
+    carrier = cells["mlt"].cod
+    return FrobeniusData(MonoidData(carrier, cells["mlt"], cells["uni"]),
+                         ComonoidData(carrier, cells["colcm"], cells["colcu"]))
 
 
 def vfunctor_to_spanv(ha, hb, fun):
@@ -668,9 +629,8 @@ def vfunctor_to_spanv(ha, hb, fun):
     table = f0[codes // na] * nb + f0[codes % na]
     fspan = Span(base_a, base_a, base_b, identity_fn(base_a),
                  FinFn(base_a, base_b, table))
-    pair_idx = [(x, y) for x in range(na) for y in range(na)]
     f = VCell1(bim_a.monoid.carrier, bim_b.monoid.carrier, fspan,
-               [fun.components[x][y] for x, y in pair_idx])
+               [mor for _, mor in _entries(fun.components, na, 2)])
     return OplaxMorphismData(f, **_forced_cells(morphism_boundaries(bim_a, bim_b, f)))
 
 
@@ -691,25 +651,17 @@ def opposite_vcat(h):
 
 
 def hopfcat_data_equal(a, b):
-    """Field-by-field data equality of two enriched categories."""
-    if a.backend != b.backend or a.n != b.n:
+    """Field-by-field data equality of two enriched categories of one kind."""
+    if type(a) is not type(b) or a.backend != b.backend or a.n != b.n:
         return False
-    if (a.s is None) != (b.s is None):
-        return False
-    k = a.backend.mor_key
-    ko = a.backend.obj_key
-    n = a.n
-    for x, y in itertools.product(range(n), repeat=2):
-        if ko(a.homs[x][y]) != ko(b.homs[x][y]):
+    n, backend = a.n, a.backend
+    tables = [(a.homs, b.homs, 2, backend.obj_key)] + [
+        (getattr(a, name), getattr(b, name), FIELDS[name][0], backend.mor_key)
+        for name in a.fields]
+    for ta, tb, arity, key in tables:
+        if (ta is None) != (tb is None):
             return False
-        if k(a.delta[x][y]) != k(b.delta[x][y]) or k(a.eps[x][y]) != k(b.eps[x][y]):
-            return False
-        if a.s is not None and k(a.s[x][y]) != k(b.s[x][y]):
-            return False
-    for x in range(n):
-        if k(a.u[x]) != k(b.u[x]):
-            return False
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if k(a.m[x][y][z]) != k(b.m[x][y][z]):
+        if ta is not None and any(key(p) != key(q) for (_, p), (_, q)
+                                  in zip(_entries(ta, n, arity), _entries(tb, n, arity))):
             return False
     return True

@@ -29,6 +29,7 @@ from spanv.errors import (
     FactorizationViolation,
     FamMismatch,
     OutOfBounds,
+    ShapeMismatch,
     TriangleViolation,
 )
 from spanv.finset import FinFn, FinSet, identity_fn
@@ -58,7 +59,7 @@ def _point_cell(be, fam_a, fam_b, x, y, alpha):
 
 def test_fam_validation():
     be = MatBackend(prime=3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ShapeMismatch, match="1 objects for a base of 2"):
         VFam(be, FinSet((2,)), [1])  # one object per base element
 
 
@@ -78,6 +79,8 @@ def test_cell_component_validation():
         _point_cell(be, a, a, 0, 1, be.mor(np.zeros((2, 2))))
     cell = _point_cell(be, a, a, 0, 1, be.mor(np.zeros((2, 3))))
     assert cell.alphas[0].shape == (2, 3)
+    with pytest.raises(ShapeMismatch, match="2 components for an apex of 1"):
+        VCell1(a, a, cell.span, [be.mor(np.zeros((2, 3)))] * 2)
     with pytest.raises(FamMismatch):
         VCell1(a, a, Span(FinSet((3,)), FinSet((1,)), a.base,
                           FinFn(FinSet((1,)), FinSet((3,)), [0]),

@@ -50,19 +50,23 @@ def test_parse_and_schema_errors(tmp_path):
     bad.write_text("not json")
     assert main(["check", str(bad)]) == 2
     assert main(["check", str(tmp_path / "missing.json")]) == 2
-    data = json.loads((FIXTURES / "x2-hopf.json").read_text())
-    for mangle in (
-        lambda d: d.update(schema_version=99),
-        lambda d: d.update(kind="mystery"),
-        lambda d: d.pop("mlt"),
-        lambda d: d["cells"].update(theta=d["cells"]["theta"][:-1]),
-        lambda d: d["backend"].update(kind="unknown"),
-        lambda d: d["mlt"]["apex"].update(size=float("inf")),
+    for stem, mangle in (
+        ("x2-hopf", lambda d: d.update(schema_version=99)),
+        ("x2-hopf", lambda d: d.update(kind="mystery")),
+        ("x2-hopf", lambda d: d.pop("mlt")),
+        ("x2-hopf", lambda d: d["cells"].update(theta=d["cells"]["theta"][:-1])),
+        ("x2-hopf", lambda d: d["backend"].update(kind="unknown")),
+        ("x2-hopf", lambda d: d["mlt"]["apex"].update(size=float("inf"))),
+        # numbers that are not JSON integers are refused, not truncated
+        ("mat-frobenius", lambda d: d.update(objects=2.9)),
+        ("x2-hopf", lambda d: d["mlt"].update(f=[v + 0.5 for v in d["mlt"]["f"]])),
+        ("x2-hopf", lambda d: d["cells"]["theta"].__setitem__(
+            d["cells"]["theta"].index(1), True)),
     ):
-        copy = json.loads(json.dumps(data))
-        mangle(copy)
+        data = json.loads((FIXTURES / ("%s.json" % stem)).read_text())
+        mangle(data)
         path = tmp_path / "mangled.json"
-        path.write_text(json.dumps(copy))
+        path.write_text(json.dumps(data))
         assert main(["check", str(path)]) == 2
 
 
@@ -115,6 +119,21 @@ def _x2_with(tmp_path, name, mangle):
     return path
 
 
+def _bridged_hopf_file(tmp_path, name, mangle):
+    """The FinSet-enriched codiscrete groupoid on 2 objects, bridged to a hopf file."""
+    from spanv.cli import _backend_to_json, _bimonoid_block_to_json
+    from spanv.hopfcat import codiscrete_groupoid, groupoid_to_hopfcat, hopfcat_to_spanv
+
+    bim, anti = hopfcat_to_spanv(groupoid_to_hopfcat(codiscrete_groupoid(2)))
+    data = {"schema_version": SCHEMA_VERSION, "kind": "hopf",
+            "backend": _backend_to_json(bim.monoid.carrier.backend)}
+    data.update(_bimonoid_block_to_json(bim, anti))
+    mangle(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return path
+
+
 def test_exit_codes_hold_under_python_O(tmp_path):
     # python -O strips asserts, so input checks must not rely on them
     paths = [FIXTURES / ("%s.json" % stem)
@@ -129,7 +148,10 @@ def test_exit_codes_hold_under_python_O(tmp_path):
     bad_leg = _x2_with(tmp_path, "bad-leg.json",
                        lambda d: d["mlt"].update(f=[99] + d["mlt"]["f"][1:]))
     bad_size = _x2_with(tmp_path, "bad-size.json", lambda d: d["mlt"]["apex"].update(size=-1))
-    for path, named in ((bad_leg, "99"), (bad_size, "-1")):
+    short_carrier = _bridged_hopf_file(tmp_path, "short-carrier.json",
+                                       lambda d: d["carrier"]["objs"].pop())
+    for path, named in ((bad_leg, "99"), (bad_size, "-1"),
+                        (short_carrier, "3 objects for a base of 4")):
         plain, optimised = _spanv_check(path), _spanv_check(path, "-O")
         assert plain.returncode == optimised.returncode == 2, (path.name, plain.stderr)
         assert "Traceback" not in optimised.stderr
@@ -314,3 +336,51 @@ def test_demo_runs(demo, tmp_path):
     run = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path,
                          capture_output=True, text=True, env=_env(), timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_null_comultiplication_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "null-delta.json"
+    cmd_demo("groupoid", out_dir=str(tmp_path))
+    data = json.loads((tmp_path / "groupoid-hopfcat.json").read_text())
+    data["delta"] = None
+    path.write_text(json.dumps(data))
+    run = _spanv_check(path)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def _finset_frobcat(n):
+    """A FinSet-enriched category with a cocomposition on the codiscrete
+    groupoid's homs; only its data matters here, not its laws."""
+    from spanv.finset import UNIT, FinFn
+    from spanv.hopfcat import FrobVCat, codiscrete_groupoid, groupoid_to_hopfcat
+
+    h = groupoid_to_hopfcat(codiscrete_groupoid(n))
+    t = h.backend.tensor_obj
+    comlt = [[[FinFn(h.homs[x][z], t(h.homs[x][y], h.homs[y][z]), [0]) for z in range(n)]
+              for y in range(n)] for x in range(n)]
+    couni = [FinFn(h.homs[x][x], UNIT, [0]) for x in range(n)]
+    return FrobVCat(h.backend, h.objects, h.homs, h.m, h.u, comlt, couni)
+
+
+def test_enriched_category_files_round_trip():
+    from spanv.cli import _backend_to_json, _vcat_to_json
+    from spanv.hopfcat import (HopfVCat, codiscrete_groupoid, cyclic_group_groupoid,
+                               group_algebra_hopf, groupoid_to_hopfcat, hopfcat_data_equal,
+                               mat_frobenius_example)
+
+    def without_s(h):
+        return HopfVCat(h.backend, h.objects, h.homs, h.m, h.u, h.delta, h.eps)
+
+    finset = groupoid_to_hopfcat(codiscrete_groupoid(2))
+    cyclic = groupoid_to_hopfcat(cyclic_group_groupoid(3))
+    zp = group_algebra_hopf(3, 3)
+    for kind, v in (("hopfcat", finset), ("hopfcat", without_s(finset)),
+                    ("hopfcat", cyclic), ("hopfcat", zp), ("hopfcat", without_s(zp)),
+                    ("frobcat", _finset_frobcat(2)), ("frobcat", mat_frobenius_example(3, 2))):
+        data = {"schema_version": SCHEMA_VERSION, "kind": kind,
+                "backend": _backend_to_json(v.backend)}
+        data.update(_vcat_to_json(v))
+        loaded_kind, loaded = load_structure(json.loads(json.dumps(data)))
+        assert loaded_kind == kind
+        assert hopfcat_data_equal(loaded, v), (kind, v)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spanv.errors import NotAGroupoid, NotOverX2
-from spanv.finset import FinSet, identity_fn
+from spanv.finset import FinFn, FinSet, identity_fn
 from spanv.hopfcat import (
     FrobVCat,
     GroupoidData,
@@ -207,3 +207,84 @@ def test_opposite_is_involutive():
     assert check_hopf_vcat(op).ok
     assert hopfcat_data_equal(opposite_vcat(op), h)
     assert not hopfcat_data_equal(op, groupoid_to_hopfcat(discrete_groupoid(2)))
+
+
+def _failures(report):
+    return {r.name: r.counterexample for r in report.results if not r.ok}
+
+
+def _bump(table, index, entry, p):
+    """A deep copy of a nested field table with one matrix entry moved by 1 mod p."""
+    if not index:
+        out = table.copy()
+        out[entry] = (out[entry] + 1) % p
+        return out
+    return [_bump(t, index[1:], entry, p) if i == index[0] else t
+            for i, t in enumerate(table)]
+
+
+def test_frobenius_mutants_name_the_same_laws_and_entries():
+    fc = mat_frobenius_example(3, 2)
+    cases = (
+        ("m", (0, 1, 1), (1, 0), {
+            "cat-assoc": {"at": [0, 1, 0, 1], "diff": {"entry": [1, 0], "this": 0, "other": 1}},
+            "frobenius-left": {"at": [0, 1, 1, 1],
+                               "diff": {"entry": [1, 0], "this": 1, "other": 0}},
+            "frobenius-right": {"at": [0, 1, 0, 1],
+                                "diff": {"entry": [0, 1], "this": 0, "other": 1}}}),
+        ("m", (1, 1, 0), (3, 1), {
+            "cat-assoc": {"at": [0, 1, 1, 0], "diff": {"entry": [11, 0], "this": 0, "other": 1}},
+            "frobenius-left": {"at": [0, 1, 0, 1],
+                               "diff": {"entry": [3, 1], "this": 0, "other": 1}},
+            "frobenius-right": {"at": [1, 1, 0, 1],
+                                "diff": {"entry": [3, 4], "this": 1, "other": 0}}}),
+        ("comlt", (1, 0, 1), (0, 2), {
+            "cocat-coassoc": {"at": [0, 1, 0, 1],
+                              "diff": {"entry": [0, 2], "this": 0, "other": 1}},
+            "frobenius-left": {"at": [1, 0, 1, 0],
+                               "diff": {"entry": [0, 2], "this": 1, "other": 0}},
+            "frobenius-right": {"at": [0, 1, 1, 0],
+                                "diff": {"entry": [4, 0], "this": 0, "other": 1}}}),
+        ("u", (1,), (0, 1), {
+            "cat-unit-left": {"at": [1, 0], "diff": {"entry": [1, 0], "this": 1, "other": 0}},
+            "cat-unit-right": {"at": [0, 1], "diff": {"entry": [0, 1], "this": 1, "other": 0}}}),
+        ("couni", (1,), (2, 0), {
+            "cocat-counit-left": {"at": [1, 0],
+                                  "diff": {"entry": [1, 0], "this": 1, "other": 0}},
+            "cocat-counit-right": {"at": [0, 1],
+                                   "diff": {"entry": [0, 1], "this": 1, "other": 0}}}),
+    )
+    for field, index, entry, want in cases:
+        tables = dict(m=fc.m, u=fc.u, comlt=fc.comlt, couni=fc.couni)
+        tables[field] = _bump(tables[field], index, entry, 3)
+        bad = FrobVCat(fc.backend, fc.objects, fc.homs, **tables)
+        assert _failures(check_frobenius_vcat(bad)) == want, (field, index)
+
+
+def test_broken_functor_component_names_the_entry():
+    fc = mat_frobenius_example(3, 2)
+    comps = [[fc.backend.id(fc.homs[x][y]) for y in range(2)] for x in range(2)]
+    comps[0][1] = comps[0][1].copy()
+    comps[0][1][1, 0] = 2
+    fun = VFunctorData(identity_fn(fc.objects), comps)
+    assert _failures(check_frobenius_vfunctor(fc, fc, fun)) == {
+        "functor-mult": {"at": [0, 1, 0], "diff": {"entry": [2, 0], "this": 0, "other": 2}},
+        "opfunctor-comult": {"at": [0, 1, 0], "diff": {"entry": [0, 1], "this": 2, "other": 0}}}
+
+
+def test_mutated_comultiplication_names_the_entry():
+    h = group_algebra_hopf(3, 2)
+    bad = HopfVCat(h.backend, h.objects, h.homs, h.m, h.u,
+                   _bump(h.delta, (0, 0), (1, 3), 3), h.eps, h.s)
+    assert _failures(check_semi_hopf_vcat(bad)) == {
+        "local-counit-left": {"at": [0, 0], "diff": {"entry": [1, 1], "this": 2, "other": 1}},
+        "local-counit-right": {"at": [0, 0], "diff": {"entry": [1, 1], "this": 2, "other": 1}}}
+    z = groupoid_to_hopfcat(cyclic_group_groupoid(3))
+    d = z.delta[0][0]
+    table = d.table.copy()
+    table[1] = 5
+    bad = HopfVCat(z.backend, z.objects, z.homs, z.m, z.u, [[FinFn(d.dom, d.cod, table)]],
+                   z.eps, z.s)
+    assert _failures(check_semi_hopf_vcat(bad)) == {
+        "local-counit-left": {"at": [0, 0], "diff": {"entry": [1], "this": 2, "other": 1}},
+        "mult-comult": {"at": [0, 0, 0], "diff": {"entry": [4], "this": 8, "other": 7}}}

@@ -1,0 +1,57 @@
+"""Source hygiene of src/spanv: no unused imports, no dead private helpers."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spanv"
+
+
+def _modules():
+    return {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.rglob("*.py"))}
+
+
+def _used_names(tree):
+    """Every name read as a variable or as an attribute anywhere in a tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_import_is_used():
+    unused = []
+    for path, tree in _modules().items():
+        if path.name == "__init__.py":
+            continue
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append("%s: %s" % (path.relative_to(SRC), bound))
+    assert not unused
+
+
+def test_every_private_helper_is_referenced():
+    modules = _modules()
+    imported = {alias.name for tree in modules.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    # names used by each top-level statement; a helper's uses of itself
+    # (recursion) do not count as references
+    uses = [(path, node, _used_names(node))
+            for path, tree in modules.items() for node in tree.body]
+    dead = []
+    for path, node, _ in uses:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        if node.name in imported or any(node.name in names
+                                        for _, other, names in uses if other is not node):
+            continue
+        dead.append("%s: %s" % (path.relative_to(SRC), node.name))
+    assert not dead
