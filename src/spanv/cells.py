@@ -78,6 +78,11 @@ class Column:
         codes = None if self.codes is None else self.codes[index]
         return Column(self.values, len(index), codes)
 
+    def along(self, fn):
+        """Entry s is self[fn(s)]; a constant column never reads fn's table."""
+        codes = None if self.codes is None else self.codes[fn.table]
+        return Column(self.values, fn.dom.size, codes)
+
     def map(self, fn):
         return Column([fn(v) for v in self.values], self.size, self.codes)
 
@@ -172,8 +177,8 @@ class VCell1:
         if alphas.size != span.apex.size:
             raise ShapeMismatch("cell has %d components for an apex of %d elements"
                                 % (alphas.size, span.apex.size))
-        ends = (alphas.map(backend.dom).zip_with(dom.objs.take(span.f.table), backend.eq_obj),
-                alphas.map(backend.cod).zip_with(cod.objs.take(span.g.table), backend.eq_obj))
+        ends = (alphas.map(backend.dom).zip_with(dom.objs.along(span.f), backend.eq_obj),
+                alphas.map(backend.cod).zip_with(cod.objs.along(span.g), backend.eq_obj))
         bad = [s for s in (end.first_false() for end in ends) if s is not None]
         if bad:
             raise ComponentShapeError("component %d has wrong boundary" % min(bad))
@@ -288,18 +293,13 @@ def make_2cell(src, tgt, u):
         raise BoundaryMismatch("apex map has length %d, expected %d" % (u.size, src.span.apex.size))
     if u.size and (u.min() < 0 or u.max() >= tgt.span.apex.size):
         raise BoundaryMismatch("apex map value out of range")
-    lt = tgt.span.f.table[u]
-    if not np.array_equal(lt, src.span.f.table):
-        bad = int(np.nonzero(lt != src.span.f.table)[0][0])
-        err = TriangleViolation("left leg disagrees at apex element %d" % bad)
-        err.element = tuple(src.span.apex.decode(np.array([bad]))[0].tolist())
-        raise err
-    rt = tgt.span.g.table[u]
-    if not np.array_equal(rt, src.span.g.table):
-        bad = int(np.nonzero(rt != src.span.g.table)[0][0])
-        err = TriangleViolation("right leg disagrees at apex element %d" % bad)
-        err.element = tuple(src.span.apex.decode(np.array([bad]))[0].tolist())
-        raise err
+    for side, leg, image in (("left", src.span.f, tgt.span.f.at(u)),
+                             ("right", src.span.g, tgt.span.g.at(u))):
+        if not np.array_equal(image, leg.table):
+            bad = int(np.nonzero(image != leg.table)[0][0])
+            err = TriangleViolation("%s leg disagrees at apex element %d" % (side, bad))
+            err.element = tuple(src.span.apex.decode(np.array([bad]))[0].tolist())
+            raise err
     s = src.alphas.zip_with(tgt.alphas.take(u), src.backend.eq_mor).first_false()
     if s is not None:
         err = FactorizationViolation("component disagrees at apex element %d" % s)
@@ -348,8 +348,8 @@ def _pair_encode(comp, left, right, lpos, rpos):
         return lpos
     amb = right.span.apex.ambient.size
     bound = comp.span.apex.ambient.size
-    lcodes = _code_array(left.span.apex.members[lpos], bound)
-    rcodes = _code_array(right.span.apex.members[rpos], bound)
+    lcodes = _code_array(left.span.apex.codes_at(lpos), bound)
+    rcodes = _code_array(right.span.apex.codes_at(rpos), bound)
     return comp.span.apex.position_of(lcodes * amb + rcodes)
 
 

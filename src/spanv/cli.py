@@ -306,6 +306,8 @@ def _vcat_to_json(v):
 
 def _vcat_from_json(cls, backend, data):
     n = _json_int(_need(data, "objects"), "field 'objects'")
+    if n < 0:
+        raise SchemaError("field 'objects' must be a non-negative integer, got %d" % n)
     homs = _grid(_need(data, "homs"), n, 2, lambda v: _obj_from_json(backend, v))
     tables = [None if name in cls.optional and data.get(name) is None
               else _grid(_need(data, name), n, FIELDS[name][0],

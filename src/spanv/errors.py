@@ -75,6 +75,10 @@ class NotFirm(SpanVError):
     """A Morita context is missing a required invertible composite."""
 
 
+class NotInvertible(SpanVError):
+    """A morphism that must have an inverse has none."""
+
+
 class NotBimodule(SpanVError):
     """A candidate endomorphism is not linear and colinear as required."""
 

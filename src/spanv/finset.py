@@ -3,9 +3,17 @@
 An element of ``FinSet((n1, ..., nk))`` is an integer code in
 ``range(n1 * ... * nk)``, row-major: the last factor varies fastest.
 ``SubsetApex`` carves a subset out of such an ambient product while
-remembering the ambient code of every element.  All functions are stored
-as position tables, so composition is table lookup.
+remembering the ambient code of every element.
+
+A function is a table of codomain positions or, between two FinSets, a
+reindexing word (see ``reindex_fn``) whose table is built only when
+something reads it.  Identities, braidings and their tensor products
+stay words, so composing with or pulling back along a coordinate
+shuffle evaluates it only on the points that take part, never on its
+whole domain.
 """
+
+import math
 
 import numpy as np
 
@@ -39,7 +47,6 @@ class FinSet:
             size *= n
         self.strides = tuple(reversed(strides))
         self.size = size
-        self._members = None
 
     @property
     def ambient(self):
@@ -48,9 +55,11 @@ class FinSet:
     @property
     def members(self):
         # a FinSet is its own ambient, so members are just all codes
-        if self._members is None:
-            self._members = np.arange(self.size, dtype=np.int64)
-        return self._members
+        return np.arange(self.size, dtype=np.int64)
+
+    def codes_at(self, positions):
+        # positions are codes, so no member list is ever built
+        return np.asarray(positions, dtype=np.int64)
 
     def position_of(self, codes):
         codes = np.asarray(codes, dtype=np.int64)
@@ -117,6 +126,10 @@ class SubsetApex:
         assert (self.members[capped] == codes).all()
         return pos.astype(np.int64)
 
+    def codes_at(self, positions):
+        """The ambient codes of the elements at these positions."""
+        return self.members[positions]
+
     def decode(self, positions):
         positions = np.asarray(positions, dtype=np.int64)
         return self.ambient.decode(self.members[positions])
@@ -162,10 +175,33 @@ def _product_pair(a, b):
     return SubsetApex(ambient, codes)
 
 
-class FinFn:
-    """A function between finite sets, stored as a table of codomain positions."""
+class _WordTable:
+    """The table attribute of a word: built on first read and stored on the
+    instance, which from then on answers every read without this hook.  A
+    property would tax every read of every table, and tables are read in
+    every inner loop of the span layer."""
 
-    def __init__(self, dom, cod, table):
+    def __get__(self, fn, owner=None):
+        if fn is None:
+            return self
+        table = vars(fn)["table"] = fn._reindex(np.arange(fn.dom.size, dtype=np.int64))
+        return table
+
+
+class FinFn:
+    """A function between finite sets: a table of codomain positions, or a
+    reindexing word between FinSets whose table is built when first read."""
+
+    table = _WordTable()
+
+    def __init__(self, dom, cod, table=None, word=None):
+        self.dom = dom
+        self.cod = cod
+        self.word = None
+        if word is not None:
+            # words come checked from reindex_fn or are built from checked words
+            self.word = tuple(word)
+            return
         table = np.asarray(table, dtype=np.int64)
         if table.shape != (dom.size,):
             raise ShapeMismatch("table has shape %r, domain has size %d" % (table.shape, dom.size))
@@ -173,23 +209,79 @@ class FinFn:
             bad = int(np.argmax((table < 0) | (table >= cod.size)))
             raise TableOutOfRange("table value %d at position %d is outside a codomain of size %d"
                                   % (table[bad], bad, cod.size))
-        self.dom = dom
-        self.cod = cod
         self.table = table
 
+    def at(self, positions):
+        """The images of the given domain positions.  A word asked for
+        fewer points than its domain has evaluates only those points;
+        asked for more, it builds and keeps its table, which then serves
+        every later call."""
+        if self.word is None or "table" in vars(self) or len(positions) >= self.dom.size:
+            return self.table[positions]
+        return self._reindex(np.array(positions, dtype=np.int64))
+
+    def _reindex(self, positions):
+        # decode the points, move their coordinates, encode them again; a
+        # run of output factors reading consecutive input factors moves as
+        # one mixed-radix block, so an identity costs nothing and a tensor
+        # of identities and diagonals costs one step per block
+        word, dom = self.word, self.dom
+        if word == tuple(range(len(dom.shape))):
+            return positions
+        out = np.zeros(positions.shape, dtype=np.int64)
+        start = 0
+        while start < len(word):
+            stop = start + 1
+            while stop < len(word) and word[stop] == word[stop - 1] + 1:
+                stop += 1
+            first, last = word[start], word[stop - 1]
+            block = (positions // dom.strides[last]) % math.prod(dom.shape[first:last + 1])
+            out += block * self.cod.strides[stop - 1]
+            start = stop
+        return out
+
+    def permutes(self):
+        """Whether this is a word that permutes its domain's factors."""
+        return self.word is not None and sorted(self.word) == list(range(len(self.dom.shape)))
+
+    def inverse(self):
+        """The inverse of a permuting word, again a word."""
+        assert self.permutes()
+        word = [0] * len(self.word)
+        for t, j in enumerate(self.word):
+            word[j] = t
+        return FinFn(self.cod, self.dom, word=word)
+
+    def _word_key(self):
+        # words give equal tables exactly when they agree on every output
+        # factor of size other than 1, or when the domain is empty
+        if self.dom.size == 0:
+            return ()
+        return tuple(j for j, n in zip(self.word, self.cod.shape) if n != 1)
+
+    def same_values(self, other):
+        """Whether two functions between the same sets agree everywhere."""
+        if self.word is not None and other.word is not None:
+            return self._word_key() == other._word_key()
+        return np.array_equal(self.table, other.table)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, FinFn)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and np.array_equal(self.table, other.table)
-        )
+        return (isinstance(other, FinFn) and self.dom == other.dom
+                and self.cod == other.cod and self.same_values(other))
 
     def __ne__(self, other):
         return not self == other
 
     def __repr__(self):
         return "FinFn(%r -> %r)" % (self.dom, self.cod)
+
+    def is_identity(self):
+        """Whether this is the identity, with the table of the identity."""
+        if self.dom != self.cod:
+            return False
+        if self.word is not None:
+            return self.same_values(identity_fn(self.dom))
+        return np.array_equal(self.table, np.arange(self.dom.size))
 
     def is_injective(self):
         return len(np.unique(self.table)) == self.table.size
@@ -199,6 +291,8 @@ class FinFn:
 
 
 def identity_fn(x):
+    if isinstance(x, FinSet):
+        return FinFn(x, x, word=range(len(x.shape)))
     return FinFn(x, x, np.arange(x.size, dtype=np.int64))
 
 
@@ -206,7 +300,9 @@ def compose_fn(f, g):
     """First f, then g."""
     if f.cod != g.dom:
         raise CodMismatch("cannot chain %r after %r" % (g, f))
-    return FinFn(f.dom, g.cod, g.table[f.table])
+    if f.word is not None and g.word is not None:
+        return FinFn(f.dom, g.cod, word=[f.word[j] for j in g.word])
+    return FinFn(f.dom, g.cod, g.at(f.table))
 
 
 def pullback(f, g):
@@ -219,18 +315,27 @@ def pullback(f, g):
     if f.cod != g.cod:
         raise CodMismatch("pullback needs a shared codomain, got %r and %r" % (f.cod, g.cod))
     a, b = f.dom, g.dom
-    order = np.argsort(g.table, kind="stable")
-    gsorted = g.table[order]
-    starts = np.searchsorted(gsorted, f.table, side="left")
-    ends = np.searchsorted(gsorted, f.table, side="right")
-    counts = ends - starts
-    total = int(counts.sum())
-    a_idx = np.repeat(np.arange(a.size, dtype=np.int64), counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    b_idx = order[starts[a_idx] + offsets]
+    if g.permutes():
+        # every a meets exactly one b: rename instead of joining
+        a_idx = np.arange(a.size, dtype=np.int64)
+        b_idx = g.inverse().at(f.table)
+    elif f.permutes():
+        a_of_b = f.inverse().at(g.table)
+        b_idx = np.argsort(a_of_b, kind="stable")
+        a_idx = a_of_b[b_idx]
+    else:
+        order = np.argsort(g.table, kind="stable")
+        gsorted = g.table[order]
+        starts = np.searchsorted(gsorted, f.table, side="left")
+        ends = np.searchsorted(gsorted, f.table, side="right")
+        counts = ends - starts
+        total = int(counts.sum())
+        a_idx = np.repeat(np.arange(a.size, dtype=np.int64), counts)
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+        b_idx = order[starts[a_idx] + offsets]
     ambient = FinSet(a.ambient.shape + b.ambient.shape)
-    am = _code_array(a.members[a_idx], ambient.size)
-    bm = _code_array(b.members[b_idx], ambient.size)
+    am = _code_array(a.codes_at(a_idx), ambient.size)
+    bm = _code_array(b.codes_at(b_idx), ambient.size)
     apex = SubsetApex(ambient, am * b.ambient.size + bm)
     return apex, FinFn(apex, a, a_idx), FinFn(apex, b, b_idx)
 
@@ -242,13 +347,11 @@ def reindex_fn(dom, cod, word):
     projections, permuting them gives coordinate shuffles.
     """
     assert isinstance(dom, FinSet) and isinstance(cod, FinSet)
-    assert len(word) == len(cod.shape)
-    codes = np.arange(dom.size, dtype=np.int64)
-    table = np.zeros(dom.size, dtype=np.int64)
-    for t, j in enumerate(word):
-        assert cod.shape[t] == dom.shape[j]
-        table += ((codes // dom.strides[j]) % dom.shape[j]) * cod.strides[t]
-    return FinFn(dom, cod, table)
+    word = tuple(word)
+    if (len(word) != len(cod.shape) or any(not 0 <= j < len(dom.shape) for j in word)
+            or tuple(dom.shape[j] for j in word) != cod.shape):
+        raise ShapeMismatch("word %r does not map %r to %r" % (word, dom, cod))
+    return FinFn(dom, cod, word=word)
 
 
 def diagonal_fn(x, copies=2):

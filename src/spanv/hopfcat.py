@@ -18,7 +18,7 @@ from .cells import (
     try_make_2cell,
     unit_fam,
 )
-from .errors import NotAGroupoid, NotOverX2, ShapeMismatch
+from .errors import NotAGroupoid, NotInvertible, NotOverX2, ShapeMismatch
 from .finset import (
     UNIT,
     FinFn,
@@ -634,9 +634,33 @@ def vfunctor_to_spanv(ha, hb, fun):
     return OplaxMorphismData(f, **_forced_cells(morphism_boundaries(bim_a, bim_b, f)))
 
 
+def _inverse_antipode(backend, homs, s, x, y):
+    """s[x][y]^-1: H[y][x] -> H[x][y], from backend operations alone.
+
+    With P = s[x][y] then s[y][x] and P^k the identity, the inverse is
+    s[y][x] then P^(k-1).  The powers of P live in a finite monoid, so a
+    repeated power before the identity shows that P is not invertible.
+    """
+    p = backend.compose(s[x][y], s[y][x])
+    ident = backend.id(homs[x][y])
+    prev, power, seen = ident, p, set()
+    while not backend.eq_mor(power, ident):
+        key = backend.mor_key(power)
+        if key in seen:
+            raise NotInvertible("antipode s[%d][%d] is not invertible" % (x, y))
+        seen.add(key)
+        prev, power = power, backend.compose(power, p)
+    inverse = backend.compose(s[y][x], prev)
+    # P^k = id gives a right inverse only; the other side can still fail
+    if not backend.eq_mor(backend.compose(inverse, s[x][y]), backend.id(homs[y][x])):
+        raise NotInvertible("antipode s[%d][%d] is not invertible" % (x, y))
+    return inverse
+
+
 def opposite_vcat(h):
     """Reverse all homs; composition braids before composing the other
-    way around, and the antipode family transposes."""
+    way around, and the antipode at (x, y) is the inverse of s[x][y].
+    Raises NotInvertible when some s[x][y] has no inverse."""
     backend, n = h.backend, h.n
     homs = [[h.homs[y][x] for y in range(n)] for x in range(n)]
     m = [[[backend.compose(backend.braiding(h.homs[y][x], h.homs[z][y]),
@@ -646,7 +670,7 @@ def opposite_vcat(h):
     eps = [[h.eps[y][x] for y in range(n)] for x in range(n)]
     s = None
     if h.s is not None:
-        s = [[h.s[y][x] for y in range(n)] for x in range(n)]
+        s = _tabulate(n, 2, lambda x, y: _inverse_antipode(backend, h.homs, h.s, x, y))
     return HopfVCat(backend, h.objects, homs, m, list(h.u), delta, eps, s)
 
 

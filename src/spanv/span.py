@@ -4,12 +4,16 @@ A span X <-f- S -g-> Y is a bridge from X to Y.  Composition is by
 pullback over the shared foot; the apex of a composite is a SubsetApex
 of the product of the two apexes' ambients, which makes composition
 literally associative.  Identity spans are absorbed on the nose.
+Identity and braiding spans over FinSets have word legs (see
+``finset.FinFn``), and so do their tensor products: the middle-four
+interchange on A x A x A x A costs nothing until a pullback evaluates it
+on the points of the other span.
 """
 
 import numpy as np
 
 from .errors import FeetMismatch, NotMonic, TriangleViolation
-from .finset import FinFn, FinSet, compose_fn, identity_fn, product, pullback
+from .finset import FinFn, FinSet, compose_fn, identity_fn, product, pullback, swap_fn
 
 
 class Span:
@@ -30,8 +34,8 @@ class Span:
             and self.left == other.left
             and self.right == other.right
             and self.apex == other.apex
-            and np.array_equal(self.f.table, other.f.table)
-            and np.array_equal(self.g.table, other.g.table)
+            and self.f.same_values(other.f)
+            and self.g.same_values(other.g)
         )
 
     def __ne__(self, other):
@@ -46,12 +50,7 @@ def identity_span(x):
 
 
 def is_identity_span(s):
-    return (
-        s.apex == s.left
-        and s.apex == s.right
-        and np.array_equal(s.f.table, np.arange(s.apex.size))
-        and np.array_equal(s.g.table, np.arange(s.apex.size))
-    )
+    return s.f.is_identity() and s.g.is_identity()
 
 
 def compose_spans(a, b):
@@ -66,9 +65,13 @@ def compose_spans(a, b):
     return Span(a.left, apex, b.right, compose_fn(p1, a.f), compose_fn(p2, b.g))
 
 
-def _tensor_table(fa, fb):
-    # product positions are row-major in both apex and foot
-    return (fa.table[:, None] * fb.cod.size + fb.table[None, :]).ravel()
+def _tensor_fn(dom, cod, fa, fb):
+    # product positions are row-major in both apex and foot, so two words
+    # tensor by concatenation, the second shifted past the first's factors
+    if fa.word is not None and fb.word is not None:
+        shift = len(fa.dom.shape)
+        return FinFn(dom, cod, word=fa.word + tuple(shift + j for j in fb.word))
+    return FinFn(dom, cod, (fa.table[:, None] * fb.cod.size + fb.table[None, :]).ravel())
 
 
 def tensor_spans(a, b):
@@ -79,9 +82,8 @@ def tensor_spans(a, b):
     left = product([a.left, b.left])
     right = product([a.right, b.right])
     apex = product([a.apex, b.apex])
-    f = FinFn(apex, left, _tensor_table(a.f, b.f))
-    g = FinFn(apex, right, _tensor_table(a.g, b.g))
-    return Span(left, apex, right, f, g)
+    return Span(left, apex, right, _tensor_fn(apex, left, a.f, b.f),
+                _tensor_fn(apex, right, a.g, b.g))
 
 
 def _is_unit_identity_span(s):
@@ -91,10 +93,7 @@ def _is_unit_identity_span(s):
 def braiding_span(a, b):
     """The coordinate swap a x b -> b x a as a span with identity left leg."""
     ab = product([a, b])
-    ba = product([b, a])
-    codes = np.arange(ab.size, dtype=np.int64)
-    table = (codes % b.size) * a.size + codes // b.size
-    return Span(ab, ab, ba, identity_fn(ab), FinFn(ab, ba, table))
+    return Span(ab, ab, product([b, a]), identity_fn(ab), swap_fn(a, b))
 
 
 def from_function(h, direction="co"):
@@ -122,13 +121,12 @@ class SpanMap:
         if src.left != tgt.left or src.right != tgt.right:
             raise FeetMismatch("span map needs equal feet")
         table = np.asarray(table, dtype=np.int64)
-        u = FinFn(src.apex, tgt.apex, table)
-        if not np.array_equal(tgt.f.table[table], src.f.table):
-            bad = int(np.nonzero(tgt.f.table[table] != src.f.table)[0][0])
-            raise TriangleViolation("left triangle fails at apex element %d" % bad)
-        if not np.array_equal(tgt.g.table[table], src.g.table):
-            bad = int(np.nonzero(tgt.g.table[table] != src.g.table)[0][0])
-            raise TriangleViolation("right triangle fails at apex element %d" % bad)
+        FinFn(src.apex, tgt.apex, table)  # rejects out-of-range entries
+        for side, leg, image in (("left", src.f, tgt.f.at(table)),
+                                 ("right", src.g, tgt.g.at(table))):
+            if not np.array_equal(image, leg.table):
+                bad = int(np.nonzero(image != leg.table)[0][0])
+                raise TriangleViolation("%s triangle fails at apex element %d" % (side, bad))
         self.src = src
         self.tgt = tgt
         self.table = table

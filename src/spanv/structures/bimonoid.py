@@ -33,13 +33,14 @@ class _Parts:
         self.d = comonoid.lcm
         self.e = comonoid.lcu
         self.one = identity_cell(monoid.carrier)
-        self.sg = braiding_cell(monoid.carrier, monoid.carrier)
+        # the middle-four interchange (1 s 1) on A x A x A x A; its legs are
+        # permuting words, so the two composites below never tabulate it.
+        # It is not kept: its components can be large matrices.
+        mid = tensor_chain(self.one, braiding_cell(monoid.carrier, monoid.carrier), self.one)
         # (1 s 1) then (m x m), the mixing tail of the split-multiplication
-        self.mix = compose_chain(
-            tensor_chain(self.one, self.sg, self.one), tensor_chain(self.m, self.m))
+        self.mix = compose_chain(mid, tensor_chain(self.m, self.m))
         # (d x d) then (1 s 1), the sharing head used on the other side
-        self.share = compose_chain(
-            tensor_chain(self.d, self.d), tensor_chain(self.one, self.sg, self.one))
+        self.share = compose_chain(tensor_chain(self.d, self.d), mid)
         self.id2m = identity_2cell(self.m)
         self.id2j = identity_2cell(self.j)
         self.id2one = identity_2cell(self.one)

@@ -159,6 +159,18 @@ def test_exit_codes_hold_under_python_O(tmp_path):
         assert plain.stderr == optimised.stderr
 
 
+def test_negative_object_count_is_refused_by_name(tmp_path):
+    data = json.loads((FIXTURES / "mat-frobenius.json").read_text())
+    data["objects"] = -1
+    path = tmp_path / "negative-objects.json"
+    path.write_text(json.dumps(data))
+    plain, optimised = _spanv_check(path), _spanv_check(path, "-O")
+    assert plain.returncode == optimised.returncode == 2, plain.stderr
+    assert "Traceback" not in plain.stderr + optimised.stderr
+    assert "field 'objects' must be a non-negative integer, got -1" in plain.stderr
+    assert plain.stderr == optimised.stderr
+
+
 def test_reports_match_goldens(tmp_path):
     for stem in ("x2-hopf", "mat-frobenius", "corrupted-theta0"):
         report_path = tmp_path / ("%s-report.json" % stem)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanv.errors import CodMismatch, TableOutOfRange
+from spanv.errors import CodMismatch, ShapeMismatch, TableOutOfRange
 from spanv.finset import (
     UNIT,
     FinFn,
@@ -107,6 +107,10 @@ def test_reindex_fn():
     fn = reindex_fn(dom, cod, [1, 0, 1])
     for code, (a, b) in enumerate(itertools.product(range(2), range(3))):
         assert tuple(cod.decode([fn.table[code]])[0]) == (b, a, b)
+    # a word must name existing factors of the right sizes
+    for word in ([1, 0], [0, 0, 1], [1, 0, 2], [1, -1, 1]):
+        with pytest.raises(ShapeMismatch):
+            reindex_fn(dom, cod, word)
 
 
 def test_compose_fn():
@@ -160,3 +164,119 @@ def test_pullback_needs_shared_codomain():
 def test_fn_validates_range():
     with pytest.raises(TableOutOfRange):
         FinFn(FinSet((2,)), FinSet((2,)), [0, 2])
+
+
+# Word legs are functions between FinSets given by a reindexing word whose
+# table is built only when read.  Every operation with a fast path for words
+# must agree with the same operation on the materialised table.
+
+word_shapes = st.lists(st.integers(0, 3), min_size=0, max_size=4).map(tuple)
+
+
+def _reference_table(fn):
+    # decode, pick coordinates, encode: independent of the word code paths
+    codes = np.arange(fn.dom.size, dtype=np.int64)
+    return fn.cod.encode(fn.dom.decode(codes)[:, list(fn.word)])
+
+
+def _tabled(fn):
+    """The same function stored as a table."""
+    table = _reference_table(fn) if fn.word is not None else fn.table
+    return FinFn(fn.dom, fn.cod, table)
+
+
+@st.composite
+def word_fns(draw, dom_shape=None, permuting=None):
+    """A word leg out of a FinSet: a permutation of its factors, or any
+    word (diagonals, projections, repeats)."""
+    if dom_shape is None:
+        dom_shape = draw(word_shapes)
+    if permuting is None:
+        permuting = draw(st.booleans())
+    k = len(dom_shape)
+    if permuting:
+        word = draw(st.permutations(range(k)))
+    elif k:
+        word = draw(st.lists(st.integers(0, k - 1), max_size=4))
+    else:
+        word = []
+    dom = FinSet(dom_shape)
+    return reindex_fn(dom, FinSet(tuple(dom_shape[j] for j in word)), word)
+
+
+@st.composite
+def table_fns(draw, cod):
+    """A table leg into cod, out of a FinSet or a SubsetApex."""
+    n = draw(st.integers(0, 6))
+    values = st.integers(0, cod.size - 1) if cod.size else st.nothing()
+    table = draw(st.lists(values, min_size=n, max_size=n)) if cod.size else []
+    if draw(st.booleans()):
+        dom = FinSet((len(table),))
+    else:
+        members = sorted(draw(st.sets(st.integers(0, 9), min_size=len(table),
+                                      max_size=len(table))))
+        dom = SubsetApex(FinSet((10,)), members) if cod.size else FinSet((0,))
+    return FinFn(dom, cod, table)
+
+
+@st.composite
+def words_into(draw, target):
+    """A word leg into target: its factors permuted, maybe with one more
+    factor for the word to project away."""
+    perm = draw(st.permutations(range(len(target.shape))))
+    extra = draw(st.lists(st.integers(0, 3), max_size=1))
+    dom = FinSet(tuple(target.shape[j] for j in perm) + tuple(extra))
+    return reindex_fn(dom, target, [perm.index(t) for t in range(len(perm))])
+
+
+@st.composite
+def cospans(draw):
+    """(f, g) into one codomain, with a word on the left, the right or both."""
+    word = draw(word_fns())
+    side = draw(st.sampled_from(["left", "right", "both"]))
+    other = draw(words_into(word.cod) if side == "both" else table_fns(word.cod))
+    return (other, word) if side == "right" else (word, other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_fns(), st.data())
+def test_word_leg_matches_its_table(fn, data):
+    reference = _reference_table(fn)
+    if fn.dom.size:
+        positions = data.draw(st.lists(st.integers(0, fn.dom.size - 1), max_size=8))
+        assert np.array_equal(fn.at(np.array(positions, dtype=np.int64)),
+                              reference[positions])
+    assert np.array_equal(fn.table, reference)
+    if fn.permutes():
+        assert np.array_equal(fn.inverse().table[fn.table], np.arange(fn.dom.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cospans())
+def test_pullback_of_word_legs_matches_tables(pair):
+    f, g = pair
+    apex, p1, p2 = pullback(f, g)
+    ref_apex, r1, r2 = pullback(_tabled(f), _tabled(g))
+    assert apex == ref_apex
+    assert np.array_equal(apex.members, ref_apex.members)
+    assert np.array_equal(p1.table, r1.table)
+    assert np.array_equal(p2.table, r2.table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compose_fn_of_word_legs_matches_tables(data):
+    side = data.draw(st.sampled_from(["first", "second", "both"]))
+    if side == "first":
+        f = data.draw(word_fns())
+        n = f.cod.size
+        g = FinFn(f.cod, FinSet((3,)), data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                                          max_size=n)))
+    else:
+        g = data.draw(word_fns())
+        f = data.draw(words_into(g.dom) if side == "both" else table_fns(g.dom))
+    composite = compose_fn(f, g)
+    reference = compose_fn(_tabled(f), _tabled(g))
+    assert (composite.dom, composite.cod) == (reference.dom, reference.cod)
+    assert np.array_equal(composite.table, reference.table)
+    assert composite == reference

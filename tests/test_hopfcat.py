@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spanv.errors import NotAGroupoid, NotOverX2
+from spanv.errors import NotAGroupoid, NotInvertible, NotOverX2
 from spanv.finset import FinFn, FinSet, identity_fn
 from spanv.hopfcat import (
     FrobVCat,
@@ -207,6 +207,65 @@ def test_opposite_is_involutive():
     assert check_hopf_vcat(op).ok
     assert hopfcat_data_equal(opposite_vcat(op), h)
     assert not hopfcat_data_equal(op, groupoid_to_hopfcat(discrete_groupoid(2)))
+
+
+def _sweedler(p):
+    """Sweedler's 4-dimensional Hopf algebra over Z/p, basis 1, g, x, gx:
+    g^2 = 1, x^2 = 0, xg = -gx, g grouplike, Delta x = x(x)1 + g(x)x,
+    S(x) = -gx.  Neither commutative nor cocommutative; S has order 4."""
+    one, g, x, gx = range(4)
+    products = {(g, g): [(1, one)], (g, x): [(1, gx)], (g, gx): [(1, x)],
+                (x, g): [(-1, gx)], (gx, g): [(-1, x)]}
+    for b in range(4):
+        products[(one, b)] = products[(b, one)] = [(1, b)]
+    mm = np.zeros((16, 4), dtype=np.int64)
+    for (a, b), terms in products.items():
+        for coeff, c in terms:
+            mm[a * 4 + b, c] += coeff
+    coproducts = {one: [(one, one)], g: [(g, g)], x: [(x, one), (g, x)],
+                  gx: [(gx, g), (one, gx)]}
+    dd = np.zeros((4, 16), dtype=np.int64)
+    for a, terms in coproducts.items():
+        for b, c in terms:
+            dd[a, b * 4 + c] = 1
+    uu = np.zeros((1, 4), dtype=np.int64)
+    uu[0, one] = 1
+    ee = np.zeros((4, 1), dtype=np.int64)
+    ee[[one, g], 0] = 1
+    ss = np.zeros((4, 4), dtype=np.int64)
+    ss[one, one] = ss[g, g] = ss[gx, x] = 1
+    ss[x, gx] = -1
+    backend = MatBackend(prime=p)
+    return HopfVCat(backend, FinSet((1,)), [[4]], [[[backend.mor(mm)]]], [uu],
+                    [[dd]], [[ee]], [[backend.mor(ss)]])
+
+
+def _bridged_ok(h):
+    bim, anti = hopfcat_to_spanv(h)
+    return check_oplax_bimonoid(bim).ok and check_oplax_hopf(bim, anti).ok
+
+
+def test_opposite_takes_the_inverse_antipode():
+    # S has order 4 here, so S^-1 = S^3 differs from S: an opposite that
+    # keeps S fails both antipode laws directly and the antipode cells
+    # through the bridge
+    h = _sweedler(3)
+    assert check_hopf_vcat(h).ok and _bridged_ok(h)
+    op = opposite_vcat(h)
+    assert check_hopf_vcat(op).ok
+    assert _bridged_ok(op)
+    s, backend = h.s[0][0], h.backend
+    assert backend.eq_mor(op.s[0][0], backend.compose(backend.compose(s, s), s))
+    assert hopfcat_data_equal(opposite_vcat(op), h)
+
+
+def test_opposite_refuses_a_non_invertible_antipode():
+    h = _sweedler(3)
+    singular = h.s[0][0].copy()
+    singular[:, 2] = 0
+    broken = HopfVCat(h.backend, h.objects, h.homs, h.m, h.u, h.delta, h.eps, [[singular]])
+    with pytest.raises(NotInvertible):
+        opposite_vcat(broken)
 
 
 def _failures(report):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_finset import _tabled, table_fns, word_fns
 
 from spanv.errors import FeetMismatch, NotMonic, TriangleViolation
 from spanv.finset import FinFn, FinSet, identity_fn, reindex_fn
@@ -153,3 +154,65 @@ def test_unique_map_to_monic():
                FinFn(FinSet((4,)), x, [0, 0, 1, 1]), FinFn(FinSet((4,)), x, [0, 1, 0, 1]))
     with pytest.raises(NotMonic):
         unique_map_to_monic(src, fat)
+
+
+# Spans whose legs are words (see test_finset) against the same spans with
+# materialised tables.
+
+def _tabled_span(s):
+    return Span(s.left, s.apex, s.right, _tabled(s.f), _tabled(s.g))
+
+
+@st.composite
+def word_spans(draw, sizes=st.integers(0, 3)):
+    """A span over a FinSet apex with a word on one leg or on both."""
+    shape = tuple(draw(st.lists(sizes, max_size=4)))
+    f = draw(word_fns(dom_shape=shape))
+    g = draw(word_fns(dom_shape=shape))
+    side = draw(st.sampled_from(["left", "right", "both"]))
+    if side != "both":
+        n = f.dom.size
+        table = FinFn(f.dom, FinSet((2,)), draw(st.lists(st.integers(0, 1), min_size=n,
+                                                         max_size=n)))
+        f, g = (f, table) if side == "left" else (table, g)
+    return Span(f.cod, f.dom, g.cod, f, g)
+
+
+def _same_span_tables(s, t):
+    assert (s.left, s.right) == (t.left, t.right)
+    assert s.apex == t.apex
+    assert np.array_equal(s.f.table, t.f.table)
+    assert np.array_equal(s.g.table, t.g.table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_spans(), word_spans())
+def test_tensor_of_word_spans_matches_tables(a, b):
+    t = tensor_spans(a, b)
+    _same_span_tables(t, tensor_spans(_tabled_span(a), _tabled_span(b)))
+    assert t == _tabled_span(t)
+
+
+def _another_leg(data, leg):
+    # a permuting word with the same ends, else the leg itself
+    word = data.draw(word_fns(dom_shape=leg.dom.shape, permuting=True))
+    return word if word.cod == leg.cod else leg
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_spans(sizes=st.sampled_from([0, 1, 1, 2, 2])), st.data())
+def test_is_identity_span_of_word_legs_matches_tables(s, data):
+    # on a square span, size-1 and equal-size factors let a permuting
+    # word that is not the identity word have the identity table
+    ident = identity_fn(s.apex)
+    square = Span(s.apex, s.apex, s.apex, _another_leg(data, ident), _another_leg(data, ident))
+    for span in (s, square):
+        assert is_identity_span(span) == is_identity_span(_tabled_span(span))
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_spans(sizes=st.sampled_from([0, 1, 1, 2])), st.data())
+def test_span_equality_of_word_legs_matches_tables(s, data):
+    t = Span(s.left, s.apex, s.right, _another_leg(data, s.f), _another_leg(data, s.g))
+    assert (s == t) == (_tabled_span(s) == _tabled_span(t))
+    assert s == _tabled_span(s)

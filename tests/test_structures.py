@@ -390,3 +390,38 @@ def test_pair_sizes_one_and_three():
         assert check_oplax_bimonoid(bim).ok
         assert check_oplax_hopf(bim, anti).ok
         assert check_frobenius(frob).ok
+
+
+def test_interchange_legs_are_never_tabulated(monkeypatch):
+    # On the codiscrete groupoid with n objects, |A| = n^2 and the
+    # middle-four interchange (1 s 1) on A x A x A x A has n^8 apex
+    # elements, while every composite it meets has at most n^7: its legs
+    # are words that are never tabulated, no function of n^8 points is
+    # evaluated or stored, and no FinSet of n^8 elements lists its members.
+    words, tables, points, listed = [], [], [], []
+    fn_init, reindex = FinFn.__init__, FinFn._reindex
+    members = FinSet.members.fget
+
+    def record_fn(fn, dom, cod, table=None, word=None):
+        fn_init(fn, dom, cod, table, word)
+        (words if table is None else tables).append(fn)
+
+    def record_reindex(fn, positions):
+        points.append(np.size(positions))
+        return reindex(fn, positions)
+
+    monkeypatch.setattr(FinFn, "__init__", record_fn)
+    monkeypatch.setattr(FinFn, "_reindex", record_reindex)
+    monkeypatch.setattr(FinSet, "members",
+                        property(lambda x: listed.append(x.size) or members(x)))
+    _, _, _, bim, anti, _ = groupoid_structures(codiscrete_groupoid(4))
+    assert check_oplax_bimonoid(bim).ok
+    assert check_oplax_hopf(bim, anti).ok
+    big = bim.monoid.carrier.base.size ** 4
+    interchange = [fn for fn in words if fn.dom.size == big]
+    assert interchange
+    # a word's table, once built, is kept as its table attribute
+    assert not any("table" in vars(fn) for fn in interchange)
+    assert max(fn.dom.size for fn in tables) < big
+    assert points and max(points) < big
+    assert listed and max(listed) < big
