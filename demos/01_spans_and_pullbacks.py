@@ -45,8 +45,8 @@ assert compose_spans(identity_span(a), s) == s
 assert compose_spans(s, identity_span(b)) == s
 print("identity spans absorb exactly")
 
-# and composition is associative on the nose as well, because apex
-# codes are arithmetic in the ambient products
+# and composition is associative on the nose as well, because both
+# associations list the same atomic coordinates in the same order
 u = Span(a, FinSet((2,)), b,
          FinFn(FinSet((2,)), a, [2, 1]),
          FinFn(FinSet((2,)), b, [0, 0]))

@@ -19,7 +19,7 @@ from .errors import (
     SpanVError,
     TriangleViolation,
 )
-from .finset import FinSet, _code_array, compose_fn, pullback
+from .finset import FinSet, compose_fn, pullback
 from .span import Span, braiding_span, identity_span, is_identity_span, tensor_spans
 
 
@@ -333,11 +333,8 @@ def _pair_positions(comp, left, right):
         return right.span.f.table, np.arange(right.span.apex.size, dtype=np.int64)
     if is_identity_cell(right):
         return np.arange(left.span.apex.size, dtype=np.int64), left.span.g.table
-    codes = comp.span.apex.members
-    amb = right.span.apex.ambient.size
-    lpos = left.span.apex.position_of(codes // amb)
-    rpos = right.span.apex.position_of(codes % amb)
-    return lpos, rpos
+    # the composite's apex is a subset of left apex x right apex
+    return np.divmod(comp.span.apex.members, right.span.apex.size)
 
 
 def _pair_encode(comp, left, right, lpos, rpos):
@@ -346,11 +343,7 @@ def _pair_encode(comp, left, right, lpos, rpos):
         return rpos
     if is_identity_cell(right):
         return lpos
-    amb = right.span.apex.ambient.size
-    bound = comp.span.apex.ambient.size
-    lcodes = _code_array(left.span.apex.codes_at(lpos), bound)
-    rcodes = _code_array(right.span.apex.codes_at(rpos), bound)
-    return comp.span.apex.position_of(lcodes * amb + rcodes)
+    return comp.span.apex.position_of(lpos * right.span.apex.size + rpos)
 
 
 def hcompose_2cells(x, y):

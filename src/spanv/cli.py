@@ -286,21 +286,25 @@ def _bimonoid_block_from_json(backend, data, with_antipode):
     return bim, AntipodeData(s, **_cells_from_json(anti, antipode_boundaries(bim, s)))
 
 
-def _grid(data, n, depth, loader):
+def _grid(data, n, depth, loader, field, path=()):
+    """A depth-deep nested list with n entries per object axis; an error
+    names the field and the index path of the list that is wrong."""
     if not isinstance(data, list) or len(data) != n:
-        raise SchemaError("expected %d entries per object axis" % n)
+        at = " at " + "".join("[%d]" % i for i in path) if path else ""
+        got = len(data) if isinstance(data, list) else type(data).__name__
+        raise SchemaError("field %r%s: expected %d entries, got %s" % (field, at, n, got))
     if depth == 1:
         return [loader(v) for v in data]
-    return [_grid(v, n, depth - 1, loader) for v in data]
+    return [_grid(v, n, depth - 1, loader, field, path + (i,)) for i, v in enumerate(data)]
 
 
 def _vcat_to_json(v):
     backend, n = v.backend, v.n
-    out = {"objects": n, "homs": _grid(v.homs, n, 2, lambda o: _obj_to_json(backend, o))}
+    out = {"objects": n, "homs": _grid(v.homs, n, 2, lambda o: _obj_to_json(backend, o), "homs")}
     for name in v.fields:
         table = getattr(v, name)
         out[name] = None if table is None else _grid(
-            table, n, FIELDS[name][0], lambda f: _mor_to_json(backend, f))
+            table, n, FIELDS[name][0], lambda f: _mor_to_json(backend, f), name)
     return out
 
 
@@ -308,10 +312,10 @@ def _vcat_from_json(cls, backend, data):
     n = _json_int(_need(data, "objects"), "field 'objects'")
     if n < 0:
         raise SchemaError("field 'objects' must be a non-negative integer, got %d" % n)
-    homs = _grid(_need(data, "homs"), n, 2, lambda v: _obj_from_json(backend, v))
+    homs = _grid(_need(data, "homs"), n, 2, lambda v: _obj_from_json(backend, v), "homs")
     tables = [None if name in cls.optional and data.get(name) is None
               else _grid(_need(data, name), n, FIELDS[name][0],
-                         lambda v: _mor_from_json(backend, v))
+                         lambda v: _mor_from_json(backend, v), name)
               for name in cls.fields]
     return cls(backend, FinSet((n,)), homs, *tables)
 

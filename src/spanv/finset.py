@@ -2,8 +2,11 @@
 
 An element of ``FinSet((n1, ..., nk))`` is an integer code in
 ``range(n1 * ... * nk)``, row-major: the last factor varies fastest.
-``SubsetApex`` carves a subset out of such an ambient product while
-remembering the ambient code of every element.
+``SubsetApex`` is a subset of the product of two finite sets, listed by
+the pair codes ``i * right.size + j`` of positions in its two factors:
+the factorised form of a pullback, whose codes stay below the product of
+two sizes that fit in memory.  Decoding a pair decodes both factors, so
+an apex element's atomic coordinates never depend on how it was built.
 
 A function is a table of codomain positions or, between two FinSets, a
 reindexing word (see ``reindex_fn``) whose table is built only when
@@ -17,19 +20,11 @@ import math
 
 import numpy as np
 
-from .errors import CodMismatch, NegativeSize, ShapeMismatch, TableOutOfRange
+from .errors import CodMismatch, NegativeSize, OutOfBounds, ShapeMismatch, TableOutOfRange
 
-# Apex ambients concatenate through pullbacks and products, so their
-# sizes outgrow int64 quickly even while the apexes stay small.  Codes
-# are kept as Python ints (object arrays) beyond this bound.
-_INT64_SAFE = 2 ** 62
-
-
-def _code_array(values, bound):
-    values = np.asarray(values)
-    if values.dtype != object and bound <= _INT64_SAFE:
-        return values.astype(np.int64)
-    return values.astype(object)
+# Every element code is an int64; sizes are checked as Python ints before
+# any int64 product.  A set past this bound has no table that fits in memory.
+_MAX_SIZE = 2 ** 62
 
 
 class FinSet:
@@ -45,40 +40,20 @@ class FinSet:
         for n in reversed(self.shape):
             strides.append(size)
             size *= n
+        if size > _MAX_SIZE:
+            raise OutOfBounds("FinSet%r is too large: %d elements" % (self.shape, size))
         self.strides = tuple(reversed(strides))
         self.size = size
-
-    @property
-    def ambient(self):
-        return self
-
-    @property
-    def members(self):
-        # a FinSet is its own ambient, so members are just all codes
-        return np.arange(self.size, dtype=np.int64)
-
-    def codes_at(self, positions):
-        # positions are codes, so no member list is ever built
-        return np.asarray(positions, dtype=np.int64)
-
-    def position_of(self, codes):
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.size:
-            assert codes.min() >= 0 and codes.max() < self.size
-        return codes
 
     def encode(self, coords):
         coords = np.asarray(coords, dtype=np.int64)
         assert coords.shape[-1] == len(self.shape)
         if not self.shape:
             return np.zeros(coords.shape[:-1], dtype=np.int64)
-        if self.size > _INT64_SAFE:
-            strides = np.array(self.strides, dtype=object)
-            return coords.astype(object) @ strides
         return coords @ np.array(self.strides, dtype=np.int64)
 
     def decode(self, codes):
-        codes = _code_array(codes, self.size)
+        codes = np.asarray(codes, dtype=np.int64)
         out = np.empty(codes.shape + (len(self.shape),), dtype=np.int64)
         for j, (n, stride) in enumerate(zip(self.shape, self.strides)):
             out[..., j] = (codes // stride) % n
@@ -101,56 +76,65 @@ UNIT = FinSet(())
 
 
 class SubsetApex:
-    """A subset of an ambient FinSet, listed by strictly increasing codes."""
+    """A subset of left x right, listed by strictly increasing pair codes
+    i * right.size + j of a position i in left and j in right."""
 
-    def __init__(self, ambient, members):
-        assert isinstance(ambient, FinSet)
-        members = _code_array(members, ambient.size)
-        assert members.ndim == 1
-        if members.size:
-            assert members[0] >= 0 and members[-1] < ambient.size
-            assert (np.diff(members) > 0).all()
-        self.ambient = ambient
+    def __init__(self, left, right, members):
+        bound = left.size * right.size
+        if bound > _MAX_SIZE:
+            raise OutOfBounds("product of sizes %d and %d is too large" % (left.size, right.size))
+        members = np.asarray(members, dtype=np.int64)
+        if members.ndim != 1:
+            raise ShapeMismatch("members have shape %r, not a list" % (members.shape,))
+        stalls = np.diff(members) <= 0
+        if stalls.any():
+            raise ShapeMismatch("members do not ascend strictly at position %d"
+                                % (np.argmax(stalls) + 1))
+        if members.size and (members[0] < 0 or members[-1] >= bound):
+            bad = members[0] if members[0] < 0 else members[-1]
+            raise TableOutOfRange("member %d is outside a product of size %d" % (bad, bound))
+        self.left = left
+        self.right = right
         self.members = members
         self.size = int(members.size)
+        self.shape = left.shape + right.shape
 
     def position_of(self, codes):
-        codes = _code_array(codes, self.ambient.size)
+        """The positions of the given pair codes, each of them a member."""
+        codes = np.asarray(codes, dtype=np.int64)
         if codes.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if self.members.dtype != codes.dtype:
-            codes = codes.astype(self.members.dtype)
         pos = np.searchsorted(self.members, codes)
         assert self.size > 0
-        capped = np.minimum(pos, self.size - 1)
-        assert (self.members[capped] == codes).all()
-        return pos.astype(np.int64)
-
-    def codes_at(self, positions):
-        """The ambient codes of the elements at these positions."""
-        return self.members[positions]
+        assert (self.members[np.minimum(pos, self.size - 1)] == codes).all()
+        return pos
 
     def decode(self, positions):
-        positions = np.asarray(positions, dtype=np.int64)
-        return self.ambient.decode(self.members[positions])
+        """The atomic coordinates of the elements at these positions: the
+        left factor's coordinates, then the right factor's."""
+        i, j = np.divmod(self.members[np.asarray(positions, dtype=np.int64)], self.right.size)
+        return np.concatenate([self.left.decode(i), self.right.decode(j)], axis=-1)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SubsetApex)
-            and self.ambient == other.ambient
-            and np.array_equal(self.members, other.members)
-        )
+        # equal exactly when both list the same atomic coordinates, so the
+        # two associations of a triple composite are literally equal
+        if self is other:
+            return True
+        if not (isinstance(other, SubsetApex) and self.shape == other.shape
+                and self.size == other.size):
+            return False
+        everything = np.arange(self.size, dtype=np.int64)
+        return np.array_equal(self.decode(everything), other.decode(everything))
 
     def __ne__(self, other):
         return not self == other
 
     def __hash__(self):
-        if self.members.dtype == object:
-            return hash((self.ambient, tuple(self.members.tolist())))
-        return hash((self.ambient, self.members.tobytes()))
+        return hash((self.shape, self.size))
 
     def __repr__(self):
-        return "SubsetApex(%r, %d of %d)" % (self.ambient, self.size, self.ambient.size)
+        return "SubsetApex(%r x %r, %d of %d)" % (self.left, self.right, self.size,
+                                                   self.left.size * self.right.size)
 
 
 def product(factors):
@@ -168,11 +152,7 @@ def _product_pair(a, b):
         return a
     if isinstance(a, FinSet) and isinstance(b, FinSet):
         return FinSet(a.shape + b.shape)
-    ambient = FinSet(a.ambient.shape + b.ambient.shape)
-    am = _code_array(a.members, ambient.size)
-    bm = _code_array(b.members, ambient.size)
-    codes = (am[:, None] * b.ambient.size + bm[None, :]).ravel()
-    return SubsetApex(ambient, codes)
+    return SubsetApex(a, b, np.arange(a.size * b.size, dtype=np.int64))
 
 
 class _WordTable:
@@ -308,9 +288,10 @@ def compose_fn(f, g):
 def pullback(f, g):
     """Pullback of two functions into a shared codomain.
 
-    Returns (P, p1, p2) where P is a SubsetApex of the product of the two
-    domains listing the pairs that agree in the codomain, in ascending
-    code order, and p1, p2 are the projections.
+    Returns (P, p1, p2) where P is the SubsetApex of the product of the
+    two domains listing the pairs that agree in the codomain, ascending
+    in the first position and then in the second, and p1, p2 are the
+    projections.
     """
     if f.cod != g.cod:
         raise CodMismatch("pullback needs a shared codomain, got %r and %r" % (f.cod, g.cod))
@@ -333,10 +314,7 @@ def pullback(f, g):
         a_idx = np.repeat(np.arange(a.size, dtype=np.int64), counts)
         offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
         b_idx = order[starts[a_idx] + offsets]
-    ambient = FinSet(a.ambient.shape + b.ambient.shape)
-    am = _code_array(a.codes_at(a_idx), ambient.size)
-    bm = _code_array(b.codes_at(b_idx), ambient.size)
-    apex = SubsetApex(ambient, am * b.ambient.size + bm)
+    apex = SubsetApex(a, b, a_idx * b.size + b_idx)
     return apex, FinFn(apex, a, a_idx), FinFn(apex, b, b_idx)
 
 

@@ -2,8 +2,9 @@
 
 A span X <-f- S -g-> Y is a bridge from X to Y.  Composition is by
 pullback over the shared foot; the apex of a composite is a SubsetApex
-of the product of the two apexes' ambients, which makes composition
-literally associative.  Identity spans are absorbed on the nose.
+of the product of the two apexes, listing position pairs.  Apexes are
+equal when they list the same atomic coordinates, which makes
+composition literally associative.  Identity spans are absorbed on the nose.
 Identity and braiding spans over FinSets have word legs (see
 ``finset.FinFn``), and so do their tensor products: the middle-four
 interchange on A x A x A x A costs nothing until a pullback evaluates it

@@ -171,6 +171,24 @@ def test_negative_object_count_is_refused_by_name(tmp_path):
     assert plain.stderr == optimised.stderr
 
 
+@pytest.mark.parametrize("mangle, message", [
+    (lambda d: d["homs"].pop(), "field 'homs': expected 2 entries, got 1"),
+    (lambda d: d["homs"][-1].pop(), "field 'homs' at [1]: expected 2 entries, got 1"),
+    (lambda d: d["comlt"][-1][-1].pop(), "field 'comlt' at [1][1]: expected 2 entries, got 1"),
+    (lambda d: d["comlt"].__setitem__(0, {}), "field 'comlt' at [0]: expected 2 entries, got dict"),
+], ids=["homs-row", "homs-entry", "comlt-entry", "comlt-type"])
+def test_short_grid_is_named_by_field_and_index(tmp_path, mangle, message):
+    data = json.loads((FIXTURES / "mat-frobenius.json").read_text())
+    mangle(data)
+    path = tmp_path / "short-grid.json"
+    path.write_text(json.dumps(data))
+    plain, optimised = _spanv_check(path), _spanv_check(path, "-O")
+    assert plain.returncode == optimised.returncode == 2, plain.stderr
+    assert "Traceback" not in plain.stderr + optimised.stderr
+    assert message in plain.stderr
+    assert plain.stderr == optimised.stderr
+
+
 def test_reports_match_goldens(tmp_path):
     for stem in ("x2-hopf", "mat-frobenius", "corrupted-theta0"):
         report_path = tmp_path / ("%s-report.json" % stem)

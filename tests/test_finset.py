@@ -1,13 +1,15 @@
 """Row-major codec, subset apexes, pullbacks and function builders."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanv.errors import CodMismatch, ShapeMismatch, TableOutOfRange
+from spanv.errors import CodMismatch, OutOfBounds, ShapeMismatch, TableOutOfRange
 from spanv.finset import (
     UNIT,
     FinFn,
@@ -48,44 +50,77 @@ def test_codec_roundtrip(shape, seed):
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, x.size, size=10)
     assert np.array_equal(x.encode(x.decode(codes)), codes)
-    assert np.array_equal(x.position_of(codes), codes)
 
 
-def test_codec_huge_ambient():
-    # sizes past int64 fall back to python-int arithmetic
-    x = FinSet((3,) * 46)
-    assert x.size == 3**46
-    assert x.size > 2**62
-    coords = np.zeros((2, 46), dtype=np.int64)
-    coords[0, 0] = 2
-    coords[1, -1] = 1
-    codes = x.encode(coords)
-    assert codes[0] == 2 * 3**45
-    assert codes[1] == 1
-    assert np.array_equal(x.decode(codes), coords)
-    apex = SubsetApex(x, [1, 2 * 3**45])
-    assert np.array_equal(apex.position_of([2 * 3**45, 1]), [1, 0])
+def test_finset_refuses_more_than_2_62_elements():
+    # every code is an int64, so a set whose codes would not fit is refused
+    assert FinSet((2,) * 62).size == 2**62
+    for shape in ((3,) * 46, (2**62 + 1,)):
+        with pytest.raises(OutOfBounds, match="too large"):
+            FinSet(shape)
+    with pytest.raises(OutOfBounds, match=r"\(1099511627776, 1099511627776\)"):
+        product([FinSet((2**40,)), FinSet((2**40,))])
+
+
+def test_subset_apex_refuses_a_product_past_2_62():
+    # checked on the factor sizes before any pair code is computed
+    assert SubsetApex(FinSet((2**31,)), FinSet((2**31,)), [0, 2**62 - 1]).size == 2
+    with pytest.raises(OutOfBounds, match="sizes 2147483648 and 4294967296 is too large"):
+        SubsetApex(FinSet((2**31,)), FinSet((2**32,)), [0])
 
 
 def test_subset_apex():
-    amb = FinSet((3, 3))
-    apex = SubsetApex(amb, [2, 5, 7])
+    a, b = FinSet((3,)), FinSet((3,))
+    apex = SubsetApex(a, b, [2, 5, 7])
     assert apex.size == 3
+    assert apex.shape == (3, 3)
     assert np.array_equal(apex.decode([0, 1, 2]), [[0, 2], [1, 2], [2, 1]])
     assert np.array_equal(apex.position_of([5, 7, 2]), [1, 2, 0])
-    with pytest.raises(AssertionError):
-        SubsetApex(amb, [5, 2])  # members must ascend
+    # a factor that is itself an apex decodes to its own atomic coordinates
+    nested = SubsetApex(apex, FinSet((2,)), [1, 4])
+    assert nested.shape == (3, 3, 2)
+    assert np.array_equal(nested.decode([0, 1]), [[0, 2, 1], [2, 1, 0]])
     with pytest.raises(AssertionError):
         apex.position_of([3])  # not a member
+
+
+@pytest.mark.parametrize("members, error, message", [
+    ([5, 2], ShapeMismatch, "do not ascend strictly at position 1"),
+    ([2, 2], ShapeMismatch, "do not ascend strictly at position 1"),
+    ([[2, 5]], ShapeMismatch, "shape (1, 2)"),
+    ([2, 9], TableOutOfRange, "member 9 is outside a product of size 9"),
+    ([-1, 2], TableOutOfRange, "member -1 is outside a product of size 9"),
+], ids=["descending", "repeated", "not-a-list", "past-the-end", "negative"])
+def test_subset_apex_refuses_bad_members(members, error, message):
+    with pytest.raises(error, match=message.replace("(", r"\(").replace(")", r"\)")):
+        SubsetApex(FinSet((3,)), FinSet((3,)), members)
+
+
+def test_subset_apex_checks_hold_under_python_O():
+    # python -O strips asserts; the constructor's checks are typed errors
+    script = (
+        "from spanv.errors import SpanVError\n"
+        "from spanv.finset import FinSet, SubsetApex\n"
+        "for members in ([5, 2], [[2, 5]], [2, 9], [-1, 2]):\n"
+        "    try:\n"
+        "        SubsetApex(FinSet((3,)), FinSet((3,)), members)\n"
+        "    except SpanVError as err:\n"
+        "        print(type(err).__name__)\n")
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["ShapeMismatch", "ShapeMismatch",
+                                  "TableOutOfRange", "TableOutOfRange"]
 
 
 def test_product_concatenates():
     a, b = FinSet((2, 3)), FinSet((4,))
     p = product([a, b])
     assert p.shape == (2, 3, 4)
-    sub = product([SubsetApex(FinSet((2,)), [1]), SubsetApex(FinSet((3,)), [0, 2])])
-    assert sub.ambient.shape == (2, 3)
-    assert np.array_equal(sub.members, [3, 5])
+    first, second = SubsetApex(FinSet((2,)), UNIT, [1]), SubsetApex(FinSet((3,)), UNIT, [0, 2])
+    sub = product([first, second])
+    assert (sub.left, sub.right, sub.shape) == (first, second, (2, 3))
+    assert np.array_equal(sub.members, [0, 1])
+    assert np.array_equal(sub.decode([0, 1]), [[1, 0], [1, 2]])
 
 
 def test_fn_builders():
@@ -139,6 +174,9 @@ def test_pullback_universal_property(na, nb, nc, seed):
     apex, p1, p2 = pullback(f, g)
     pairs = list(zip(p1.table.tolist(), p2.table.tolist()))
     assert pairs == _brute_pullback(f, g)
+    # the apex lists exactly those pairs, by their pair codes
+    assert (apex.left, apex.right) == (a, b)
+    assert np.array_equal(apex.members, p1.table * b.size + p2.table)
     assert np.array_equal(f.table[p1.table], g.table[p2.table])
     # any commuting cone factors uniquely through the apex
     t = FinSet((3,))
@@ -149,7 +187,7 @@ def test_pullback_universal_property(na, nb, nc, seed):
         if not matches:
             return
         t2[i] = matches[rng.integers(0, len(matches))]
-    u = apex.position_of(a.members[t1] * b.size + t2)
+    u = apex.position_of(t1 * b.size + t2)
     assert np.array_equal(p1.table[u], t1)
     assert np.array_equal(p2.table[u], t2)
 
@@ -215,7 +253,7 @@ def table_fns(draw, cod):
     else:
         members = sorted(draw(st.sets(st.integers(0, 9), min_size=len(table),
                                       max_size=len(table))))
-        dom = SubsetApex(FinSet((10,)), members) if cod.size else FinSet((0,))
+        dom = SubsetApex(FinSet((5,)), FinSet((2,)), members) if cod.size else FinSet((0,))
     return FinFn(dom, cod, table)
 
 

@@ -1,6 +1,8 @@
-"""Source hygiene of src/spanv: no unused imports, no dead private helpers."""
+"""Source hygiene of src/spanv: no unused imports, no dead private helpers,
+no object-dtype arrays."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spanv"
@@ -55,3 +57,12 @@ def test_every_private_helper_is_referenced():
             continue
         dead.append("%s: %s" % (path.relative_to(SRC), node.name))
     assert not dead
+
+
+def test_no_object_dtype_arrays():
+    # every code is an int64: a Python-int array path must not come back
+    found = ["%s:%d" % (path.relative_to(SRC), number)
+             for path in sorted(SRC.rglob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"dtype\s*=\s*object|astype\(\s*object\s*\)", line)]
+    assert not found

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_finset import _tabled, table_fns, word_fns
 
@@ -62,12 +62,41 @@ def test_compose_feet_mismatch():
 @settings(max_examples=40)
 @given(st.integers(0, 2**32))
 def test_compose_associative_literally(seed):
-    # both orders build the same subset of the same concatenated ambient
+    # both orders list the same atomic coordinates in the same order
     rng = np.random.default_rng(seed)
     a = _random_span(rng, 3, 4, 3)
     b = _random_span(rng, 3, 4, 3)
     c = _random_span(rng, 3, 4, 3)
     assert compose_spans(compose_spans(a, b), c) == compose_spans(a, compose_spans(b, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_composite_apex_lists_coordinate_pairs(data):
+    # a composite's apex element is a pair of elements of the two apexes:
+    # both associations list every agreeing triple in lexicographic order,
+    # each as the concatenated atomic coordinates of its three elements
+    feet = [FinSet((data.draw(st.integers(1, 3)),)) for _ in range(4)]
+    spans = []
+    for left, right in zip(feet, feet[1:]):
+        apex = FinSet(tuple(data.draw(st.lists(st.integers(1, 3), max_size=2))))
+        legs = [data.draw(st.lists(st.integers(0, foot.size - 1), min_size=apex.size,
+                                   max_size=apex.size)) for foot in (left, right)]
+        spans.append(Span(left, apex, right, FinFn(apex, left, legs[0]),
+                          FinFn(apex, right, legs[1])))
+    a, b, c = spans
+    assume(not any(is_identity_span(s) for s in spans))  # absorbed, not paired
+    triples = [list(a.apex.decode([i])[0]) + list(b.apex.decode([j])[0])
+               + list(c.apex.decode([k])[0])
+               for i in range(a.apex.size) for j in range(b.apex.size)
+               for k in range(c.apex.size)
+               if a.g.table[i] == b.f.table[j] and b.g.table[j] == c.f.table[k]]
+    width = len(a.apex.shape) + len(b.apex.shape) + len(c.apex.shape)
+    for comp in (compose_spans(compose_spans(a, b), c),
+                 compose_spans(a, compose_spans(b, c))):
+        listed = comp.apex.decode(np.arange(comp.apex.size))
+        assert listed.shape == (len(triples), width)
+        assert listed.tolist() == triples
 
 
 def test_tensor_spans():

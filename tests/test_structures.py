@@ -17,7 +17,16 @@ from spanv.cells import (
     unit_fam,
 )
 from spanv.errors import NotBimodule
-from spanv.finset import UNIT, FinFn, FinSet, diagonal_fn, identity_fn, reindex_fn, terminal_fn
+from spanv.finset import (
+    UNIT,
+    FinFn,
+    FinSet,
+    SubsetApex,
+    diagonal_fn,
+    identity_fn,
+    reindex_fn,
+    terminal_fn,
+)
 from spanv.hopfcat import codiscrete_groupoid, discrete_groupoid, groupoid_structures
 from spanv.pasting import (
     canonical_cell_iso,
@@ -396,11 +405,10 @@ def test_interchange_legs_are_never_tabulated(monkeypatch):
     # On the codiscrete groupoid with n objects, |A| = n^2 and the
     # middle-four interchange (1 s 1) on A x A x A x A has n^8 apex
     # elements, while every composite it meets has at most n^7: its legs
-    # are words that are never tabulated, no function of n^8 points is
-    # evaluated or stored, and no FinSet of n^8 elements lists its members.
-    words, tables, points, listed = [], [], [], []
+    # are words that are never tabulated, and no function of n^8 points is
+    # evaluated or stored.
+    words, tables, points = [], [], []
     fn_init, reindex = FinFn.__init__, FinFn._reindex
-    members = FinSet.members.fget
 
     def record_fn(fn, dom, cod, table=None, word=None):
         fn_init(fn, dom, cod, table, word)
@@ -412,8 +420,6 @@ def test_interchange_legs_are_never_tabulated(monkeypatch):
 
     monkeypatch.setattr(FinFn, "__init__", record_fn)
     monkeypatch.setattr(FinFn, "_reindex", record_reindex)
-    monkeypatch.setattr(FinSet, "members",
-                        property(lambda x: listed.append(x.size) or members(x)))
     _, _, _, bim, anti, _ = groupoid_structures(codiscrete_groupoid(4))
     assert check_oplax_bimonoid(bim).ok
     assert check_oplax_hopf(bim, anti).ok
@@ -424,4 +430,22 @@ def test_interchange_legs_are_never_tabulated(monkeypatch):
     assert not any("table" in vars(fn) for fn in interchange)
     assert max(fn.dom.size for fn in tables) < big
     assert points and max(points) < big
-    assert listed and max(listed) < big
+
+
+def test_every_apex_lists_int64_pair_codes(monkeypatch):
+    # codiscrete n=3 nests pullbacks deep enough that codes in a product
+    # of every atomic factor would pass int64; pair codes never do
+    built = []
+    apex_init = SubsetApex.__init__
+
+    def record_apex(apex, *args):
+        apex_init(apex, *args)
+        built.append(apex)
+
+    monkeypatch.setattr(SubsetApex, "__init__", record_apex)
+    _, _, _, bim, anti, frob = groupoid_structures(codiscrete_groupoid(3))
+    assert check_oplax_bimonoid(bim).ok
+    assert check_oplax_hopf(bim, anti).ok
+    assert check_frobenius(frob).ok
+    assert built
+    assert [apex for apex in built if apex.members.dtype != np.int64] == []
