@@ -5,7 +5,16 @@ finite set X.  A 1-cell (X, A) -> (Y, B) is a span X <- S -> Y together
 with a component morphism alpha_s: A_{f(s)} -> B_{g(s)} for every apex
 element.  A 2-cell is a map of the underlying spans u with
 alpha_s = beta_{u(s)}, so equality of 2-cells is equality of u.
+
+The apex map of a 2-cell is a ``finset.FinFn``.  An identity 2-cell
+keeps the identity and a tensor of 2-cells keeps its two factor maps,
+so a whiskered tensor reads the map only at the points of the
+composite.  ``make_2cell`` checks a product map against product legs
+factor by factor, with the same verdict and counterexample as on the
+tabulated map.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -17,9 +26,10 @@ from .errors import (
     FamMismatch,
     ShapeMismatch,
     SpanVError,
+    TableOutOfRange,
     TriangleViolation,
 )
-from .finset import FinSet, compose_fn, pullback
+from .finset import FinFn, FinSet, compose_fn, identity_fn, pullback, tensor_fn
 from .span import Span, braiding_span, identity_span, is_identity_span, tensor_spans
 
 
@@ -260,12 +270,17 @@ def braiding_cell(a, b):
 
 
 class VCell2:
-    """A map of enriched spans: an apex map that preserves legs and components."""
+    """A map of enriched spans: an apex map that preserves legs and
+    components, a FinFn or a table; its table u is built on first read."""
 
     def __init__(self, src, tgt, u):
         self.src = src
         self.tgt = tgt
-        self.u = np.asarray(u, dtype=np.int64)
+        self.apex_map = u if isinstance(u, FinFn) else FinFn(src.span.apex, tgt.span.apex, u)
+
+    @cached_property
+    def u(self):
+        return self.apex_map.table
 
     def __repr__(self):
         return "VCell2(%r => %r)" % (self.src, self.tgt)
@@ -286,21 +301,26 @@ class InvalidCell:
 
 
 def make_2cell(src, tgt, u):
+    """The 2-cell src => tgt with apex map u, a table or a FinFn, after
+    checking both leg triangles and every component."""
     if not fams_equal(src.dom, tgt.dom) or not fams_equal(src.cod, tgt.cod):
         raise BoundaryMismatch("source and target do not share boundaries")
-    u = np.asarray(u, dtype=np.int64)
-    if u.shape != (src.span.apex.size,):
-        raise BoundaryMismatch("apex map has length %d, expected %d" % (u.size, src.span.apex.size))
-    if u.size and (u.min() < 0 or u.max() >= tgt.span.apex.size):
-        raise BoundaryMismatch("apex map value out of range")
-    for side, leg, image in (("left", src.span.f, tgt.span.f.at(u)),
-                             ("right", src.span.g, tgt.span.g.at(u))):
-        if not np.array_equal(image, leg.table):
-            bad = int(np.nonzero(image != leg.table)[0][0])
+    if not isinstance(u, FinFn):
+        try:
+            u = FinFn(src.span.apex, tgt.span.apex, u)
+        except ShapeMismatch:
+            raise BoundaryMismatch("apex map has length %d, expected %d"
+                                   % (np.size(u), src.span.apex.size)) from None
+        except TableOutOfRange:
+            raise BoundaryMismatch("apex map value out of range") from None
+    for side, leg, image in (("left", src.span.f, compose_fn(u, tgt.span.f)),
+                             ("right", src.span.g, compose_fn(u, tgt.span.g))):
+        bad = image.first_difference(leg)
+        if bad is not None:
             err = TriangleViolation("%s leg disagrees at apex element %d" % (side, bad))
             err.element = tuple(src.span.apex.decode(np.array([bad]))[0].tolist())
             raise err
-    s = src.alphas.zip_with(tgt.alphas.take(u), src.backend.eq_mor).first_false()
+    s = src.alphas.zip_with(tgt.alphas.along(u), src.backend.eq_mor).first_false()
     if s is not None:
         err = FactorizationViolation("component disagrees at apex element %d" % s)
         err.element = tuple(src.span.apex.decode(np.array([s]))[0].tolist())
@@ -317,7 +337,7 @@ def try_make_2cell(src, tgt, u):
 
 
 def identity_2cell(cell):
-    return VCell2(cell, cell, np.arange(cell.span.apex.size, dtype=np.int64))
+    return VCell2(cell, cell, identity_fn(cell.span.apex))
 
 
 def vcompose_2cells(x, y):
@@ -351,7 +371,7 @@ def hcompose_2cells(x, y):
     src = compose_cells(x.src, y.src)
     tgt = compose_cells(x.tgt, y.tgt)
     lpos, rpos = _pair_positions(src, x.src, y.src)
-    u = _pair_encode(tgt, x.tgt, y.tgt, x.u[lpos], y.u[rpos])
+    u = _pair_encode(tgt, x.tgt, y.tgt, x.apex_map.at(lpos), y.apex_map.at(rpos))
     return make_2cell(src, tgt, u)
 
 
@@ -364,31 +384,11 @@ def whisker(cell, two, side="left"):
     raise ValueError("side must be 'left' or 'right'")
 
 
-def _tensor_positions(comp, left, right):
-    if _is_unit_identity_cell(left):
-        n = comp.span.apex.size
-        return np.zeros(n, dtype=np.int64), np.arange(n, dtype=np.int64)
-    if _is_unit_identity_cell(right):
-        n = comp.span.apex.size
-        return np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    p = np.arange(comp.span.apex.size, dtype=np.int64)
-    return p // right.span.apex.size, p % right.span.apex.size
-
-
-def _tensor_encode(comp, left, right, lpos, rpos):
-    if _is_unit_identity_cell(left):
-        return rpos
-    if _is_unit_identity_cell(right):
-        return lpos
-    return lpos * right.span.apex.size + rpos
-
-
 def tensor_2cells(x, y):
+    """Side-by-side tensor; its apex map keeps the two factor maps."""
     src = tensor_cells(x.src, y.src)
     tgt = tensor_cells(x.tgt, y.tgt)
-    lpos, rpos = _tensor_positions(src, x.src, y.src)
-    u = _tensor_encode(tgt, x.tgt, y.tgt, x.u[lpos], y.u[rpos])
-    return make_2cell(src, tgt, u)
+    return make_2cell(src, tgt, tensor_fn(src.span.apex, tgt.span.apex, x.apex_map, y.apex_map))
 
 
 def invert_2cell(two):

@@ -18,7 +18,14 @@ import numpy as np
 
 from . import __version__
 from .cells import VCell1, VFam, tensor_fams, try_make_2cell, unit_fam
-from .errors import InvalidBackend, OutOfBounds, ParseError, SchemaError, SpanVError
+from .errors import (
+    InvalidBackend,
+    OutOfBounds,
+    OutputError,
+    ParseError,
+    SchemaError,
+    SpanVError,
+)
 from .finset import FinFn, FinSet
 from .hopfcat import (
     FIELDS,
@@ -425,6 +432,14 @@ def _dump_json(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise OutputError("cannot write %s: %s" % (path, err.strerror or err)) from None
+
+
 def cmd_check(path, report_path=None, quiet=False, out=sys.stdout):
     """Check one structure file; returns the process exit code."""
     try:
@@ -455,8 +470,11 @@ def cmd_check(path, report_path=None, quiet=False, out=sys.stdout):
         else:
             print("all %d checks passed" % len(report.results), file=out)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(build_report(kind, report, raw)))
+        try:
+            _write_text(report_path, _dump_json(build_report(kind, report, raw)))
+        except OutputError as err:
+            print("error: %s" % err, file=sys.stderr)
+            return 2
     return 0 if report.ok else 1
 
 
@@ -522,8 +540,7 @@ def cmd_demo(name, out_dir=".", **params):
         raise SchemaError("unknown demo %r" % (name,))
     filename, data = builders[name]()
     path = os.path.join(out_dir, filename)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(data))
+    _write_text(path, _dump_json(data))
     report_path = os.path.join(out_dir, filename[:-len(".json")] + "-report.json")
     status = cmd_check(path, report_path=report_path, quiet=True)
     assert status == 0, "generated structure failed its own checks"
@@ -556,7 +573,7 @@ def main(argv=None):
         path, report_path = cmd_demo(
             args.name, out_dir=args.out, size=args.size, objects=args.objects,
             p=args.p, group=args.group, max_n=args.max_n)
-    except (OutOfBounds, SchemaError) as err:
+    except (OutOfBounds, OutputError, SchemaError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     print(path)

@@ -95,6 +95,10 @@ class OutOfBounds(SpanVError):
     """A search or a demo parameter exceeds the configured size bounds."""
 
 
+class OutputError(SpanVError):
+    """An output file cannot be written."""
+
+
 class ParseError(SpanVError):
     """An input file is not syntactically valid."""
 

@@ -8,15 +8,22 @@ the factorised form of a pullback, whose codes stay below the product of
 two sizes that fit in memory.  Decoding a pair decodes both factors, so
 an apex element's atomic coordinates never depend on how it was built.
 
-A function is a table of codomain positions or, between two FinSets, a
-reindexing word (see ``reindex_fn``) whose table is built only when
-something reads it.  Identities, braidings and their tensor products
-stay words, so composing with or pulling back along a coordinate
-shuffle evaluates it only on the points that take part, never on its
-whole domain.
+A function is a table of codomain positions; between two FinSets, a
+reindexing word (see ``reindex_fn``); or the tensor product of two
+functions (see ``tensor_fn``).  A word's or a product's table is built
+only when something reads it.  Identities, braidings and their tensor
+products stay words, so composing with or pulling back along a
+coordinate shuffle evaluates it only on the points that take part.  A
+product keeps its two factors: it is evaluated factor by factor,
+composes and compares factor by factor with a product of the same
+split, and a pullback along it joins one factor at a time, so the
+tensor of a large identity with a small table is never tabulated.  The
+product of an apex with any set is a ``SubsetApex`` that lists every
+pair without storing the list.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +54,9 @@ class FinSet:
 
     def encode(self, coords):
         coords = np.asarray(coords, dtype=np.int64)
-        assert coords.shape[-1] == len(self.shape)
+        if coords.ndim == 0 or coords.shape[-1] != len(self.shape):
+            raise ShapeMismatch("coordinates of shape %r do not fit the %d factors of %r"
+                                % (coords.shape, len(self.shape), self))
         if not self.shape:
             return np.zeros(coords.shape[:-1], dtype=np.int64)
         return coords @ np.array(self.strides, dtype=np.int64)
@@ -77,42 +86,60 @@ UNIT = FinSet(())
 
 class SubsetApex:
     """A subset of left x right, listed by strictly increasing pair codes
-    i * right.size + j of a position i in left and j in right."""
+    i * right.size + j of a position i in left and j in right.  Without
+    members it is every pair, the full product: a pair code is then its
+    own position, and the list is built only if something reads it."""
 
-    def __init__(self, left, right, members):
+    def __init__(self, left, right, members=None):
         bound = left.size * right.size
         if bound > _MAX_SIZE:
             raise OutOfBounds("product of sizes %d and %d is too large" % (left.size, right.size))
+        self.left = left
+        self.right = right
+        self.shape = left.shape + right.shape
+        self.full = members is None
+        if self.full:
+            self.size = bound
+            return
         members = np.asarray(members, dtype=np.int64)
         if members.ndim != 1:
             raise ShapeMismatch("members have shape %r, not a list" % (members.shape,))
-        stalls = np.diff(members) <= 0
+        stalls = members[1:] <= members[:-1]
         if stalls.any():
             raise ShapeMismatch("members do not ascend strictly at position %d"
                                 % (np.argmax(stalls) + 1))
         if members.size and (members[0] < 0 or members[-1] >= bound):
             bad = members[0] if members[0] < 0 else members[-1]
             raise TableOutOfRange("member %d is outside a product of size %d" % (bad, bound))
-        self.left = left
-        self.right = right
         self.members = members
         self.size = int(members.size)
-        self.shape = left.shape + right.shape
+
+    @cached_property
+    def members(self):
+        return np.arange(self.size, dtype=np.int64)
 
     def position_of(self, codes):
         """The positions of the given pair codes, each of them a member."""
         codes = np.asarray(codes, dtype=np.int64)
-        if codes.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        pos = np.searchsorted(self.members, codes)
-        assert self.size > 0
-        assert (self.members[np.minimum(pos, self.size - 1)] == codes).all()
+        if self.full:
+            pos = codes
+            found = (codes >= 0) & (codes < self.size)
+        else:
+            pos = np.searchsorted(self.members, codes)
+            found = pos < self.size
+            found[found] = self.members[pos[found]] == codes[found]
+        if not found.all():
+            raise TableOutOfRange("pair code %d is not a member of %r"
+                                  % (codes.flat[np.argmin(found)], self))
         return pos
 
     def decode(self, positions):
         """The atomic coordinates of the elements at these positions: the
         left factor's coordinates, then the right factor's."""
-        i, j = np.divmod(self.members[np.asarray(positions, dtype=np.int64)], self.right.size)
+        codes = np.asarray(positions, dtype=np.int64)
+        if not self.full:
+            codes = self.members[codes]
+        i, j = np.divmod(codes, self.right.size)
         return np.concatenate([self.left.decode(i), self.right.decode(j)], axis=-1)
 
     def __eq__(self, other):
@@ -152,35 +179,26 @@ def _product_pair(a, b):
         return a
     if isinstance(a, FinSet) and isinstance(b, FinSet):
         return FinSet(a.shape + b.shape)
-    return SubsetApex(a, b, np.arange(a.size * b.size, dtype=np.int64))
-
-
-class _WordTable:
-    """The table attribute of a word: built on first read and stored on the
-    instance, which from then on answers every read without this hook.  A
-    property would tax every read of every table, and tables are read in
-    every inner loop of the span layer."""
-
-    def __get__(self, fn, owner=None):
-        if fn is None:
-            return self
-        table = vars(fn)["table"] = fn._reindex(np.arange(fn.dom.size, dtype=np.int64))
-        return table
+    return SubsetApex(a, b)
 
 
 class FinFn:
-    """A function between finite sets: a table of codomain positions, or a
-    reindexing word between FinSets whose table is built when first read."""
+    """A function between finite sets: a table of codomain positions, a
+    reindexing word between FinSets, or the tensor product of two factor
+    functions.  A word's or a product's table is built when first read."""
 
-    table = _WordTable()
-
-    def __init__(self, dom, cod, table=None, word=None):
+    def __init__(self, dom, cod, table=None, word=None, factors=None):
         self.dom = dom
         self.cod = cod
         self.word = None
+        self.factors = None
         if word is not None:
             # words come checked from reindex_fn or are built from checked words
             self.word = tuple(word)
+            return
+        if factors is not None:
+            # factors come from tensor_fn, which lays dom and cod out row-major
+            self.factors = tuple(factors)
             return
         table = np.asarray(table, dtype=np.int64)
         if table.shape != (dom.size,):
@@ -191,12 +209,37 @@ class FinFn:
                                   % (table[bad], bad, cod.size))
         self.table = table
 
+    @classmethod
+    def _of_table(cls, dom, cod, table):
+        # a table computed from checked functions fits dom and cod by
+        # construction, so it skips the two passes of the range check
+        fn = cls.__new__(cls)
+        fn.dom, fn.cod, fn.word, fn.factors, fn.table = dom, cod, None, None, table
+        return fn
+
+    @cached_property
+    def table(self):
+        # stored on the instance by the first read, which from then on
+        # answers every read without this hook: a property would tax
+        # every read of every table, in every inner loop of the span layer
+        if self.factors is not None:
+            fa, fb = self.factors
+            return (fa.table[:, None] * fb.cod.size + fb.table[None, :]).ravel()
+        return self._reindex(np.arange(self.dom.size, dtype=np.int64))
+
     def at(self, positions):
-        """The images of the given domain positions.  A word asked for
-        fewer points than its domain has evaluates only those points;
-        asked for more, it builds and keeps its table, which then serves
-        every later call."""
-        if self.word is None or "table" in vars(self) or len(positions) >= self.dom.size:
+        """The images of the given domain positions.  A product evaluates
+        each factor on its share of the points.  A word asked for fewer
+        points than its domain has evaluates only those points; asked
+        for more, it builds and keeps its table, which then serves every
+        later call."""
+        if "table" in vars(self):
+            return self.table[positions]
+        if self.factors is not None:
+            fa, fb = self.factors
+            i, j = np.divmod(np.asarray(positions, dtype=np.int64), fb.dom.size)
+            return fa.at(i) * fb.cod.size + fb.at(j)
+        if len(positions) >= self.dom.size:
             return self.table[positions]
         return self._reindex(np.array(positions, dtype=np.int64))
 
@@ -239,11 +282,38 @@ class FinFn:
             return ()
         return tuple(j for j, n in zip(self.word, self.cod.shape) if n != 1)
 
+    def _splits_like(self, other):
+        # two products over factors of the same sizes agree exactly when
+        # every factor agrees, or when their domain is empty
+        return (self.factors is not None and other.factors is not None
+                and all(p.dom.size == q.dom.size and p.cod.size == q.cod.size
+                        for p, q in zip(self.factors, other.factors)))
+
     def same_values(self, other):
         """Whether two functions between the same sets agree everywhere."""
         if self.word is not None and other.word is not None:
             return self._word_key() == other._word_key()
-        return np.array_equal(self.table, other.table)
+        return self.first_difference(other) is None
+
+    def first_difference(self, other):
+        """The first domain position where two functions between the same
+        sets differ, or None.  Between products of the same split it is
+        the row-major first of the factors' first differences."""
+        if self._splits_like(other):
+            if self.dom.size == 0:
+                return None
+            first, second = (p.first_difference(q) for p, q in zip(self.factors, other.factors))
+            if first is None and second is None:
+                return None
+            # row 0 fails wherever the second factor does, unless the
+            # first factor fails there already
+            i = 0 if second is not None else first
+            j = 0 if i == first else second
+            return i * self.factors[1].dom.size + j
+        if self.word is not None and other.word is not None and self.same_values(other):
+            return None
+        bad = np.flatnonzero(self.table != other.table)
+        return int(bad[0]) if bad.size else None
 
     def __eq__(self, other):
         return (isinstance(other, FinFn) and self.dom == other.dom
@@ -282,7 +352,21 @@ def compose_fn(f, g):
         raise CodMismatch("cannot chain %r after %r" % (g, f))
     if f.word is not None and g.word is not None:
         return FinFn(f.dom, g.cod, word=[f.word[j] for j in g.word])
-    return FinFn(f.dom, g.cod, g.at(f.table))
+    if (f.factors is not None and g.factors is not None
+            and all(p.cod == q.dom for p, q in zip(f.factors, g.factors))):
+        return FinFn(f.dom, g.cod, factors=[compose_fn(p, q) for p, q in zip(f.factors, g.factors)])
+    return FinFn._of_table(f.dom, g.cod, g.at(f.table))
+
+
+def tensor_fn(dom, cod, fa, fb):
+    """fa x fb from dom to cod, the products of the factors' domains and of
+    their codomains, both row-major.  Two words tensor by concatenation,
+    the second shifted past the first's factors; anything else keeps its
+    two factors."""
+    if fa.word is not None and fb.word is not None:
+        shift = len(fa.dom.shape)
+        return FinFn(dom, cod, word=fa.word + tuple(shift + j for j in fb.word))
+    return FinFn(dom, cod, factors=(fa, fb))
 
 
 def pullback(f, g):
@@ -296,26 +380,41 @@ def pullback(f, g):
     if f.cod != g.cod:
         raise CodMismatch("pullback needs a shared codomain, got %r and %r" % (f.cod, g.cod))
     a, b = f.dom, g.dom
-    if g.permutes():
-        # every a meets exactly one b: rename instead of joining
-        a_idx = np.arange(a.size, dtype=np.int64)
-        b_idx = g.inverse().at(f.table)
-    elif f.permutes():
-        a_of_b = f.inverse().at(g.table)
-        b_idx = np.argsort(a_of_b, kind="stable")
-        a_idx = a_of_b[b_idx]
+    if not g.permutes() and (f.permutes() or (g.factors is None and f.factors is not None)):
+        # join g's values into f instead, then order the pairs by a
+        b_idx, a_idx = _join(_values(g), f)
+        order = np.argsort(a_idx, kind="stable")
+        a_idx, b_idx = a_idx[order], b_idx[order]
     else:
-        order = np.argsort(g.table, kind="stable")
-        gsorted = g.table[order]
-        starts = np.searchsorted(gsorted, f.table, side="left")
-        ends = np.searchsorted(gsorted, f.table, side="right")
-        counts = ends - starts
-        total = int(counts.sum())
-        a_idx = np.repeat(np.arange(a.size, dtype=np.int64), counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-        b_idx = order[starts[a_idx] + offsets]
+        a_idx, b_idx = _join(_values(f), g)
     apex = SubsetApex(a, b, a_idx * b.size + b_idx)
-    return apex, FinFn(apex, a, a_idx), FinFn(apex, b, b_idx)
+    return apex, FinFn._of_table(apex, a, a_idx), FinFn._of_table(apex, b, b_idx)
+
+
+def _values(fn):
+    # every value of fn; a product's are worked out without keeping its table
+    return fn.table if fn.factors is None else fn.at(np.arange(fn.dom.size, dtype=np.int64))
+
+
+def _join(values, g):
+    """Every pair (k, b) with g(b) == values[k], ascending in k and then in
+    b.  A product joins one factor at a time, on the split of each value,
+    and a permuting word renames, so neither reads g's whole table."""
+    if g.factors is not None:
+        ga, gb = g.factors
+        k, b1 = _join(values // gb.cod.size, ga)
+        k2, b2 = _join(values[k] % gb.cod.size, gb)
+        return k[k2], b1[k2] * gb.dom.size + b2
+    if g.permutes():
+        # every value meets exactly one b
+        return np.arange(values.size, dtype=np.int64), g.inverse().at(values)
+    order = np.argsort(g.table, kind="stable")
+    gsorted = g.table[order]
+    starts = np.searchsorted(gsorted, values, side="left")
+    counts = np.searchsorted(gsorted, values, side="right") - starts
+    k = np.repeat(np.arange(values.size, dtype=np.int64), counts)
+    offsets = np.arange(k.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    return k, order[starts[k] + offsets]
 
 
 def reindex_fn(dom, cod, word):
@@ -324,7 +423,9 @@ def reindex_fn(dom, cod, word):
     Repeating an index gives diagonals, dropping indices gives
     projections, permuting them gives coordinate shuffles.
     """
-    assert isinstance(dom, FinSet) and isinstance(cod, FinSet)
+    if not (isinstance(dom, FinSet) and isinstance(cod, FinSet)):
+        raise ShapeMismatch("a reindexing word maps a FinSet to a FinSet, not %r to %r"
+                            % (dom, cod))
     word = tuple(word)
     if (len(word) != len(cod.shape) or any(not 0 <= j < len(dom.shape) for j in word)
             or tuple(dom.shape[j] for j in word) != cod.shape):

@@ -8,21 +8,36 @@ composition literally associative.  Identity spans are absorbed on the nose.
 Identity and braiding spans over FinSets have word legs (see
 ``finset.FinFn``), and so do their tensor products: the middle-four
 interchange on A x A x A x A costs nothing until a pullback evaluates it
-on the points of the other span.
+on the points of the other span.  Any other tensor product keeps its
+legs as products of the factors' legs over an implicit product apex, so
+a composite with it joins one factor at a time and its full table is
+never built.
 """
 
 import numpy as np
 
 from .errors import FeetMismatch, NotMonic, TriangleViolation
-from .finset import FinFn, FinSet, compose_fn, identity_fn, product, pullback, swap_fn
+from .finset import (
+    FinFn,
+    FinSet,
+    compose_fn,
+    identity_fn,
+    product,
+    pullback,
+    swap_fn,
+    tensor_fn,
+)
 
 
 class Span:
     """left <- apex -> right."""
 
     def __init__(self, left, apex, right, f, g):
-        assert f.dom == apex and g.dom == apex
-        assert f.cod == left and g.cod == right
+        for side, leg, foot in (("left", f, left), ("right", g, right)):
+            if leg.dom != apex:
+                raise FeetMismatch("%s leg starts at %r, not at the apex %r" % (side, leg.dom, apex))
+            if leg.cod != foot:
+                raise FeetMismatch("%s leg ends at %r, not at the foot %r" % (side, leg.cod, foot))
         self.left = left
         self.apex = apex
         self.right = right
@@ -66,15 +81,6 @@ def compose_spans(a, b):
     return Span(a.left, apex, b.right, compose_fn(p1, a.f), compose_fn(p2, b.g))
 
 
-def _tensor_fn(dom, cod, fa, fb):
-    # product positions are row-major in both apex and foot, so two words
-    # tensor by concatenation, the second shifted past the first's factors
-    if fa.word is not None and fb.word is not None:
-        shift = len(fa.dom.shape)
-        return FinFn(dom, cod, word=fa.word + tuple(shift + j for j in fb.word))
-    return FinFn(dom, cod, (fa.table[:, None] * fb.cod.size + fb.table[None, :]).ravel())
-
-
 def tensor_spans(a, b):
     if _is_unit_identity_span(a):
         return b
@@ -83,8 +89,8 @@ def tensor_spans(a, b):
     left = product([a.left, b.left])
     right = product([a.right, b.right])
     apex = product([a.apex, b.apex])
-    return Span(left, apex, right, _tensor_fn(apex, left, a.f, b.f),
-                _tensor_fn(apex, right, a.g, b.g))
+    return Span(left, apex, right, tensor_fn(apex, left, a.f, b.f),
+                tensor_fn(apex, right, a.g, b.g))
 
 
 def _is_unit_identity_span(s):

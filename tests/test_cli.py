@@ -159,6 +159,20 @@ def test_exit_codes_hold_under_python_O(tmp_path):
         assert plain.stderr == optimised.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_unwritable_outputs_exit_2_with_one_line(tmp_path, flags):
+    # a demo or report directory that does not exist is named, not a traceback
+    missing = tmp_path / "missing"
+    for args, path in ((["demo", "x2", "--out", str(missing)], missing / "x2-hopf.json"),
+                       (["check", str(FIXTURES / "x2-hopf.json"), "--quiet",
+                         "--report", str(missing / "r.json")], missing / "r.json")):
+        run = subprocess.run([sys.executable, *flags, "-m", "spanv.cli", *args],
+                             capture_output=True, text=True, env=_env(), timeout=60)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr == "error: cannot write %s: No such file or directory\n" % path
+    assert not missing.exists()
+
+
 def test_negative_object_count_is_refused_by_name(tmp_path):
     data = json.loads((FIXTURES / "mat-frobenius.json").read_text())
     data["objects"] = -1

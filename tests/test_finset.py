@@ -22,8 +22,10 @@ from spanv.finset import (
     pullback,
     reindex_fn,
     swap_fn,
+    tensor_fn,
     terminal_fn,
 )
+from spanv.span import Span
 
 shapes = st.lists(st.integers(1, 5), min_size=0, max_size=4).map(tuple)
 
@@ -80,8 +82,8 @@ def test_subset_apex():
     nested = SubsetApex(apex, FinSet((2,)), [1, 4])
     assert nested.shape == (3, 3, 2)
     assert np.array_equal(nested.decode([0, 1]), [[0, 2, 1], [2, 1, 0]])
-    with pytest.raises(AssertionError):
-        apex.position_of([3])  # not a member
+    with pytest.raises(TableOutOfRange, match="pair code 3 is not a member"):
+        apex.position_of([3])
 
 
 @pytest.mark.parametrize("members, error, message", [
@@ -212,15 +214,23 @@ word_shapes = st.lists(st.integers(0, 3), min_size=0, max_size=4).map(tuple)
 
 
 def _reference_table(fn):
-    # decode, pick coordinates, encode: independent of the word code paths
+    # a word decodes, picks coordinates and encodes; a product pairs its
+    # factors' values one point at a time: independent of both code paths
+    if fn.factors is not None:
+        fa, fb = fn.factors
+        ta, tb = _reference_table(fa), _reference_table(fb)
+        return np.array([ta[i] * fb.cod.size + tb[j]
+                         for i in range(fa.dom.size) for j in range(fb.dom.size)],
+                        dtype=np.int64).reshape(-1)
+    if fn.word is None:
+        return fn.table
     codes = np.arange(fn.dom.size, dtype=np.int64)
     return fn.cod.encode(fn.dom.decode(codes)[:, list(fn.word)])
 
 
 def _tabled(fn):
     """The same function stored as a table."""
-    table = _reference_table(fn) if fn.word is not None else fn.table
-    return FinFn(fn.dom, fn.cod, table)
+    return FinFn(fn.dom, fn.cod, _reference_table(fn))
 
 
 @st.composite
@@ -318,3 +328,154 @@ def test_compose_fn_of_word_legs_matches_tables(data):
     assert (composite.dom, composite.cod) == (reference.dom, reference.cod)
     assert np.array_equal(composite.table, reference.table)
     assert composite == reference
+
+
+@st.composite
+def product_factors(draw):
+    """Two factor functions, at least one of them a table: words out of
+    FinSets, tables out of FinSets or SubsetApexes, factor domains of
+    sizes 0 and 1 among them."""
+    kinds = draw(st.sampled_from([("table", "word"), ("word", "table"), ("table", "table")]))
+    return [draw(word_fns()) if kind == "word" else draw(table_fns(FinSet(draw(word_shapes))))
+            for kind in kinds]
+
+
+def _product_of(factors):
+    fa, fb = factors
+    return tensor_fn(product([fa.dom, fb.dom]), product([fa.cod, fb.cod]), fa, fb)
+
+
+def _positions(data, size):
+    if not size:
+        return np.zeros(0, dtype=np.int64)
+    return np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=8)), dtype=np.int64)
+
+
+def _retabled(data, fn):
+    """fn as a table with at most one entry moved: a table factor for
+    building a second product of the same split."""
+    table = _reference_table(fn).copy()
+    if table.size and fn.cod.size > 1 and data.draw(st.booleans()):
+        k = data.draw(st.integers(0, table.size - 1))
+        table[k] = (table[k] + 1) % fn.cod.size
+    return FinFn(fn.dom, fn.cod, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_factors(), st.data())
+def test_product_leg_matches_its_table(factors, data):
+    fn = _product_of(factors)
+    assert fn.factors is not None
+    reference = _reference_table(fn)
+    positions = _positions(data, fn.dom.size)
+    assert np.array_equal(fn.at(positions), reference[positions])
+    assert "table" not in vars(fn)
+    # a product of the same split compares factor by factor, and names the
+    # row-major first position where the two tables differ
+    other = tensor_fn(fn.dom, fn.cod, *(_retabled(data, f) for f in factors))
+    differs = np.flatnonzero(_reference_table(other) != reference)
+    first = int(differs[0]) if differs.size else None
+    assert other.first_difference(fn) == fn.first_difference(other) == first
+    assert other.same_values(fn) == fn.same_values(other) == (first is None)
+    assert "table" not in vars(fn) and "table" not in vars(other)
+    assert fn.same_values(_tabled(fn)) and _tabled(fn).same_values(fn)
+    assert fn.first_difference(FinFn(fn.dom, fn.cod, _reference_table(other))) == first
+    assert np.array_equal(fn.table, reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_factors(), st.data())
+def test_compose_fn_of_product_legs_matches_tables(factors, data):
+    fn = _product_of(factors)
+    side = data.draw(st.sampled_from(["first", "second", "both"]))
+    if side == "first":
+        n = fn.cod.size
+        other = FinFn(fn.cod, FinSet((3,)), data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                                               max_size=n)))
+        f, g = fn, other
+    elif side == "second":
+        f, g = data.draw(table_fns(fn.dom)), fn
+    else:
+        # a second product out of fn's codomain, split where fn's factors
+        # end or anywhere else
+        shape = fn.cod.shape
+        cut = data.draw(st.integers(0, len(shape)))
+        second = [FinFn(FinSet(part), FinSet((3,)),
+                        data.draw(st.lists(st.integers(0, 2), min_size=FinSet(part).size,
+                                           max_size=FinSet(part).size)))
+                  for part in (shape[:cut], shape[cut:])]
+        f, g = fn, tensor_fn(fn.cod, product([q.cod for q in second]), *second)
+    composite = compose_fn(f, g)
+    reference = compose_fn(_tabled(f), _tabled(g))
+    assert (composite.dom, composite.cod) == (reference.dom, reference.cod)
+    factorwise = side == "both" and all(p.cod == q.dom for p, q in zip(factors, g.factors))
+    assert (composite.factors is not None) == factorwise
+    assert np.array_equal(composite.table, reference.table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_factors(), st.data())
+def test_pullback_of_product_legs_matches_tables(factors, data):
+    fn = _product_of(factors)
+    side = data.draw(st.sampled_from(["left", "right", "both"]))
+    if side == "both":
+        other = _product_of([data.draw(table_fns(p.cod)) for p in factors])
+    else:
+        other = data.draw(st.one_of(table_fns(fn.cod), words_into(fn.cod)))
+    f, g = (fn, other) if side == "left" else (other, fn)
+    apex, p1, p2 = pullback(f, g)
+    ref_apex, r1, r2 = pullback(_tabled(f), _tabled(g))
+    assert apex == ref_apex
+    assert np.array_equal(apex.members, ref_apex.members)
+    assert np.array_equal(p1.table, r1.table)
+    assert np.array_equal(p2.table, r2.table)
+    assert "table" not in vars(fn)
+
+
+def test_full_product_apex_lists_every_pair_without_storing_them():
+    sub = SubsetApex(FinSet((3,)), FinSet((3,)), [2, 5, 7])
+    full = product([sub, FinSet((2, 2))])
+    assert full.size == 12 and full.full and "members" not in vars(full)
+    assert np.array_equal(full.decode([0, 5, 11]),
+                          [[0, 2, 0, 0], [1, 2, 0, 1], [2, 1, 1, 1]])
+    assert np.array_equal(full.position_of([0, 11]), [0, 11])
+    with pytest.raises(TableOutOfRange, match="pair code 12 is not a member"):
+        full.position_of([12])
+    assert "members" not in vars(full)
+    assert np.array_equal(full.members, np.arange(12))
+    assert full == SubsetApex(sub, FinSet((2, 2)), np.arange(12))
+
+
+def test_input_checks_hold_under_python_O():
+    # python -O strips asserts; each check an input can reach is a typed error
+    script = (
+        "from spanv.errors import SpanVError\n"
+        "from spanv.finset import FinFn, FinSet, SubsetApex, identity_fn, reindex_fn\n"
+        "from spanv.span import Span\n"
+        "a = FinSet((2,))\n"
+        "sub = SubsetApex(a, a, [1, 2])\n"
+        "leg = identity_fn(a)\n"
+        "for attempt in (lambda: FinSet((2, 3)).encode([1, 2, 0]),\n"
+        "                lambda: sub.position_of([3]),\n"
+        "                lambda: SubsetApex(a, a, []).position_of([0]),\n"
+        "                lambda: reindex_fn(sub, a, (0,)),\n"
+        "                lambda: Span(a, FinSet((3,)), a, leg, leg),\n"
+        "                lambda: Span(a, a, FinSet((3,)), leg, leg)):\n"
+        "    try:\n"
+        "        attempt()\n"
+        "    except SpanVError as err:\n"
+        "        print(type(err).__name__, '|', err)\n")
+    lines = []
+    for flags in ([], ["-O"]):
+        run = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                             text=True, check=True)
+        lines.append(run.stdout.splitlines())
+    assert lines[0] == lines[1]
+    assert [line.split(" | ")[0] for line in lines[0]] == [
+        "ShapeMismatch", "TableOutOfRange", "TableOutOfRange", "ShapeMismatch",
+        "FeetMismatch", "FeetMismatch"]
+    assert "width" not in lines[0][0] and "(3,)" in lines[0][0]
+    assert "pair code 3 is not a member" in lines[0][1]
+    assert "0 of 4" in lines[0][2]
+    assert "left leg starts at FinSet(2,)" in lines[0][4]
+    assert "right leg ends at FinSet(2,)" in lines[0][5]

@@ -3,20 +3,25 @@
 import numpy as np
 import pytest
 
+from spanv import cells as cells_module
+from spanv import finset as finset_module
+from spanv import span as span_module
 from spanv.cells import (
     InvalidCell,
     VCell1,
+    VCell2,
     VFam,
     cells_equal,
     identity_cell,
     invert_2cell,
     make_2cell,
+    tensor_2cells,
     tensor_cells,
     tensor_fams,
     try_make_2cell,
     unit_fam,
 )
-from spanv.errors import NotBimodule
+from spanv.errors import NotBimodule, TriangleViolation
 from spanv.finset import (
     UNIT,
     FinFn,
@@ -410,9 +415,12 @@ def test_interchange_legs_are_never_tabulated(monkeypatch):
     words, tables, points = [], [], []
     fn_init, reindex = FinFn.__init__, FinFn._reindex
 
-    def record_fn(fn, dom, cod, table=None, word=None):
-        fn_init(fn, dom, cod, table, word)
-        (words if table is None else tables).append(fn)
+    def record_fn(fn, dom, cod, table=None, word=None, factors=None):
+        fn_init(fn, dom, cod, table, word, factors)
+        if word is not None:
+            words.append(fn)
+        elif table is not None:
+            tables.append(fn)
 
     def record_reindex(fn, positions):
         points.append(np.size(positions))
@@ -449,3 +457,123 @@ def test_every_apex_lists_int64_pair_codes(monkeypatch):
     assert check_frobenius(frob).ok
     assert built
     assert [apex for apex in built if apex.members.dtype != np.int64] == []
+
+
+def _recording(made, init):
+    def record(obj, *args, **kwargs):
+        init(obj, *args, **kwargs)
+        made.append(obj)
+    return record
+
+
+def test_no_array_of_n7_entries_is_stored(monkeypatch):
+    # On codiscrete n=4 the tensor of an identity 2-cell with theta or chi
+    # has n^7 apex elements, but every composite it is whiskered into is
+    # far smaller: no table, member list or 2-cell map of n^7 entries is
+    # stored, here or in any lazy attribute built later.
+    made = []
+    for cls in (FinFn, SubsetApex, VCell2):
+        monkeypatch.setattr(cls, "__init__", _recording(made, cls.__init__))
+    if hasattr(FinFn, "_of_table"):
+        # computed tables skip __init__ and its range check
+        of_table = FinFn._of_table
+
+        def record_table(*args):
+            made.append(of_table(*args))
+            return made[-1]
+        monkeypatch.setattr(FinFn, "_of_table", record_table)
+    n = 4
+    _, _, _, bim, anti, frob = groupoid_structures(codiscrete_groupoid(n))
+    assert check_oplax_bimonoid(bim).ok
+    assert check_oplax_hopf(bim, anti).ok
+    assert check_frobenius(frob).ok
+    assert any(isinstance(obj, SubsetApex) and obj.size >= n ** 7 for obj in made)
+    stored = [(type(obj).__name__, name, value.size) for obj in made
+              for name, value in vars(obj).items()
+              if isinstance(value, np.ndarray) and value.size >= n ** 7]
+    assert stored == []
+
+
+def _tabulated(cell):
+    """The same 1-cell with both legs of its span stored as tables."""
+    s = cell.span
+    span = Span(s.left, s.apex, s.right,
+                FinFn(s.apex, s.left, s.f.table), FinFn(s.apex, s.right, s.g.table))
+    return VCell1(cell.dom, cell.cod, span, cell.alphas)
+
+
+def _moved(two, k):
+    """two with entry k of its apex map moved: not a 2-cell, built unchecked."""
+    u = two.u.copy()
+    u[k] = (u[k] + 1) % two.tgt.span.apex.size
+    return VCell2(two.src, two.tgt, u)
+
+
+@pytest.mark.parametrize("moved", ["neither", "left", "right", "both"])
+def test_tensor_of_a_mutated_2cell_fails_as_the_tabulated_tensor(moved):
+    # chi x theta on product legs against the same tensor with tabulated
+    # legs and map; moving entry 1 of chi and entry 2 of theta makes the
+    # row-major first failure of "both" theta's, in row 0
+    _, _, _, bim, _, _ = groupoid_structures(codiscrete_groupoid(2))
+    x = _moved(bim.chi, 1) if moved in ("left", "both") else bim.chi
+    y = _moved(bim.theta, 2) if moved in ("right", "both") else bim.theta
+    src = tensor_cells(x.src, y.src)
+    tgt = tensor_cells(x.tgt, y.tgt)
+    assert src.span.f.factors is not None and tgt.span.g.factors is not None
+    u = (x.u[:, None] * y.tgt.span.apex.size + y.u[None, :]).ravel()
+    if moved == "neither":
+        assert np.array_equal(tensor_2cells(x, y).u, u)
+        assert np.array_equal(make_2cell(_tabulated(src), _tabulated(tgt), u).u, u)
+        return
+    with pytest.raises(TriangleViolation) as lazy:
+        tensor_2cells(x, y)
+    with pytest.raises(TriangleViolation) as tabulated:
+        make_2cell(_tabulated(src), _tabulated(tgt), u)
+    assert str(lazy.value) == str(tabulated.value)
+    assert lazy.value.element == tabulated.value.element
+    first = {"left": 1 * y.src.span.apex.size, "right": 2, "both": 2}[moved]
+    assert str(lazy.value).endswith("apex element %d" % first)
+
+
+def _tabulating(monkeypatch):
+    """Store every tensor product of functions as a table and every full
+    product apex as a member list, as they were before product forms."""
+    lazy_fn, lazy_pair = finset_module.tensor_fn, finset_module._product_pair
+
+    def tabulated_fn(dom, cod, fa, fb):
+        fn = lazy_fn(dom, cod, fa, fb)
+        return fn if fn.word is not None else FinFn(dom, cod, fn.table)
+
+    def listed_pair(a, b):
+        apex = lazy_pair(a, b)
+        if isinstance(apex, SubsetApex):
+            return SubsetApex(a, b, np.arange(apex.size, dtype=np.int64))
+        return apex
+
+    for module in (span_module, cells_module):
+        monkeypatch.setattr(module, "tensor_fn", tabulated_fn)
+    monkeypatch.setattr(finset_module, "_product_pair", listed_pair)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_product_forms_give_the_tabulated_reports(n, monkeypatch):
+    # every line of the hopf and frobenius reports, on the groupoid and on
+    # each structure cell with one apex-map entry moved, is the same with
+    # product forms as with tables (chi0 maps into a one-element apex, so
+    # its moved map is itself)
+    def report_lines():
+        _, _, _, bim, anti, frob = groupoid_structures(codiscrete_groupoid(n))
+        lines = (check_oplax_bimonoid(bim).lines() + check_oplax_hopf(bim, anti).lines()
+                 + check_frobenius(frob).lines())
+        gens = {"theta": bim.theta, "theta0": bim.theta0, "chi": bim.chi, "chi0": bim.chi0}
+        for name, cell in gens.items():
+            moved = _moved(cell, cell.u.size - 1)
+            mutant = OplaxBimonoidData(bim.monoid, bim.comonoid, **dict(
+                gens, **{name: try_make_2cell(cell.src, cell.tgt, moved.u)}))
+            lines += check_oplax_bimonoid(mutant).lines() + check_oplax_hopf(mutant, anti).lines()
+        return lines
+
+    lazy = report_lines()
+    assert any("FAIL" in line for line in lazy)
+    _tabulating(monkeypatch)
+    assert report_lines() == lazy
