@@ -170,7 +170,7 @@ def _obj_from_json(backend, data):
 def _mor_to_json(backend, mor):
     if isinstance(backend, MatBackend):
         return {"dom": int(mor.shape[0]), "cod": int(mor.shape[1]),
-                "data": [int(v) for v in mor.ravel()]}
+                "data": [int(v) for v in np.asarray(mor).ravel()]}
     if isinstance(backend, FinSetBackend):
         return {"dom": list(mor.dom.shape), "cod": list(mor.cod.shape),
                 "table": [int(v) for v in mor.table]}
@@ -179,9 +179,15 @@ def _mor_to_json(backend, mor):
 
 def _mor_from_json(backend, data):
     if isinstance(backend, MatBackend):
-        return backend.mor(_int_list(_need(data, "data")),
-                           _json_int(_need(data, "dom"), "field 'dom'"),
-                           _json_int(_need(data, "cod"), "field 'cod'"))
+        values = _int_list(_need(data, "data"))
+        dom, cod = (_json_int(_need(data, key), "field %r" % key) for key in ("dom", "cod"))
+        for key, size in (("dom", dom), ("cod", cod)):
+            if size < 0:
+                raise SchemaError("field %r must be a non-negative integer, got %d" % (key, size))
+        if values.size != dom * cod:
+            raise SchemaError("field 'data' has %d entries, expected dom * cod = %d"
+                              % (values.size, dom * cod))
+        return backend.mor(values, dom, cod)
     if isinstance(backend, FinSetBackend):
         return FinFn(_shape(_need(data, "dom")), _shape(_need(data, "cod")),
                      _int_list(_need(data, "table")))

@@ -144,14 +144,21 @@ class SubsetApex:
 
     def __eq__(self, other):
         # equal exactly when both list the same atomic coordinates, so the
-        # two associations of a triple composite are literally equal
+        # two associations of a triple composite are literally equal; blocks
+        # of doubling length, from 8, stop the decoding at the first block
+        # that differs
         if self is other:
             return True
         if not (isinstance(other, SubsetApex) and self.shape == other.shape
                 and self.size == other.size):
             return False
-        everything = np.arange(self.size, dtype=np.int64)
-        return np.array_equal(self.decode(everything), other.decode(everything))
+        start, width = 0, 8
+        while start < self.size:
+            block = np.arange(start, min(start + width, self.size), dtype=np.int64)
+            if not np.array_equal(self.decode(block), other.decode(block)):
+                return False
+            start, width = start + width, 2 * width
+        return True
 
     def __ne__(self, other):
         return not self == other

@@ -151,8 +151,9 @@ class VFunctorData:
         self.components = components
 
 
-def _first_mor_diff(lhs, rhs):
-    if isinstance(lhs, np.ndarray):
+def _first_mor_diff(backend, lhs, rhs):
+    if isinstance(backend, MatBackend):
+        lhs, rhs = np.asarray(backend.mor(lhs)), np.asarray(backend.mor(rhs))
         if lhs.shape != rhs.shape:
             return {"shapes": [list(lhs.shape), list(rhs.shape)]}
         where = np.argwhere(lhs != rhs)[0]
@@ -177,7 +178,7 @@ def _run_laws(backend, n, rows):
             lhs, rhs = sides(*idx)
             if not backend.eq_mor(lhs, rhs):
                 result = AxiomResult(name, False,
-                                     {"at": list(idx), "diff": _first_mor_diff(lhs, rhs)})
+                                     {"at": list(idx), "diff": _first_mor_diff(backend, lhs, rhs)})
                 break
         results.append(result)
     return results

@@ -68,14 +68,47 @@ class TrivialBackend(_Backend):
         return "TrivialBackend()"
 
 
+class NonzeroMatrix:
+    """A matrix stored by its nonzeros: its shape, the row-major flat
+    positions of its nonzero entries in ascending order, and the int64
+    values there.  The dense table is built only when something reads it
+    as an array."""
+
+    __slots__ = ("shape", "pos", "vals")
+
+    def __init__(self, shape, pos, vals):
+        self.shape = shape
+        self.pos = pos
+        self.vals = vals
+
+    @property
+    def nbytes(self):
+        return self.pos.nbytes + self.vals.nbytes
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros(self.shape[0] * self.shape[1], dtype=np.int64)
+        out[self.pos] = self.vals
+        out = out.reshape(self.shape)
+        return out if dtype is None else out.astype(dtype)
+
+
+def _one_per_row(cols, width):
+    """The 0/1 matrix whose row i holds a single 1, in column cols[i]."""
+    n = len(cols)
+    return NonzeroMatrix((n, int(width)), np.arange(n, dtype=np.int64) * width + cols,
+                         np.ones(n, dtype=np.int64))
+
+
 class MatBackend(_Backend):
     """Matrices over Z/p (p prime) or over the boolean semiring.
 
-    Objects are dimensions; a morphism n -> m is an n x m int64 matrix,
-    reduced mod p (0/1 for the boolean semiring), acting on row vectors,
-    so diagrammatic composition is plain matrix product.  Tensor is the
-    Kronecker product, which matches the row-major pairing of basis
-    vectors.
+    Objects are dimensions; a morphism n -> m is an n x m matrix acting on
+    row vectors, so diagrammatic composition is plain matrix product, and
+    tensor pairs basis vectors row-major (the Kronecker product).  A
+    morphism is a NonzeroMatrix with values reduced mod p (always 1 over
+    the booleans); every operation also accepts a dense 2-D int array and
+    converts it on entry.  Products and tensors touch only nonzeros; their
+    int64 sums are exact while k * (p - 1)**2 stays below 2**63.
     """
 
     unit = 1
@@ -95,56 +128,74 @@ class MatBackend(_Backend):
         return np.mod(a, self.prime)
 
     def mor(self, data, dom=None, cod=None):
-        a = self._reduce(np.asarray(data, dtype=np.int64))
-        if dom is not None:
-            a = a.reshape(dom, cod)
+        """data as a morphism: a NonzeroMatrix is kept, anything else is
+        read as an int array (dom x cod when given) and reduced."""
+        if isinstance(data, NonzeroMatrix):
+            return data
+        a = np.asarray(data, dtype=np.int64)
+        a = self._reduce(a if dom is None else a.reshape(dom, cod))
         if a.ndim != 2:
             raise ShapeMismatch("a morphism is a matrix, got %d axes" % a.ndim)
-        return a
+        flat = a.ravel()
+        pos = flat.nonzero()[0]
+        return NonzeroMatrix(a.shape, pos, flat[pos])
 
     def eq_obj(self, a, b):
         return a == b
 
     def eq_mor(self, f, g):
-        return f.shape == g.shape and np.array_equal(f, g)
+        f, g = self.mor(f), self.mor(g)
+        return (f.shape == g.shape and np.array_equal(f.pos, g.pos)
+                and np.array_equal(f.vals, g.vals))
 
     def id(self, obj):
-        return np.eye(obj, dtype=np.int64)
+        return _one_per_row(np.arange(obj), obj)
 
     def compose(self, f, g):
-        if f.shape[1] != g.shape[0]:
+        f, g = self.mor(f), self.mor(g)
+        (n, k), m = f.shape, g.shape[1]
+        if k != g.shape[0]:
             raise ShapeMismatch("cannot chain %r after %r" % (g.shape, f.shape))
-        if 8 * np.count_nonzero(f) > f.size:
-            return self._reduce(f @ g)
-        # Gustavson's row-wise product: row i of f @ g sums the rows of g
-        # that row i's nonzeros select.  np.nonzero is row-major, so each
-        # output row is one contiguous segment; chunks of f.shape[0]
-        # nonzeros keep the gathered rows no larger than the output.
-        rows, cols = np.nonzero(f)
-        out = np.zeros((f.shape[0], g.shape[1]), dtype=np.int64)
-        step = max(f.shape[0], 1)
-        for start in range(0, rows.size, step):
-            r, c = rows[start:start + step], cols[start:start + step]
-            heads = np.flatnonzero(np.diff(r, prepend=-1))
-            out[r[heads]] += np.add.reduceat(f[r, c, None] * g[c], heads, axis=0)
-        return self._reduce(out)
+        # Gustavson's product over both operands' nonzeros: each nonzero
+        # (i, c) of f meets every nonzero (c, j) of g, which is one slice of
+        # g's row-major list, and the products landing on one (i, j) add up
+        f_rows, f_cols = np.divmod(f.pos, k)
+        g_rows, g_cols = np.divmod(g.pos, m)
+        row_len = np.bincount(g_rows, minlength=k)
+        per = row_len[f_cols]
+        left = np.arange(f.pos.size).repeat(per)
+        ends = per.cumsum()
+        right = np.arange(left.size) + (
+            (row_len.cumsum() - row_len)[f_cols] - (ends - per)).repeat(per)
+        pos = f_rows[left] * m + g_cols[right]
+        order = pos.argsort()
+        pos = pos[order]
+        first = np.ones(pos.size, dtype=bool)
+        first[1:] = pos[1:] != pos[:-1]
+        heads = first.nonzero()[0]
+        sums = self._reduce(np.add.reduceat((f.vals[left] * g.vals[right])[order], heads))
+        keep = sums != 0
+        return NonzeroMatrix((n, m), pos[heads][keep], sums[keep])
 
     def tensor_obj(self, a, b):
         return a * b
 
     def tensor_mor(self, f, g):
-        out = np.kron(f, g)
-        # operands are reduced, so when no product of two entries reaches p
-        # neither does any entry of the Kronecker product
-        if self.boolean or f.max(initial=0) * g.max(initial=0) < self.prime:
-            return out
-        return self._reduce(out)
+        f, g = self.mor(f), self.mor(g)
+        (n1, m1), (n2, m2) = f.shape, g.shape
+        # entry (i1 * n2 + i2, j1 * m2 + j2) is f[i1, j1] * g[i2, j2], which
+        # is nonzero over a field or the booleans, so nothing is dropped
+        i1, j1 = np.divmod(f.pos, m1)
+        i2, j2 = np.divmod(g.pos, m2)
+        width = m1 * m2
+        pos = np.add.outer(i1 * n2 * width + j1 * m2, i2 * width + j2).ravel()
+        order = pos.argsort()
+        vals = self._reduce(np.multiply.outer(f.vals, g.vals).ravel()[order])
+        return NonzeroMatrix((n1 * n2, width), pos[order], vals)
 
     def braiding(self, a, b):
-        p = np.zeros((a * b, b * a), dtype=np.int64)
         i, j = np.divmod(np.arange(a * b), b)
-        p[np.arange(a * b), j * a + i] = 1
-        return p
+        return _one_per_row(j * a + i, b * a)
 
     def dom(self, f):
         return f.shape[0]
@@ -153,7 +204,8 @@ class MatBackend(_Backend):
         return f.shape[1]
 
     def mor_key(self, f):
-        return (f.shape, f.tobytes())
+        f = self.mor(f)
+        return (f.shape, f.pos.tobytes(), f.vals.tobytes())
 
     def obj_key(self, a):
         return a
@@ -163,9 +215,7 @@ class MatBackend(_Backend):
         injections = []
         offset = 0
         for n in objs:
-            inj = np.zeros((n, total), dtype=np.int64)
-            inj[np.arange(n), offset + np.arange(n)] = 1
-            injections.append(inj)
+            injections.append(_one_per_row(offset + np.arange(n), total))
             offset += n
         return total, injections
 

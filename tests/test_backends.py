@@ -36,26 +36,34 @@ def test_mat_compose_mod_p():
        st.integers(0, 6), st.floats(0, 1), st.integers(0, 96), st.integers(0, 96),
        st.integers(0, 2**32))
 def test_mat_products_are_exact(p, n, k, m, density, f_top, g_top, seed):
-    # compose picks a sparse or a dense product from f's density, and
-    # tensor_mor skips its reduction when the operands' maxima allow it;
-    # every choice must equal reducing the plain int64 product
+    # compose and tensor_mor touch only nonzeros; each must equal reducing
+    # the plain int64 product of the dense tables, and a dense operand must
+    # act as the same morphism as its nonzero form
     be = MatBackend(boolean=True) if p is None else MatBackend(prime=p)
     modulus = 2 if p is None else p
     rng = np.random.default_rng(seed)
 
     def operand(rows, cols, top):
         entries = rng.integers(0, top % modulus + 1, size=(rows, cols))
-        return be.mor(np.where(rng.random((rows, cols)) < density, entries, 0))
+        return np.where(rng.random((rows, cols)) < density, entries, 0)
 
     def reduced(a):
         return (a != 0).astype(np.int64) if p is None else np.mod(a, p)
 
     f, g = operand(n, k, f_top), operand(k, m, g_top)
-    for got, want in ((be.compose(f, g), reduced(f @ g)),
-                      (be.tensor_mor(f, g), reduced(np.kron(f, g)))):
-        assert got.dtype == np.int64
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+    nf, ng = be.mor(f), be.mor(g)
+    for dense, nonzeros in ((f, nf), (g, ng)):
+        assert be.eq_mor(dense, nonzeros) and be.eq_mor(nonzeros, dense)
+        assert be.mor_key(dense) == be.mor_key(nonzeros)
+    products = ((be.compose, reduced(f @ g)), (be.tensor_mor, reduced(np.kron(f, g))))
+    for x, y in ((nf, ng), (f, g), (nf, g), (f, ng)):
+        for op, want in products:
+            got = op(x, y)
+            dense = np.asarray(got)
+            assert dense.dtype == np.int64
+            assert dense.shape == want.shape
+            assert np.array_equal(dense, want)
+            assert be.eq_mor(got, want) and be.mor_key(got) == be.mor_key(want)
 
 
 def test_mat_rejects_composite_modulus():

@@ -203,6 +203,35 @@ def test_short_grid_is_named_by_field_and_index(tmp_path, mangle, message):
     assert plain.stderr == optimised.stderr
 
 
+def _set_entry(field, index, key, value):
+    def mangle(data):
+        entry = data[field]
+        for i in index:
+            entry = entry[i]
+        entry[key] = value
+    return mangle
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (_set_entry("m", (0, 0, 0), "dom", -1), "field 'dom' must be a non-negative integer, got -1"),
+    (_set_entry("m", (1, 0, 1), "dom", -2), "field 'dom' must be a non-negative integer, got -2"),
+    (_set_entry("comlt", (1, 1, 0), "cod", -1), "field 'cod' must be a non-negative integer, got -1"),
+    (_set_entry("m", (0, 0, 0), "data", []), "field 'data' has 0 entries, expected dom * cod = 1"),
+    (_set_entry("u", (1,), "data", [1, 0, 0]), "field 'data' has 3 entries, expected dom * cod = 4"),
+], ids=["dom-minus-1", "dom-minus-2", "cod-minus-1", "data-empty", "data-short"])
+def test_matrix_shape_is_validated_by_name(tmp_path, mangle, message):
+    # numpy's reshape would infer a negative axis, and names no field
+    data = json.loads((FIXTURES / "mat-frobenius.json").read_text())
+    mangle(data)
+    path = tmp_path / "bad-matrix.json"
+    path.write_text(json.dumps(data))
+    plain, optimised = _spanv_check(path), _spanv_check(path, "-O")
+    assert plain.returncode == optimised.returncode == 2, plain.stderr
+    assert "Traceback" not in plain.stderr + optimised.stderr
+    assert message in plain.stderr
+    assert plain.stderr == optimised.stderr
+
+
 def test_reports_match_goldens(tmp_path):
     for stem in ("x2-hopf", "mat-frobenius", "corrupted-theta0"):
         report_path = tmp_path / ("%s-report.json" % stem)

@@ -84,6 +84,11 @@ def test_subset_apex():
     assert np.array_equal(nested.decode([0, 1]), [[0, 2, 1], [2, 1, 0]])
     with pytest.raises(TableOutOfRange, match="pair code 3 is not a member"):
         apex.position_of([3])
+    # equality compares every element, up to the last one
+    square = FinSet((4,)), FinSet((4,))
+    head = list(range(11))
+    assert SubsetApex(*square, head + [12]) == SubsetApex(*square, head + [12])
+    assert SubsetApex(*square, head + [12]) != SubsetApex(*square, head + [13])
 
 
 @pytest.mark.parametrize("members, error, message", [

@@ -34,7 +34,7 @@ from spanv.structures import (
     check_oplax_bimonoid_morphism,
     check_oplax_hopf,
 )
-from spanv.vbackend import FinSetBackend, MatBackend
+from spanv.vbackend import FinSetBackend, MatBackend, NonzeroMatrix
 
 CAT_AXIOMS = ["cat-assoc", "cat-unit-left", "cat-unit-right"]
 HOPF_AXIOMS = CAT_AXIOMS + [
@@ -245,6 +245,31 @@ def _bridged_ok(h):
     return check_oplax_bimonoid(bim).ok and check_oplax_hopf(bim, anti).ok
 
 
+def test_no_dense_tensor_power_is_stored(monkeypatch):
+    # k[Z/8]: the interchange matrices on H (x) H (x) H (x) H are n^4 x n^4,
+    # but every structure map has one nonzero per row, so on both routes
+    # no stored matrix keeps more than n^4 entries and no dense table is built
+    n = 8
+    made, dense = [], []
+
+    def recording(method):
+        def record(*args, **kwargs):
+            made.append(method(*args, **kwargs))
+            return made[-1]
+        return record
+
+    for name in ("mor", "id", "compose", "tensor_mor", "braiding"):
+        monkeypatch.setattr(MatBackend, name, recording(getattr(MatBackend, name)))
+    to_array = NonzeroMatrix.__array__
+    monkeypatch.setattr(NonzeroMatrix, "__array__",
+                        lambda f, *args, **kwargs: dense.append(f) or to_array(f, *args, **kwargs))
+    h = group_algebra_hopf(3, n)
+    assert check_hopf_vcat(h).ok and _bridged_ok(h)
+    assert any(f.shape == (n**4, n**4) for f in made)
+    assert max(f.pos.size if isinstance(f, NonzeroMatrix) else np.size(f) for f in made) <= n**4
+    assert not dense
+
+
 def test_opposite_takes_the_inverse_antipode():
     # S has order 4 here, so S^-1 = S^3 differs from S: an opposite that
     # keeps S fails both antipode laws directly and the antipode cells
@@ -261,7 +286,7 @@ def test_opposite_takes_the_inverse_antipode():
 
 def test_opposite_refuses_a_non_invertible_antipode():
     h = _sweedler(3)
-    singular = h.s[0][0].copy()
+    singular = np.array(h.s[0][0])
     singular[:, 2] = 0
     broken = HopfVCat(h.backend, h.objects, h.homs, h.m, h.u, h.delta, h.eps, [[singular]])
     with pytest.raises(NotInvertible):
@@ -323,7 +348,7 @@ def test_frobenius_mutants_name_the_same_laws_and_entries():
 def test_broken_functor_component_names_the_entry():
     fc = mat_frobenius_example(3, 2)
     comps = [[fc.backend.id(fc.homs[x][y]) for y in range(2)] for x in range(2)]
-    comps[0][1] = comps[0][1].copy()
+    comps[0][1] = np.array(comps[0][1])
     comps[0][1][1, 0] = 2
     fun = VFunctorData(identity_fn(fc.objects), comps)
     assert _failures(check_frobenius_vfunctor(fc, fc, fun)) == {

@@ -1,5 +1,5 @@
 """Source hygiene of src/spanv: no unused imports, no dead private helpers,
-no object-dtype arrays."""
+no object-dtype arrays, no dense Kronecker products or identities."""
 
 import ast
 import re
@@ -59,10 +59,19 @@ def test_every_private_helper_is_referenced():
     assert not dead
 
 
+def _lines_matching(pattern):
+    return ["%s:%d" % (path.relative_to(SRC), number)
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+
+
 def test_no_object_dtype_arrays():
     # every code is an int64: a Python-int array path must not come back
-    found = ["%s:%d" % (path.relative_to(SRC), number)
-             for path in sorted(SRC.rglob("*.py"))
-             for number, line in enumerate(path.read_text().splitlines(), 1)
-             if re.search(r"dtype\s*=\s*object|astype\(\s*object\s*\)", line)]
-    assert not found
+    assert not _lines_matching(r"dtype\s*=\s*object|astype\(\s*object\s*\)")
+
+
+def test_no_dense_kronecker_products_or_identities():
+    # a matrix morphism is stored by its nonzeros; a dense tensor power or
+    # identity must not come back
+    assert not _lines_matching(r"np\.(kron|eye)\b")
