@@ -4,6 +4,8 @@ Enriched instances: group algebras and matrix categories
 
 """
 
+import numpy as np
+
 from spanv.hopfcat import (
     check_frobenius_vcat,
     check_hopf_vcat,
@@ -20,8 +22,8 @@ from spanv.structures import check_frobenius, check_oplax_hopf
 # category with a two dimensional hom object
 h = group_algebra_hopf(2, 2)
 print("hom dimension:", h.homs[0][0])
-print("multiplication component:", h.m[0][0][0].tolist())
-print("comultiplication component:", h.delta[0][0].tolist())
+print("multiplication component:", np.asarray(h.m[0][0][0]).tolist())
+print("comultiplication component:", np.asarray(h.delta[0][0]).tolist())
 report = check_hopf_vcat(h)
 for line in report.lines():
     print(line)

@@ -138,7 +138,8 @@ class VFam:
     list with one object per base element, or None for all unit objects."""
 
     def __init__(self, backend, base, objs=None):
-        assert isinstance(base, FinSet)
+        if not isinstance(base, FinSet):
+            raise ShapeMismatch("a family's base must be a FinSet, got %s" % type(base).__name__)
         if objs is None:
             objs = Column([backend.unit], base.size)
         self.backend = backend

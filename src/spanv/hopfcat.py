@@ -18,7 +18,7 @@ from .cells import (
     try_make_2cell,
     unit_fam,
 )
-from .errors import NotAGroupoid, NotInvertible, NotOverX2, ShapeMismatch
+from .errors import NotAGroupoid, NotInvertible, NotOverX2, OutOfBounds, ShapeMismatch
 from .finset import (
     UNIT,
     FinFn,
@@ -43,7 +43,7 @@ from .structures import (
     morphism_boundaries,
     structure_cell_boundaries,
 )
-from .vbackend import FinSetBackend, MatBackend, TrivialBackend
+from .vbackend import FinSetBackend, MatBackend, TrivialBackend, per_check
 
 # Every field of an enriched category, declared once:
 #   name: (number of object indices of an entry,
@@ -80,7 +80,8 @@ def _nest(flat, n, arity):
     """Row-major entries as nested lists, arity levels deep."""
     rows = list(flat)
     for _ in range(arity - 1):
-        rows = [rows[i:i + n] for i in range(0, len(rows), n)]
+        # n = 0 has no rows; range still needs a nonzero step
+        rows = [rows[i:i + n] for i in range(0, len(rows), max(n, 1))]
     return rows
 
 
@@ -91,30 +92,36 @@ def _tabulate(n, arity, entry):
 
 class _VCat:
     """The homs and the declared fields of an enriched category; every
-    entry of every given field must have the ends FIELDS gives it."""
+    entry of every given field must have the ends FIELDS gives it, and is
+    stored as backend.mor of it."""
 
     fields = ()
     optional = ()
 
     def __init__(self, backend, objects, homs, *tables):
-        assert isinstance(objects, FinSet) and len(objects.shape) == 1
+        if not (isinstance(objects, FinSet) and len(objects.shape) == 1):
+            raise ShapeMismatch("the objects must be a one-axis FinSet, got %r" % (objects,))
         n = objects.size
         self.backend = backend
         self.objects = objects
         self.n = n
         self.homs = homs
         for name, table in zip(self.fields, tables):
-            setattr(self, name, table)
             if table is None and name in self.optional:
+                setattr(self, name, None)
                 continue
             arity, ends, _ = FIELDS[name]
+            entries = []
             for idx, mor in _entries(table, n, arity):
+                mor = backend.mor(mor)
                 dom, cod = ends(homs, backend.tensor_obj, backend.unit, *idx)
                 label = name + "[%d]" * arity % idx
                 if not backend.eq_obj(backend.dom(mor), dom):
                     raise ShapeMismatch("%s has wrong domain" % label)
                 if not backend.eq_obj(backend.cod(mor), cod):
                     raise ShapeMismatch("%s has wrong codomain" % label)
+                entries.append(mor)
+            setattr(self, name, _nest(entries, n, arity))
 
     def __repr__(self):
         return "%s(%r, %d objects)" % (type(self).__name__, self.backend, self.n)
@@ -146,7 +153,9 @@ class VFunctorData:
     """An object map with a component morphism for every hom."""
 
     def __init__(self, obj_map, components):
-        assert isinstance(obj_map, FinFn)
+        if not isinstance(obj_map, FinFn):
+            raise ShapeMismatch("the object map must be a FinFn, got %s"
+                                % type(obj_map).__name__)
         self.obj_map = obj_map
         self.components = components
 
@@ -199,6 +208,7 @@ def _category_laws(v):
     ]
 
 
+@per_check
 def check_semi_hopf_vcat(h):
     """Category laws, a comonoid on every hom, and the compatibility of
     composition and identities with those comonoids."""
@@ -227,6 +237,7 @@ def check_semi_hopf_vcat(h):
     ]))
 
 
+@per_check
 def check_hopf_vcat(h):
     """The semi checks plus the two antipode equations at every hom."""
     assert h.s is not None
@@ -241,6 +252,7 @@ def check_hopf_vcat(h):
     ]))
 
 
+@per_check
 def check_frobenius_vcat(fc):
     """Category and cocategory laws plus both indexed exchange squares."""
     backend, H = fc.backend, fc.homs
@@ -263,6 +275,7 @@ def check_frobenius_vcat(fc):
     ]))
 
 
+@per_check
 def check_frobenius_vfunctor(ca, cb, fun):
     """The four squares: composition, identities, cocomposition and
     coidentities all commute with the components."""
@@ -290,7 +303,8 @@ def mat_frobenius_example(p, max_n):
     matrix product on basis cells, cocomposition sums over a middle
     index and the coidentity reads off the trace.
     """
-    assert max_n >= 1
+    if max_n < 1:
+        raise OutOfBounds("max_n must be at least 1, got %s" % (max_n,))
     size = [x + 1 for x in range(max_n)]
     homs = _tabulate(max_n, 2, lambda x, y: size[x] * size[y])
 
@@ -327,7 +341,8 @@ def group_algebra_hopf(p, order):
     antipode by inversion."""
     backend = MatBackend(prime=p)
     k = int(order)
-    assert k >= 1
+    if k < 1:
+        raise OutOfBounds("group order must be at least 1, got %s" % (order,))
     g = np.arange(k)
     pairs = np.arange(k * k)
     mm = np.zeros((k * k, k), dtype=np.int64)
@@ -562,6 +577,7 @@ def groupoid_structures(G):
             FrobeniusData(bim.monoid, cocomposition))
 
 
+@per_check
 def hopfcat_to_spanv(h):
     """Realize an enriched category over the span layer: composition
     over the composable-pairs span, hom comonoids over the diagonal,
@@ -609,6 +625,7 @@ def vopcat_as_comonoid(fc):
     return frobcat_to_spanv(fc).comonoid
 
 
+@per_check
 def frobcat_to_spanv(fc):
     """Composition monoid plus cocomposition comonoid on the squared
     carrier."""
@@ -618,6 +635,7 @@ def frobcat_to_spanv(fc):
                          ComonoidData(carrier, cells["colcm"], cells["colcu"]))
 
 
+@per_check
 def vfunctor_to_spanv(ha, hb, fun):
     """An enriched functor as a span-layer morphism of the realized
     structures, with all four comparison cells forced by the legs."""

@@ -13,6 +13,7 @@ from ..cells import (
 )
 from ..errors import PasteError
 from ..pasting import _canonical_iso_ex, paste, two_cells_equal
+from ..vbackend import per_check
 
 
 def compose_chain(*cells):
@@ -214,6 +215,7 @@ def _iso_result(name, a, b):
     return AxiomResult(name, cell is not None, info)
 
 
+@per_check
 def check_strict_monoid(mon):
     """Associativity and unit laws, up to the canonical structural bridges."""
     m, j = mon.mlt, mon.uni
@@ -227,6 +229,7 @@ def check_strict_monoid(mon):
     ])
 
 
+@per_check
 def check_strict_comonoid(com):
     d, e = com.lcm, com.lcu
     one = identity_cell(com.carrier)
@@ -239,6 +242,7 @@ def check_strict_comonoid(com):
     ])
 
 
+@per_check
 def check_frobenius(fr):
     """Monoid and comonoid laws plus the two exchange laws."""
     m = fr.monoid.mlt

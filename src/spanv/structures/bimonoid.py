@@ -12,6 +12,7 @@ from ..cells import (
 from ..errors import NotMonic, SpanVError
 from ..pasting import find_unique_2cell
 from ..span import unique_map_to_monic
+from ..vbackend import per_check
 from .base import (
     CheckReport,
     check_strict_comonoid,
@@ -193,6 +194,7 @@ AXIOMS = [
 ]
 
 
+@per_check
 def check_oplax_bimonoid(bim):
     """Strict (co)monoid laws, then the ten structure-cell axioms.
 

@@ -15,6 +15,7 @@ from ..cells import (
 )
 from ..errors import NotBimodule, NotFirm
 from ..pasting import canonical_cell_iso, find_2cells, paste, two_cells_equal
+from ..vbackend import per_check
 from .base import (
     AxiomResult,
     CheckReport,
@@ -72,6 +73,7 @@ def _firmness(bim, ctx):
     return results, alpha, beta
 
 
+@per_check
 def check_oplax_inverse(bim, ctx):
     """Check that a Morita context on the carrier's endo-cells is firm."""
     results, _, _ = _firmness(bim, ctx)
@@ -118,6 +120,7 @@ def antipode_context(bim, antipode):
     return MoritaContextData(one, antipode.s, antipode.tau2, antipode.tau1)
 
 
+@per_check
 def check_oplax_hopf(bim, antipode):
     """Check an antipode: its context on (identity, s) must be firm."""
     for name in ("tau1", "tau2"):
@@ -163,6 +166,7 @@ def _is_bimodule_endo(bim, g):
     return linear is not None and colinear is not None
 
 
+@per_check
 def check_fusion_inverse(bim, candidate, limit=None):
     """Check a candidate oplax inverse of the fusion cell.
 

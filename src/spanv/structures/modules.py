@@ -9,6 +9,7 @@ from ..cells import (
     unit_fam,
 )
 from ..pasting import canonical_cell_iso, paste_with_boundaries
+from ..vbackend import per_check
 from .base import (
     CheckReport,
     OplaxModuleData,
@@ -31,6 +32,7 @@ def module_boundaries(monoid, carrier, rho):
     }
 
 
+@per_check
 def check_oplax_module(monoid, mod):
     """The pentagon-style and triangle-style axioms for an oplax action."""
     m, j = monoid.mlt, monoid.uni

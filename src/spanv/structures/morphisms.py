@@ -7,6 +7,7 @@ from ..cells import (
     tensor_cells,
 )
 from ..pasting import paste_with_boundaries
+from ..vbackend import per_check
 from .base import (
     CheckReport,
     compose_chain,
@@ -52,6 +53,7 @@ def _monoid_rows(mon_a, mon_b, f, phi, phi0):
     ]
 
 
+@per_check
 def check_oplax_monoid_morphism(mon_a, mon_b, f, phi, phi0):
     rows = _monoid_rows(mon_a, mon_b, f, phi, phi0)
     return CheckReport(run_axioms(rows, {"phi": phi, "phi0": phi0}))
@@ -80,11 +82,13 @@ def _comonoid_rows(com_a, com_b, f, psi, psi0):
     ]
 
 
+@per_check
 def check_oplax_comonoid_morphism(com_a, com_b, f, psi, psi0):
     rows = _comonoid_rows(com_a, com_b, f, psi, psi0)
     return CheckReport(run_axioms(rows, {"psi": psi, "psi0": psi0}))
 
 
+@per_check
 def check_oplax_bimonoid_morphism(bim_a, bim_b, morph):
     """A morphism of bimonoids: lax monoidal, oplax comonoidal, and the
     four squares tying the two structures together.
@@ -139,6 +143,7 @@ def check_oplax_bimonoid_morphism(bim_a, bim_b, morph):
     return CheckReport(run_axioms(rows, gens))
 
 
+@per_check
 def check_module_morphism(monoid, mod_x, mod_y, f, phi):
     """A map of modules: phi mediates between acting before or after f."""
     m, j = monoid.mlt, monoid.uni
@@ -162,6 +167,7 @@ def check_module_morphism(monoid, mod_x, mod_y, f, phi):
     return CheckReport(run_axioms(rows, gens))
 
 
+@per_check
 def check_module_transformation(monoid, mod_x, mod_y, morph_f, morph_g, a):
     """a: f => g is modular when the two mediating cells agree across it."""
     _, phi = morph_f

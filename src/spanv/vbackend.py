@@ -5,12 +5,52 @@ identities, diagrammatic composition, tensor, braiding, equality tests
 and hashable keys.  Matrices over a prime field or the boolean semiring,
 finite sets with functions, and a trivial one-object one-morphism
 backend are provided.
+
+While a checker decorated with ``per_check`` runs, the matrix backend
+computes each distinct product, tensor and identity once.
 """
+
+import functools
+from contextvars import ContextVar
 
 import numpy as np
 
 from .errors import InvalidBackend, ShapeMismatch, UnsupportedBackend
 from .finset import UNIT, FinFn, FinSet, compose_fn, identity_fn, swap_fn
+
+
+# operand keys -> result, for the checker running now; None outside one
+_MEMO = ContextVar("spanv_memo", default=None)
+
+
+def per_check(fn):
+    """fn with one memo of matrix products, tensors and identities for
+    the whole call: the outermost decorated call opens it and drops it on
+    return, and the decorated calls it makes share it.  No result is
+    reused from one check to the next."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        if _MEMO.get() is not None:
+            return fn(*args, **kwargs)
+        token = _MEMO.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _MEMO.reset(token)
+
+    return run
+
+
+def _memoised(key, make, *args):
+    """make(*args), computed once per key while a checker runs."""
+    memo = _MEMO.get()
+    if memo is None:
+        return make(*args)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = make(*args)
+    return out
 
 
 class _Backend:
@@ -27,6 +67,9 @@ class TrivialBackend(_Backend):
     """One object, one morphism.  Enrichment in this backend is vacuous."""
 
     unit = ()
+
+    def mor(self, data):
+        return data
 
     def eq_obj(self, a, b):
         return True
@@ -71,15 +114,31 @@ class TrivialBackend(_Backend):
 class NonzeroMatrix:
     """A matrix stored by its nonzeros: its shape, the row-major flat
     positions of its nonzero entries in ascending order, and the int64
-    values there.  The dense table is built only when something reads it
-    as an array."""
+    values there.  Both arrays are made read-only, since a memoised
+    result is shared by every caller.  The key is built on first read
+    and kept; the dense table is built only when something reads the
+    matrix as an array."""
 
-    __slots__ = ("shape", "pos", "vals")
+    __slots__ = ("shape", "pos", "vals", "_key")
 
     def __init__(self, shape, pos, vals):
+        pos.setflags(write=False)
+        vals.setflags(write=False)
         self.shape = shape
         self.pos = pos
         self.vals = vals
+        self._key = None
+
+    @property
+    def key(self):
+        """(shape, position bytes, value bytes), equal exactly when the
+        matrices are.  The arrays then read those bytes, so the matrix is
+        held once."""
+        if self._key is None:
+            pos, vals = self.pos.tobytes(), self.vals.tobytes()
+            self._key = (self.shape, pos, vals)
+            self.pos, self.vals = np.frombuffer(pos, np.int64), np.frombuffer(vals, np.int64)
+        return self._key
 
     @property
     def nbytes(self):
@@ -92,11 +151,19 @@ class NonzeroMatrix:
         return out if dtype is None else out.astype(dtype)
 
 
+# the largest prime p with (p - 1)**2 <= 2**32
+_PRIME_LIMIT = 65537
+
+
 def _one_per_row(cols, width):
     """The 0/1 matrix whose row i holds a single 1, in column cols[i]."""
     n = len(cols)
     return NonzeroMatrix((n, int(width)), np.arange(n, dtype=np.int64) * width + cols,
                          np.ones(n, dtype=np.int64))
+
+
+def _identity(n):
+    return _one_per_row(np.arange(n), n)
 
 
 class MatBackend(_Backend):
@@ -107,8 +174,13 @@ class MatBackend(_Backend):
     tensor pairs basis vectors row-major (the Kronecker product).  A
     morphism is a NonzeroMatrix with values reduced mod p (always 1 over
     the booleans); every operation also accepts a dense 2-D int array and
-    converts it on entry.  Products and tensors touch only nonzeros; their
-    int64 sums are exact while k * (p - 1)**2 stays below 2**63.
+    converts it on entry.  Products and tensors touch only nonzeros.
+
+    The prime is at most 65537, so (p - 1)**2 <= 2**32 and a product's
+    int64 sums of fewer than 2**31 terms are exact.  While a checker
+    decorated with per_check runs, compose, tensor_mor and id look their
+    result up by the operands' keys and compute each distinct one once;
+    outside a checker they compute every call.
     """
 
     unit = 1
@@ -116,6 +188,9 @@ class MatBackend(_Backend):
     def __init__(self, prime=None, boolean=False):
         if (prime is None) == (not boolean):
             raise InvalidBackend("pass a prime or boolean=True")
+        if prime is not None and prime > _PRIME_LIMIT:
+            raise InvalidBackend("prime %r is above %d, past which int64 matrix products "
+                                 "can overflow" % (prime, _PRIME_LIMIT))
         if prime is not None and not (
                 prime >= 2 and all(prime % d for d in range(2, int(prime**0.5) + 1))):
             raise InvalidBackend("modulus %r is not a prime" % (prime,))
@@ -144,15 +219,20 @@ class MatBackend(_Backend):
         return a == b
 
     def eq_mor(self, f, g):
+        if f is g:
+            return True
         f, g = self.mor(f), self.mor(g)
         return (f.shape == g.shape and np.array_equal(f.pos, g.pos)
                 and np.array_equal(f.vals, g.vals))
 
     def id(self, obj):
-        return _one_per_row(np.arange(obj), obj)
+        return _memoised(("id", obj), _identity, obj)
 
     def compose(self, f, g):
         f, g = self.mor(f), self.mor(g)
+        return _memoised(("compose", self.prime, f.key, g.key), self._product, f, g)
+
+    def _product(self, f, g):
         (n, k), m = f.shape, g.shape[1]
         if k != g.shape[0]:
             raise ShapeMismatch("cannot chain %r after %r" % (g.shape, f.shape))
@@ -182,6 +262,9 @@ class MatBackend(_Backend):
 
     def tensor_mor(self, f, g):
         f, g = self.mor(f), self.mor(g)
+        return _memoised(("tensor", self.prime, f.key, g.key), self._kron, f, g)
+
+    def _kron(self, f, g):
         (n1, m1), (n2, m2) = f.shape, g.shape
         # entry (i1 * n2 + i2, j1 * m2 + j2) is f[i1, j1] * g[i2, j2], which
         # is nonzero over a field or the booleans, so nothing is dropped
@@ -204,8 +287,7 @@ class MatBackend(_Backend):
         return f.shape[1]
 
     def mor_key(self, f):
-        f = self.mor(f)
-        return (f.shape, f.pos.tobytes(), f.vals.tobytes())
+        return self.mor(f).key
 
     def obj_key(self, a):
         return a
@@ -229,6 +311,9 @@ class FinSetBackend(_Backend):
     """Finite sets and functions with the cartesian monoidal structure."""
 
     unit = UNIT
+
+    def mor(self, data):
+        return data
 
     def eq_obj(self, a, b):
         return a == b

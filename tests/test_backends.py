@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from spanv.errors import InvalidBackend, ShapeMismatch, UnsupportedBackend
 from spanv.finset import FinFn, FinSet
-from spanv.vbackend import FinSetBackend, MatBackend, TrivialBackend, left_kan_along_function
+from spanv.vbackend import (
+    FinSetBackend,
+    MatBackend,
+    TrivialBackend,
+    left_kan_along_function,
+    per_check,
+)
 
 
 def test_trivial_backend():
@@ -69,6 +75,46 @@ def test_mat_products_are_exact(p, n, k, m, density, f_top, g_top, seed):
 def test_mat_rejects_composite_modulus():
     with pytest.raises(InvalidBackend):
         MatBackend(prime=4)
+
+
+def test_mat_refuses_primes_whose_products_overflow():
+    # 3 * (p - 1)**2 wraps int64 at p = 2**31 - 1 (giving 2147483646, not
+    # 3); p = 65537 is the largest prime with (p - 1)**2 <= 2**32
+    with pytest.raises(InvalidBackend, match="65537"):
+        MatBackend(prime=2**31 - 1)
+    p = 65537
+    be = MatBackend(prime=p)
+    row, col = be.mor([[p - 1] * 3]), be.mor([[p - 1]] * 3)
+    assert np.array_equal(be.compose(row, col), [[3]])
+
+
+def test_memo_lives_for_one_check(monkeypatch):
+    # inside a check each distinct product is computed once and shared;
+    # the next check computes it again, and outside a check every call does
+    be = MatBackend(prime=3)
+    made = []
+    product = MatBackend._product
+    monkeypatch.setattr(MatBackend, "_product",
+                        lambda self, f, g: made.append(1) or product(self, f, g))
+    f, g = be.mor([[1, 2], [0, 1]]), be.mor([[2, 0], [1, 1]])
+
+    def check():
+        return [be.compose(f, g), be.compose(f, g), be.tensor_mor(f, g),
+                be.tensor_mor(f, g), be.id(2), be.id(2)]
+
+    first = per_check(check)()
+    assert len(made) == 1
+    assert first[0] is first[1] and first[2] is first[3] and first[4] is first[5]
+    second = per_check(check)()
+    assert len(made) == 2 and second[0] is not first[0]
+    assert [be.mor_key(m) for m in second] == [be.mor_key(m) for m in first]
+    check()
+    assert len(made) == 4
+    # a shared result refuses in-place writes, before and after its key is read
+    for m in (first[0], first[2], first[4], be.compose(f, g)):
+        for arr in (m.pos, m.vals):
+            with pytest.raises(ValueError):
+                arr[0] = 2
 
 
 def test_mat_mor_reshapes():

@@ -1,14 +1,19 @@
 """Structure files, reports, exit codes and the shipped fixtures."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanv.cli import SCHEMA_VERSION, cmd_check, cmd_demo, load_structure, main, run_checks
 
@@ -232,6 +237,65 @@ def test_matrix_shape_is_validated_by_name(tmp_path, mangle, message):
     assert plain.stderr == optimised.stderr
 
 
+def _json_paths(value, path=()):
+    """The path of every value nested in parsed JSON, the root first."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+# sizes stay small or are 2**62 and up, which no allocation can satisfy, so
+# no mangle allocates much memory
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40),
+    st.sampled_from([2**62, 2**63, 2**64, -2**63 - 1]), st.floats(allow_nan=False),
+    st.text(max_size=4), st.lists(st.integers(-2, 5), max_size=4), st.just({}))
+
+
+@st.composite
+def _mangled_fixture(draw):
+    """A shipped fixture with one value deleted or replaced."""
+    stem = draw(st.sampled_from(("x2-hopf", "mat-frobenius", "corrupted-theta0")))
+    data = json.loads((FIXTURES / ("%s.json" % stem)).read_text())
+    path = draw(st.sampled_from(list(_json_paths(data))[1:]))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_JSON_VALUES)
+    return json.dumps(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mangled_fixture())
+def test_mangled_fixtures_exit_0_1_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mangled.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", path, "--quiet", "--report", os.path.join(tmp, "r.json")])
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=3, deadline=None)
+@given(_mangled_fixture())
+def test_mangled_fixtures_behave_the_same_under_python_O(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mangled.json"
+        path.write_text(text)
+        plain, optimised = _spanv_check(path), _spanv_check(path, "-O")
+    assert plain.returncode in (0, 1, 2) and "Traceback" not in plain.stderr
+    assert (optimised.returncode, optimised.stdout, optimised.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+
+
 def test_reports_match_goldens(tmp_path):
     for stem in ("x2-hopf", "mat-frobenius", "corrupted-theta0"):
         report_path = tmp_path / ("%s-report.json" % stem)
@@ -438,9 +502,11 @@ def _finset_frobcat(n):
 
 def test_enriched_category_files_round_trip():
     from spanv.cli import _backend_to_json, _vcat_to_json
-    from spanv.hopfcat import (HopfVCat, codiscrete_groupoid, cyclic_group_groupoid,
+    from spanv.finset import FinSet
+    from spanv.hopfcat import (FrobVCat, HopfVCat, codiscrete_groupoid, cyclic_group_groupoid,
                                group_algebra_hopf, groupoid_to_hopfcat, hopfcat_data_equal,
                                mat_frobenius_example)
+    from spanv.vbackend import MatBackend
 
     def without_s(h):
         return HopfVCat(h.backend, h.objects, h.homs, h.m, h.u, h.delta, h.eps)
@@ -450,7 +516,8 @@ def test_enriched_category_files_round_trip():
     zp = group_algebra_hopf(3, 3)
     for kind, v in (("hopfcat", finset), ("hopfcat", without_s(finset)),
                     ("hopfcat", cyclic), ("hopfcat", zp), ("hopfcat", without_s(zp)),
-                    ("frobcat", _finset_frobcat(2)), ("frobcat", mat_frobenius_example(3, 2))):
+                    ("frobcat", _finset_frobcat(2)), ("frobcat", mat_frobenius_example(3, 2)),
+                    ("frobcat", FrobVCat(MatBackend(prime=3), FinSet((0,)), [], [], [], [], []))):
         data = {"schema_version": SCHEMA_VERSION, "kind": kind,
                 "backend": _backend_to_json(v.backend)}
         data.update(_vcat_to_json(v))

@@ -1,8 +1,14 @@
 """Hom-indexed enriched categories, groupoids, and the two-way bridges."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from spanv import vbackend
 from spanv.errors import NotAGroupoid, NotInvertible, NotOverX2
 from spanv.finset import FinFn, FinSet, identity_fn
 from spanv.hopfcat import (
@@ -34,7 +40,7 @@ from spanv.structures import (
     check_oplax_bimonoid_morphism,
     check_oplax_hopf,
 )
-from spanv.vbackend import FinSetBackend, MatBackend, NonzeroMatrix
+from spanv.vbackend import FinSetBackend, MatBackend, NonzeroMatrix, per_check
 
 CAT_AXIOMS = ["cat-assoc", "cat-unit-left", "cat-unit-right"]
 HOPF_AXIOMS = CAT_AXIOMS + [
@@ -300,7 +306,7 @@ def _failures(report):
 def _bump(table, index, entry, p):
     """A deep copy of a nested field table with one matrix entry moved by 1 mod p."""
     if not index:
-        out = table.copy()
+        out = np.array(table)
         out[entry] = (out[entry] + 1) % p
         return out
     return [_bump(t, index[1:], entry, p) if i == index[0] else t
@@ -372,3 +378,89 @@ def test_mutated_comultiplication_names_the_entry():
     assert _failures(check_semi_hopf_vcat(bad)) == {
         "local-counit-left": {"at": [0, 0], "diff": {"entry": [1], "this": 2, "other": 1}},
         "mult-comult": {"at": [0, 0, 0], "diff": {"entry": [4], "this": 8, "other": 7}}}
+
+
+def _counting(counts, name):
+    method = getattr(MatBackend, name)
+
+    def count(self, *args):
+        counts[name] += 1
+        return method(self, *args)
+    return count
+
+
+def test_each_check_computes_each_product_once(monkeypatch):
+    # fields are stored in the backend's form, so no call converts them
+    # again; a check computes each distinct product once, and the next
+    # check on the same instance computes them all again
+    h = group_algebra_hopf(3, 4)
+    fields = (h.m[0][0][0], h.u[0], h.delta[0][0], h.eps[0][0], h.s[0][0])
+    assert all(isinstance(f, NonzeroMatrix) for f in fields)
+    counts = {"compose": 0, "_product": 0}
+    for name in counts:
+        monkeypatch.setattr(MatBackend, name, _counting(counts, name))
+    first = check_hopf_vcat(h)
+    once = dict(counts)
+    second = check_hopf_vcat(h)
+    assert 0 < once["_product"] < once["compose"]
+    assert counts == {name: 2 * count for name, count in once.items()}
+    assert [r.as_dict() for r in second.results] == [r.as_dict() for r in first.results]
+    assert vbackend._MEMO.get() is None
+
+
+def test_a_bridge_inside_a_check_shares_its_memo(monkeypatch):
+    memos = []
+    product = MatBackend._product
+    monkeypatch.setattr(MatBackend, "_product",
+                        lambda self, f, g: memos.append(vbackend._MEMO.get()) or product(self, f, g))
+    h = group_algebra_hopf(3, 3)
+    for _ in range(2):
+        hopfcat_to_spanv(h)
+    assert memos and len({id(m) for m in memos}) == 2 and None not in memos
+    memos.clear()
+
+    @per_check
+    def bridged_check():
+        bim, anti = hopfcat_to_spanv(h)
+        bridged = len(memos)
+        hopfcat_to_spanv(h)
+        assert len(memos) == bridged  # every product of the second run is shared
+        return check_oplax_bimonoid(bim).ok and check_oplax_hopf(bim, anti).ok
+
+    assert bridged_check()
+    assert len({id(m) for m in memos}) == 1 and None not in memos
+
+
+_BAD_ARGUMENTS = """
+import numpy as np
+from spanv.cells import VFam
+from spanv.finset import FinSet
+from spanv.hopfcat import HopfVCat, VFunctorData, group_algebra_hopf, mat_frobenius_example
+from spanv.vbackend import FinSetBackend
+for make in (lambda: group_algebra_hopf(3, 0), lambda: group_algebra_hopf(3, -2),
+             lambda: mat_frobenius_example(3, 0),
+             lambda: HopfVCat(FinSetBackend(), FinSet((2, 2)), [], [], [], [], []),
+             lambda: VFunctorData(np.arange(2), []),
+             lambda: VFam(FinSetBackend(), 3)):
+    try:
+        make()
+    except Exception as err:
+        print(type(err).__name__, err)
+"""
+
+
+def test_bad_constructor_arguments_raise_typed_errors_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, *flags, "-c", _BAD_ARGUMENTS], capture_output=True,
+                           text=True, env=env, timeout=60) for flags in ([], ["-O"])]
+    assert runs[0].stdout.splitlines() == [
+        "OutOfBounds group order must be at least 1, got 0",
+        "OutOfBounds group order must be at least 1, got -2",
+        "OutOfBounds max_n must be at least 1, got 0",
+        "ShapeMismatch the objects must be a one-axis FinSet, got FinSet(2, 2)",
+        "ShapeMismatch the object map must be a FinFn, got ndarray",
+        "ShapeMismatch a family's base must be a FinSet, got int",
+    ], runs[0].stderr
+    assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""
