@@ -27,7 +27,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CodMismatch, NegativeSize, OutOfBounds, ShapeMismatch, TableOutOfRange
+from .errors import (
+    CodMismatch,
+    NegativeSize,
+    NotInvertible,
+    OutOfBounds,
+    ShapeMismatch,
+    TableOutOfRange,
+)
 
 # Every element code is an int64; sizes are checked as Python ints before
 # any int64 product.  A set past this bound has no table that fits in memory.
@@ -276,7 +283,9 @@ class FinFn:
 
     def inverse(self):
         """The inverse of a permuting word, again a word."""
-        assert self.permutes()
+        if not self.permutes():
+            raise NotInvertible("inverse needs a word that permutes its factors, got word %r"
+                                % (self.word,))
         word = [0] * len(self.word)
         for t, j in enumerate(self.word):
             word[j] = t

@@ -18,7 +18,14 @@ from .cells import (
     try_make_2cell,
     unit_fam,
 )
-from .errors import NotAGroupoid, NotInvertible, NotOverX2, OutOfBounds, ShapeMismatch
+from .errors import (
+    NotAGroupoid,
+    NotInvertible,
+    NotOverX2,
+    OutOfBounds,
+    SchemaError,
+    ShapeMismatch,
+)
 from .finset import (
     UNIT,
     FinFn,
@@ -240,7 +247,9 @@ def check_semi_hopf_vcat(h):
 @per_check
 def check_hopf_vcat(h):
     """The semi checks plus the two antipode equations at every hom."""
-    assert h.s is not None
+    if h.s is None:
+        raise SchemaError("missing field 's': check_hopf_vcat needs an antipode; "
+                          "check_semi_hopf_vcat checks the rest")
     backend, H = h.backend, h.homs
     m, u, delta, eps, s = h.m, h.u, h.delta, h.eps, h.s
     t, c, iden = backend.tensor_mor, backend.compose, backend.id
@@ -536,6 +545,7 @@ def _leg_forced_cell(src_cell, tgt_cell):
     legs.  Validation failures come back as InvalidCell records."""
     s, u = feet_pairs(src_cell.span, tgt_cell.span)
     forced = np.array_equal(s, np.arange(src_cell.span.apex.size))
+    # cannot fail: on groupoid spans one target element lies over the feet of each source element
     assert forced, "apex map is not forced by the legs"
     return try_make_2cell(src_cell, tgt_cell, u)
 

@@ -102,7 +102,8 @@ def two_cells_equal(x, y):
 def paste(faces):
     """Stack 2-cells top to bottom, bridging adjacent boundaries."""
     faces = list(faces)
-    assert faces
+    if not faces:
+        raise PasteError("nothing to paste: no faces given")
     acc = faces[0]
     for face in faces[1:]:
         if cells_equal(acc.tgt, face.src):

@@ -5,13 +5,10 @@ from ..cells import (
     braiding_cell,
     identity_2cell,
     identity_cell,
-    make_2cell,
     tensor_cells,
     unit_fam,
 )
-from ..errors import NotMonic, SpanVError
 from ..pasting import find_unique_2cell
-from ..span import unique_map_to_monic
 from ..vbackend import per_check
 from .base import (
     CheckReport,
@@ -209,29 +206,12 @@ def check_oplax_bimonoid(bim):
     return CheckReport(results)
 
 
-def _infer_one(src, tgt):
-    try:
-        span_map = unique_map_to_monic(src.span, tgt.span)
-    except NotMonic:
-        return find_unique_2cell(src, tgt)
-    if span_map is None:
-        return None
-    try:
-        return make_2cell(src, tgt, span_map.table)
-    except SpanVError:
-        return None
-
-
 def infer_unique_structure_cells(monoid, comonoid):
-    """Recover (theta, theta0, chi, chi0) when each is forced, else None.
-
-    Uses the unique map into a span with an injective leg where
-    available, falling back to a bounded exhaustive search.
-    """
+    """Recover (theta, theta0, chi, chi0) when each is forced, else None."""
     bounds = structure_cell_boundaries(monoid, comonoid)
     cells = []
     for name in ("theta", "theta0", "chi", "chi0"):
-        cell = _infer_one(*bounds[name])
+        cell = find_unique_2cell(*bounds[name])
         if cell is None:
             return None
         cells.append(cell)

@@ -85,12 +85,13 @@ def morita_uniqueness_iso(bim, ctx1, ctx2):
 
     Returns (phi, psi), mutually inverse 2-cells between the two q
     1-cells, built from the inverses guaranteed by firmness.  Raises
-    NotFirm if a required inverse does not exist.
+    NotFirm naming the first law that fails if a context is not firm.
     """
-    _, alpha1, beta1 = _firmness(bim, ctx1)
-    _, alpha2, beta2 = _firmness(bim, ctx2)
-    if alpha1 is None or beta1 is None or alpha2 is None or beta2 is None:
-        raise NotFirm("a defining composite is not invertible")
+    results1, alpha1, beta1 = _firmness(bim, ctx1)
+    results2, alpha2, beta2 = _firmness(bim, ctx2)
+    failed = [r.name for r in results1 + results2 if not r.ok]
+    if failed:
+        raise NotFirm("%s fails" % failed[0])
     id_q1 = identity_2cell(ctx1.q)
     id_q2 = identity_2cell(ctx2.q)
 
@@ -109,6 +110,7 @@ def morita_uniqueness_iso(bim, ctx1, ctx2):
     ])
     ok1, info1 = two_cells_equal(paste([phi, psi]), id_q1)
     ok2, info2 = two_cells_equal(paste([psi, phi]), id_q2)
+    # cannot fail: both contexts are firm, and firm inverses are unique up to phi and psi
     assert ok1, info1
     assert ok2, info2
     return phi, psi
@@ -131,10 +133,9 @@ def check_oplax_hopf(bim, antipode):
 
 
 def fusion_cell(bim):
-    """(1 x lcm) then (mlt x 1) on the doubled carrier."""
-    one = identity_cell(bim.monoid.carrier)
-    return compose_chain(
-        tensor_chain(one, bim.comonoid.lcm), tensor_chain(bim.monoid.mlt, one))
+    """(1 x lcm) then (mlt x 1) on the doubled carrier: the identity
+    carried across by convolution_to_endo."""
+    return convolution_to_endo(bim, identity_cell(bim.monoid.carrier))
 
 
 def convolution_to_endo(bim, f):

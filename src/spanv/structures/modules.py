@@ -8,6 +8,7 @@ from ..cells import (
     tensor_fams,
     unit_fam,
 )
+from ..errors import PasteError
 from ..pasting import canonical_cell_iso, paste_with_boundaries
 from ..vbackend import per_check
 from .base import (
@@ -63,7 +64,9 @@ def regular_module(monoid):
         compose_chain(tensor_chain(one, m), m),
         compose_chain(tensor_chain(m, one), m))
     xi0 = canonical_cell_iso(compose_chain(tensor_chain(one, j), m), one)
-    assert xi is not None and xi0 is not None
+    if xi is None or xi0 is None:
+        raise PasteError("the monoid is not strictly %s: no canonical cell for %s"
+                         % (("associative", "xi") if xi is None else ("unital", "xi0")))
     return OplaxModuleData(monoid.carrier, m, xi, xi0)
 
 
@@ -74,6 +77,17 @@ def unit_module(bim):
     unit = unit_fam(bim.monoid.carrier.backend)
     src, tgt = module_boundaries(bim.monoid, unit, e)["xi"]
     return OplaxModuleData(unit, e, paste_with_boundaries(src, [bim.chi], tgt), bim.chi0)
+
+
+def _tensor_action(bim, modx, mody):
+    """The action on X x Y over a bimonoid: (share, rho), where share is
+    (1 x 1 x lcm) then (1 x s x 1) and rho follows it with (rho_X x rho_Y)."""
+    carrier = bim.monoid.carrier
+    one_x = identity_cell(modx.carrier)
+    share = compose_chain(
+        tensor_chain(one_x, identity_cell(mody.carrier), bim.comonoid.lcm),
+        tensor_chain(one_x, braiding_cell(mody.carrier, carrier), identity_cell(carrier)))
+    return share, compose_chain(share, tensor_chain(modx.rho, mody.rho))
 
 
 def tensor_modules(bim, modx, mody):
@@ -89,11 +103,8 @@ def tensor_modules(bim, modx, mody):
     one_y = identity_cell(mody.carrier)
     d = bim.comonoid.lcm
     xy = tensor_fams(modx.carrier, mody.carrier)
+    _, rho = _tensor_action(bim, modx, mody)
     s_ym = braiding_cell(mody.carrier, carrier)
-    rho = compose_chain(
-        tensor_chain(one_x, one_y, d),
-        tensor_chain(one_x, s_ym, one_m),
-        tensor_chain(modx.rho, mody.rho))
     tail = compose_chain(
         tensor_chain(one_x, s_ym, one_m), tensor_chain(modx.rho, mody.rho))
     id2_xy = identity_2cell(identity_cell(xy))

@@ -1,11 +1,6 @@
-"""Oplax morphisms: between monoids, comonoids, bimonoids and modules."""
+"""Oplax morphisms of bimonoids and of modules."""
 
-from ..cells import (
-    braiding_cell,
-    identity_2cell,
-    identity_cell,
-    tensor_cells,
-)
+from ..cells import identity_2cell, identity_cell, tensor_cells
 from ..pasting import paste_with_boundaries
 from ..vbackend import per_check
 from .base import (
@@ -16,6 +11,8 @@ from .base import (
     tensor_2chain,
     tensor_chain,
 )
+from .bimonoid import _Parts
+from .modules import _tensor_action
 
 
 def morphism_boundaries(bim_a, bim_b, f):
@@ -30,62 +27,42 @@ def morphism_boundaries(bim_a, bim_b, f):
     }
 
 
-def _monoid_rows(mon_a, mon_b, f, phi, phi0):
+def _monoid_rows(pa, pb, id2_f, phi, phi0):
     """Compatibility of a lax structure on f with the two multiplications."""
-    ma, ja = mon_a.mlt, mon_a.uni
-    mb = mon_b.mlt
-    one_a = identity_cell(mon_a.carrier)
-    id2_f = identity_2cell(f)
     return [
         ("monoid-assoc", ("phi",), lambda: (
-            [framed(phi, pre=tensor_chain(one_a, ma)),
-             framed(tensor_2chain(id2_f, phi), post=mb)],
-            [framed(phi, pre=tensor_chain(ma, one_a)),
-             framed(tensor_2chain(phi, id2_f), post=mb)])),
+            [framed(phi, pre=tensor_chain(pa.one, pa.m)),
+             framed(tensor_2chain(id2_f, phi), post=pb.m)],
+            [framed(phi, pre=tensor_chain(pa.m, pa.one)),
+             framed(tensor_2chain(phi, id2_f), post=pb.m)])),
         ("monoid-unit-left", ("phi", "phi0"), lambda: (
-            [framed(phi, pre=tensor_chain(ja, one_a)),
-             framed(tensor_2chain(phi0, id2_f), post=mb)],
+            [framed(phi, pre=tensor_chain(pa.j, pa.one)),
+             framed(tensor_2chain(phi0, id2_f), post=pb.m)],
             [id2_f])),
         ("monoid-unit-right", ("phi", "phi0"), lambda: (
-            [framed(phi, pre=tensor_chain(one_a, ja)),
-             framed(tensor_2chain(id2_f, phi0), post=mb)],
+            [framed(phi, pre=tensor_chain(pa.one, pa.j)),
+             framed(tensor_2chain(id2_f, phi0), post=pb.m)],
             [id2_f])),
     ]
 
 
-@per_check
-def check_oplax_monoid_morphism(mon_a, mon_b, f, phi, phi0):
-    rows = _monoid_rows(mon_a, mon_b, f, phi, phi0)
-    return CheckReport(run_axioms(rows, {"phi": phi, "phi0": phi0}))
-
-
-def _comonoid_rows(com_a, com_b, f, psi, psi0):
+def _comonoid_rows(pa, pb, id2_f, psi, psi0):
     """Compatibility of an oplax structure on f with the comultiplications."""
-    da = com_a.lcm
-    db, eb = com_b.lcm, com_b.lcu
-    one_b = identity_cell(com_b.carrier)
-    id2_f = identity_2cell(f)
     return [
         ("comonoid-coassoc", ("psi",), lambda: (
-            [framed(tensor_2chain(id2_f, psi), pre=da),
-             framed(psi, post=tensor_chain(one_b, db))],
-            [framed(tensor_2chain(psi, id2_f), pre=da),
-             framed(psi, post=tensor_chain(db, one_b))])),
+            [framed(tensor_2chain(id2_f, psi), pre=pa.d),
+             framed(psi, post=tensor_chain(pb.one, pb.d))],
+            [framed(tensor_2chain(psi, id2_f), pre=pa.d),
+             framed(psi, post=tensor_chain(pb.d, pb.one))])),
         ("comonoid-counit-left", ("psi0", "psi"), lambda: (
-            [framed(tensor_2chain(psi0, id2_f), pre=da),
-             framed(psi, post=tensor_chain(eb, one_b))],
+            [framed(tensor_2chain(psi0, id2_f), pre=pa.d),
+             framed(psi, post=tensor_chain(pb.e, pb.one))],
             [id2_f])),
         ("comonoid-counit-right", ("psi0", "psi"), lambda: (
-            [framed(tensor_2chain(id2_f, psi0), pre=da),
-             framed(psi, post=tensor_chain(one_b, eb))],
+            [framed(tensor_2chain(id2_f, psi0), pre=pa.d),
+             framed(psi, post=tensor_chain(pb.one, pb.e))],
             [id2_f])),
     ]
-
-
-@per_check
-def check_oplax_comonoid_morphism(com_a, com_b, f, psi, psi0):
-    rows = _comonoid_rows(com_a, com_b, f, psi, psi0)
-    return CheckReport(run_axioms(rows, {"psi": psi, "psi0": psi0}))
 
 
 @per_check
@@ -98,19 +75,10 @@ def check_oplax_bimonoid_morphism(bim_a, bim_b, morph):
     """
     f, phi, phi0 = morph.f, morph.phi, morph.phi0
     psi, psi0 = morph.psi, morph.psi0
-    ma, ja = bim_a.monoid.mlt, bim_a.monoid.uni
-    da = bim_a.comonoid.lcm
-    mb = bim_b.monoid.mlt
-    db, eb = bim_b.comonoid.lcm, bim_b.comonoid.lcu
-    one_a = identity_cell(bim_a.monoid.carrier)
-    one_b = identity_cell(bim_b.monoid.carrier)
-    sga = braiding_cell(bim_a.monoid.carrier, bim_a.monoid.carrier)
-    sgb = braiding_cell(bim_b.monoid.carrier, bim_b.monoid.carrier)
+    pa = _Parts(bim_a.monoid, bim_a.comonoid)
+    pb = _Parts(bim_b.monoid, bim_b.comonoid)
     ff = tensor_cells(f, f)
-    share_a = compose_chain(
-        tensor_chain(da, da), tensor_chain(one_a, sga, one_a))
-    mix_b = compose_chain(
-        tensor_chain(one_b, sgb, one_b), tensor_chain(mb, mb))
+    id2_f = identity_2cell(f)
     gens = {
         "phi": phi, "phi0": phi0, "psi": psi, "psi0": psi0,
         "theta[src]": bim_a.theta, "theta0[src]": bim_a.theta0,
@@ -118,27 +86,27 @@ def check_oplax_bimonoid_morphism(bim_a, bim_b, morph):
         "theta[tgt]": bim_b.theta, "theta0[tgt]": bim_b.theta0,
         "chi[tgt]": bim_b.chi, "chi0[tgt]": bim_b.chi0,
     }
-    rows = _monoid_rows(bim_a.monoid, bim_b.monoid, f, phi, phi0)
-    rows += _comonoid_rows(bim_a.comonoid, bim_b.comonoid, f, psi, psi0)
+    rows = _monoid_rows(pa, pb, id2_f, phi, phi0)
+    rows += _comonoid_rows(pa, pb, id2_f, psi, psi0)
     rows += [
         ("mult-comult", ("theta[src]", "phi", "psi", "theta[tgt]"), lambda: (
             [framed(bim_a.theta, post=ff),
-             framed(tensor_2chain(phi, phi), pre=share_a),
-             framed(tensor_2chain(psi, psi), post=mix_b)],
-            [framed(psi, pre=ma),
-             framed(phi, post=db),
+             framed(tensor_2chain(phi, phi), pre=pa.share),
+             framed(tensor_2chain(psi, psi), post=pb.mix)],
+            [framed(psi, pre=pa.m),
+             framed(phi, post=pb.d),
              framed(bim_b.theta, pre=ff)])),
         ("unit-comult", ("theta0[src]", "phi0", "psi", "theta0[tgt]"), lambda: (
             [framed(bim_a.theta0, post=ff), tensor_2chain(phi0, phi0)],
-            [framed(psi, pre=ja), framed(phi0, post=db), bim_b.theta0])),
+            [framed(psi, pre=pa.j), framed(phi0, post=pb.d), bim_b.theta0])),
         ("mult-counit", ("chi[src]", "psi0", "phi", "chi[tgt]"), lambda: (
             [bim_a.chi, tensor_2chain(psi0, psi0)],
-            [framed(psi0, pre=ma),
-             framed(phi, post=eb),
+            [framed(psi0, pre=pa.m),
+             framed(phi, post=pb.e),
              framed(bim_b.chi, pre=ff)])),
         ("unit-counit", ("chi0[src]", "psi0", "phi0", "chi0[tgt]"), lambda: (
             [bim_a.chi0],
-            [framed(psi0, pre=ja), framed(phi0, post=eb), bim_b.chi0])),
+            [framed(psi0, pre=pa.j), framed(phi0, post=pb.e), bim_b.chi0])),
     ]
     return CheckReport(run_axioms(rows, gens))
 
@@ -184,24 +152,11 @@ def tensor_module_morphism(bim, mod_x, mod_z, mod_y, mod_u, morph_f, morph_g):
     cell shares the acting factor, then runs the two squares side by side."""
     f, phi = morph_f
     g, psi = morph_g
-    d = bim.comonoid.lcm
-    carrier = bim.monoid.carrier
-    one_m = identity_cell(carrier)
-    one_x = identity_cell(mod_x.carrier)
-    one_y = identity_cell(mod_y.carrier)
-    one_z = identity_cell(mod_z.carrier)
-    one_u = identity_cell(mod_u.carrier)
-    share_src = compose_chain(
-        tensor_chain(one_x, one_z, d),
-        tensor_chain(one_x, braiding_cell(mod_z.carrier, carrier), one_m))
-    rho_src = compose_chain(share_src, tensor_chain(mod_x.rho, mod_z.rho))
-    share_tgt = compose_chain(
-        tensor_chain(one_y, one_u, d),
-        tensor_chain(one_y, braiding_cell(mod_u.carrier, carrier), one_m))
-    rho_tgt = compose_chain(share_tgt, tensor_chain(mod_y.rho, mod_u.rho))
+    share_src, rho_src = _tensor_action(bim, mod_x, mod_z)
+    _, rho_tgt = _tensor_action(bim, mod_y, mod_u)
     fg = tensor_cells(f, g)
     tau = paste_with_boundaries(
         compose_chain(rho_src, fg),
         [framed(tensor_2chain(phi, psi), pre=share_src)],
-        compose_chain(tensor_chain(f, g, one_m), rho_tgt))
+        compose_chain(tensor_chain(f, g, identity_cell(bim.monoid.carrier)), rho_tgt))
     return fg, tau

@@ -377,7 +377,8 @@ def left_kan_along_function(backend, g, objs):
     the list of block injections indexed by S.  Dimension-like invariants
     add up fibrewise.
     """
-    assert len(objs) == g.dom.size
+    if len(objs) != g.dom.size:
+        raise ShapeMismatch("%d objects for a domain of %d elements" % (len(objs), g.dom.size))
     fibres = [[] for _ in range(g.cod.size)]
     for s, y in enumerate(g.table):
         fibres[int(y)].append(s)

@@ -1,6 +1,8 @@
 """Enrichment backends and the pushforward along a function."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,3 +204,24 @@ def test_kan_over_finset_backend():
     assert np.array_equal(injs[0].table, [0, 1])
     assert np.array_equal(injs[2].table, [2])
     assert np.array_equal(injs[1].table, [0, 1, 2])
+
+
+def test_kan_family_length_is_checked_under_python_O():
+    # python -O strips asserts; a family that does not match the domain is
+    # a typed error naming both lengths, not a dropped object or an IndexError
+    script = (
+        "from spanv.finset import FinFn, FinSet\n"
+        "from spanv.vbackend import MatBackend, left_kan_along_function\n"
+        "g = FinFn(FinSet((3,)), FinSet((2,)), [0, 1, 1])\n"
+        "for objs in ([1, 2, 3, 4], [1, 2]):\n"
+        "    try:\n"
+        "        print(left_kan_along_function(MatBackend(prime=3), g, objs)[0])\n"
+        "    except Exception as err:\n"
+        "        print(type(err).__name__, err)\n")
+    runs = [subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                           text=True, timeout=60) for flags in ([], ["-O"])]
+    assert runs[0].stdout.splitlines() == [
+        "ShapeMismatch 4 objects for a domain of 3 elements",
+        "ShapeMismatch 2 objects for a domain of 3 elements",
+    ], runs[0].stderr
+    assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""

@@ -465,7 +465,9 @@ def test_input_checks_hold_under_python_O():
         "                lambda: SubsetApex(a, a, []).position_of([0]),\n"
         "                lambda: reindex_fn(sub, a, (0,)),\n"
         "                lambda: Span(a, FinSet((3,)), a, leg, leg),\n"
-        "                lambda: Span(a, a, FinSet((3,)), leg, leg)):\n"
+        "                lambda: Span(a, a, FinSet((3,)), leg, leg),\n"
+        "                lambda: FinFn(a, FinSet((2, 2)), word=[0, 0]).inverse(),\n"
+        "                lambda: FinFn(a, a, [1, 0]).inverse()):\n"
         "    try:\n"
         "        attempt()\n"
         "    except SpanVError as err:\n"
@@ -478,9 +480,10 @@ def test_input_checks_hold_under_python_O():
     assert lines[0] == lines[1]
     assert [line.split(" | ")[0] for line in lines[0]] == [
         "ShapeMismatch", "TableOutOfRange", "TableOutOfRange", "ShapeMismatch",
-        "FeetMismatch", "FeetMismatch"]
+        "FeetMismatch", "FeetMismatch", "NotInvertible", "NotInvertible"]
     assert "width" not in lines[0][0] and "(3,)" in lines[0][0]
     assert "pair code 3 is not a member" in lines[0][1]
     assert "0 of 4" in lines[0][2]
     assert "left leg starts at FinSet(2,)" in lines[0][4]
     assert "right leg ends at FinSet(2,)" in lines[0][5]
+    assert lines[0][6].endswith("got word (0, 0)") and lines[0][7].endswith("got word None")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spanv import vbackend
+from spanv.cells import InvalidCell
 from spanv.errors import NotAGroupoid, NotInvertible, NotOverX2
 from spanv.finset import FinFn, FinSet, identity_fn
 from spanv.hopfcat import (
@@ -39,6 +40,7 @@ from spanv.structures import (
     check_oplax_bimonoid,
     check_oplax_bimonoid_morphism,
     check_oplax_hopf,
+    infer_unique_structure_cells,
 )
 from spanv.vbackend import FinSetBackend, MatBackend, NonzeroMatrix, per_check
 
@@ -464,3 +466,44 @@ def test_bad_constructor_arguments_raise_typed_errors_under_python_O():
         "ShapeMismatch a family's base must be a FinSet, got int",
     ], runs[0].stderr
     assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""
+
+
+_HOPF_WITHOUT_ANTIPODE = """
+from spanv.cli import run_checks
+from spanv.hopfcat import HopfVCat, check_hopf_vcat, group_algebra_hopf
+h = group_algebra_hopf(3, 2)
+semi = HopfVCat(h.backend, h.objects, h.homs, h.m, h.u, h.delta, h.eps)
+try:
+    check_hopf_vcat(semi)
+except Exception as err:
+    print(type(err).__name__, err)
+print(run_checks("hopfcat", semi).ok, len(run_checks("hopfcat", semi).results))
+"""
+
+
+def test_hopf_check_without_antipode_names_the_field_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, *flags, "-c", _HOPF_WITHOUT_ANTIPODE],
+                           capture_output=True, text=True, env=env, timeout=60)
+            for flags in ([], ["-O"])]
+    # the CLI still routes such a structure to the semi-Hopf laws
+    assert runs[0].stdout.splitlines() == [
+        "SchemaError missing field 's': check_hopf_vcat needs an antipode; "
+        "check_semi_hopf_vcat checks the rest",
+        "True %d" % len(check_semi_hopf_vcat(group_algebra_hopf(3, 2)).results),
+    ], runs[0].stderr
+    assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""
+
+
+def test_inference_returns_none_when_a_cell_is_not_forced():
+    # one extra nonzero in delta breaks the grouplike comultiplication, so
+    # the bridged theta fails validation and no theta cell is forced
+    h = group_algebra_hopf(3, 3)
+    delta = np.asarray(h.backend.mor(h.delta[0][0])).copy()
+    delta[2, 0] = (delta[2, 0] + 1) % 3
+    bad = HopfVCat(h.backend, h.objects, h.homs, h.m, h.u, [[delta]], h.eps, h.s)
+    bim, _ = hopfcat_to_spanv(bad)
+    assert isinstance(bim.theta, InvalidCell)
+    assert infer_unique_structure_cells(bim.monoid, bim.comonoid) is None

@@ -1,5 +1,5 @@
-"""Source hygiene of src/spanv: no unused imports, no dead private helpers,
-no object-dtype arrays, no dense Kronecker products or identities."""
+"""Source hygiene of src/spanv: no unused imports, no dead helpers, no
+object-dtype arrays, no dense Kronecker products or identities."""
 
 import ast
 import re
@@ -75,3 +75,25 @@ def test_no_dense_kronecker_products_or_identities():
     # a matrix morphism is stored by its nonzeros; a dense tensor power or
     # identity must not come back
     assert not _lines_matching(r"np\.(kron|eye)\b")
+
+
+def test_every_public_name_is_referenced():
+    # a public function or class that only its definition and the package
+    # re-exports mention is code nothing calls
+    root = SRC.parent.parent
+    modules = {path: tree for path, tree in _modules().items() if path.name != "__init__.py"}
+    used = set()
+    for directory in ("tests", "demos"):
+        for path in sorted((root / directory).rglob("*.py")):
+            used |= _used_names(ast.parse(path.read_text(), str(path)))
+    uses = [(node, _used_names(node)) for tree in modules.values() for node in tree.body]
+    unreferenced = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in used or any(node.name in names
+                                        for other, names in uses if other is not node):
+                continue
+            unreferenced.append("%s: %s" % (path.relative_to(SRC), node.name))
+    assert not unreferenced

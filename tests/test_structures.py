@@ -1,5 +1,8 @@
 """Bimonoid, Hopf, Frobenius, module and morphism checkers on pair carriers."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -577,3 +580,43 @@ def test_product_forms_give_the_tabulated_reports(n, monkeypatch):
     assert any("FAIL" in line for line in lazy)
     _tabulating(monkeypatch)
     assert report_lines() == lazy
+
+
+_PASTE_AND_MODULE_INPUTS = """
+from spanv.cells import VCell1, VFam, tensor_fams, unit_fam
+from spanv.finset import UNIT, FinFn, FinSet, identity_fn
+from spanv.pasting import paste
+from spanv.span import Span
+from spanv.structures import MonoidData, regular_module
+from spanv.vbackend import TrivialBackend
+tb = TrivialBackend()
+m, mm = FinSet((2,)), FinSet((2, 2))
+carrier = VFam(tb, m)
+uni = VCell1(unit_fam(tb), carrier,
+             Span(UNIT, UNIT, m, identity_fn(UNIT), FinFn(UNIT, m, [0])), None)
+
+def monoid(table):
+    mlt = VCell1(tensor_fams(carrier, carrier), carrier,
+                 Span(mm, mm, m, identity_fn(mm), FinFn(mm, m, table)), None)
+    return MonoidData(carrier, mlt, uni)
+
+# nand is not associative; the constant 0 is associative but has no unit
+for attempt in (lambda: paste([]), lambda: regular_module(monoid([1, 1, 1, 0])),
+                lambda: regular_module(monoid([0, 0, 0, 0]))):
+    try:
+        attempt()
+    except Exception as err:
+        print(type(err).__name__, err)
+"""
+
+
+def test_empty_paste_and_irregular_monoids_are_typed_under_python_O():
+    runs = [subprocess.run([sys.executable, *flags, "-c", _PASTE_AND_MODULE_INPUTS],
+                           capture_output=True, text=True, timeout=60)
+            for flags in ([], ["-O"])]
+    assert runs[0].stdout.splitlines() == [
+        "PasteError nothing to paste: no faces given",
+        "PasteError the monoid is not strictly associative: no canonical cell for xi",
+        "PasteError the monoid is not strictly unital: no canonical cell for xi0",
+    ], runs[0].stderr
+    assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""
