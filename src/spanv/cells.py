@@ -98,7 +98,9 @@ class Column:
 
     def zip_with(self, other, fn, key=None):
         """Entry i is fn(self[i], other[i])."""
-        assert self.size == other.size
+        if self.size != other.size:
+            raise ShapeMismatch("cannot pair a column of %d entries with one of %d"
+                                % (self.size, other.size))
         width = len(other.values)
         return self._pairs(other, self.size, fn, key,
                            lambda: self._dense() * width + other._dense())
@@ -205,12 +207,13 @@ class VCell1:
 
 
 def cells_equal(a, b):
-    """Literal equality of 1-cells: same families, same span, same components."""
+    """Literal equality of 1-cells: same span, same families, same components."""
     if a is b:
         return True
-    if not fams_equal(a.dom, b.dom) or not fams_equal(a.cod, b.cod):
-        return False
+    # unequal 1-cells mostly differ in their spans: test those first
     if a.span != b.span:
+        return False
+    if not fams_equal(a.dom, b.dom) or not fams_equal(a.cod, b.cod):
         return False
     return a.alphas.all_equal(b.alphas, a.backend.eq_mor)
 
@@ -345,7 +348,7 @@ def vcompose_2cells(x, y):
     """First x, then y, down the page."""
     if not cells_equal(x.tgt, y.src):
         raise BoundaryMismatch("middle boundaries differ")
-    return VCell2(x.src, y.tgt, y.u[x.u])
+    return VCell2(x.src, y.tgt, compose_fn(x.apex_map, y.apex_map))
 
 
 def _pair_positions(comp, left, right):

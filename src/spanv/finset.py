@@ -363,9 +363,13 @@ def identity_fn(x):
 
 
 def compose_fn(f, g):
-    """First f, then g."""
+    """First f, then g.  An identity word is absorbed on either side."""
     if f.cod != g.dom:
         raise CodMismatch("cannot chain %r after %r" % (g, f))
+    if f.word is not None and f.word == tuple(range(len(f.dom.shape))):
+        return g
+    if g.word is not None and g.word == tuple(range(len(g.dom.shape))):
+        return f
     if f.word is not None and g.word is not None:
         return FinFn(f.dom, g.cod, word=[f.word[j] for j in g.word])
     if (f.factors is not None and g.factors is not None

@@ -5,8 +5,8 @@ canonically isomorphic apexes.  The canonical isomorphism matches apex
 elements by their signature: left leg value, right leg value and
 component morphism.  Ties are broken by ascending apex code on both
 sides, which keeps the choice deterministic.  paste() stacks a list of
-2-cells vertically, inserting these bridges wherever adjacent
-boundaries agree only up to isomorphism.
+2-cells vertically, bridging every pair of adjacent boundaries, and
+composes their apex maps as FinFns, so a word or product map stays lazy.
 """
 
 import itertools
@@ -15,6 +15,7 @@ import numpy as np
 
 from .cells import VCell2, cells_equal, fams_equal, identity_2cell, make_2cell
 from .errors import OutOfBounds, PasteError
+from .finset import compose_fn, identity_fn
 from .span import feet_pairs, match_by_signature
 
 
@@ -65,6 +66,15 @@ def canonical_cell_iso(a, b):
     return cell
 
 
+def _bridge(a, b):
+    """The apex map of the canonical isomorphism a => b, the identity when
+    the two 1-cells are equal: (map, None), or (None, why not)."""
+    if cells_equal(a, b):
+        return identity_fn(a.span.apex), None
+    iso, info = _canonical_iso_ex(a, b)
+    return (None, info) if iso is None else (iso.apex_map, None)
+
+
 def two_cells_equal(x, y):
     """Compare two 2-cells through the canonical boundary bridges.
 
@@ -72,30 +82,22 @@ def two_cells_equal(x, y):
     whose images disagree, or explains why the boundaries cannot be
     bridged at all.
     """
-    if cells_equal(x.src, y.src) and cells_equal(x.tgt, y.tgt):
-        if np.array_equal(x.u, y.u):
-            return True, None
-        s = int(np.nonzero(x.u != y.u)[0][0])
-        return False, {
-            "element": x.src.span.apex.decode(np.array([s]))[0].tolist(),
-            "this": x.tgt.span.apex.decode(np.array([int(x.u[s])]))[0].tolist(),
-            "other": y.tgt.span.apex.decode(np.array([int(y.u[s])]))[0].tolist(),
-        }
-    ia, info_a = _canonical_iso_ex(x.src, y.src)
+    ia, info = _bridge(x.src, y.src)
     if ia is None:
-        return False, {"reason": "sources not isomorphic", "detail": info_a}
-    ib, info_b = _canonical_iso_ex(x.tgt, y.tgt)
+        return False, {"reason": "sources not isomorphic", "detail": info}
+    ib, info = _bridge(x.tgt, y.tgt)
     if ib is None:
-        return False, {"reason": "targets not isomorphic", "detail": info_b}
-    lhs = ib.u[x.u]
-    rhs = y.u[ia.u]
-    if np.array_equal(lhs, rhs):
+        return False, {"reason": "targets not isomorphic", "detail": info}
+    lhs = compose_fn(x.apex_map, ib)
+    rhs = compose_fn(ia, y.apex_map)
+    s = lhs.first_difference(rhs)
+    if s is None:
         return True, None
-    s = int(np.nonzero(lhs != rhs)[0][0])
+    at = np.array([s])
     return False, {
-        "element": x.src.span.apex.decode(np.array([s]))[0].tolist(),
-        "this": y.tgt.span.apex.decode(np.array([int(lhs[s])]))[0].tolist(),
-        "other": y.tgt.span.apex.decode(np.array([int(rhs[s])]))[0].tolist(),
+        "element": x.src.span.apex.decode(at)[0].tolist(),
+        "this": y.tgt.span.apex.decode(lhs.at(at))[0].tolist(),
+        "other": y.tgt.span.apex.decode(rhs.at(at))[0].tolist(),
     }
 
 
@@ -106,15 +108,11 @@ def paste(faces):
         raise PasteError("nothing to paste: no faces given")
     acc = faces[0]
     for face in faces[1:]:
-        if cells_equal(acc.tgt, face.src):
-            u = face.u[acc.u]
-        else:
-            bridge, info = _canonical_iso_ex(acc.tgt, face.src)
-            if bridge is None:
-                raise PasteError("adjacent boundaries cannot be bridged",
-                                 acc.tgt, face.src, info)
-            u = face.u[bridge.u[acc.u]]
-        acc = VCell2(acc.src, face.tgt, u)
+        bridge, info = _bridge(acc.tgt, face.src)
+        if bridge is None:
+            raise PasteError("adjacent boundaries cannot be bridged", acc.tgt, face.src, info)
+        acc = VCell2(acc.src, face.tgt,
+                     compose_fn(compose_fn(acc.apex_map, bridge), face.apex_map))
     return acc
 
 

@@ -11,12 +11,12 @@ interchange on A x A x A x A costs nothing until a pullback evaluates it
 on the points of the other span.  Any other tensor product keeps its
 legs as products of the factors' legs over an implicit product apex, so
 a composite with it joins one factor at a time and its full table is
-never built.
+never built.  A map of spans is given by its apex map, a ``FinFn``.
 """
 
 import numpy as np
 
-from .errors import FeetMismatch, NotMonic, TriangleViolation
+from .errors import FeetMismatch, NotMonic
 from .finset import (
     FinFn,
     FinSet,
@@ -121,30 +121,6 @@ def span_legs_bijective(s):
     return s.f.is_bijective() and s.g.is_bijective()
 
 
-class SpanMap:
-    """A map of spans: an apex map commuting with both legs."""
-
-    def __init__(self, src, tgt, table):
-        if src.left != tgt.left or src.right != tgt.right:
-            raise FeetMismatch("span map needs equal feet")
-        table = np.asarray(table, dtype=np.int64)
-        FinFn(src.apex, tgt.apex, table)  # rejects out-of-range entries
-        for side, leg, image in (("left", src.f, tgt.f.at(table)),
-                                 ("right", src.g, tgt.g.at(table))):
-            if not np.array_equal(image, leg.table):
-                bad = int(np.nonzero(image != leg.table)[0][0])
-                raise TriangleViolation("%s triangle fails at apex element %d" % (side, bad))
-        self.src = src
-        self.tgt = tgt
-        self.table = table
-
-    def is_bijective(self):
-        return FinFn(self.src.apex, self.tgt.apex, self.table).is_bijective()
-
-    def __repr__(self):
-        return "SpanMap(%r => %r)" % (self.src, self.tgt)
-
-
 def match_by_signature(cols1, cols2):
     """Greedy bijection between two lists of rows with equal multisets.
 
@@ -185,7 +161,8 @@ def feet_pairs(s1, s2):
 
 
 def spans_isomorphic(s1, s2):
-    """The canonical leg-preserving bijection between two spans, or None."""
+    """The apex map of the canonical leg-preserving bijection between two
+    spans, or None."""
     if s1.left != s2.left or s1.right != s2.right:
         return None
     table, _ = match_by_signature(
@@ -193,11 +170,12 @@ def spans_isomorphic(s1, s2):
     )
     if table is None:
         return None
-    return SpanMap(s1, s2, table)
+    return FinFn(s1.apex, s2.apex, table)
 
 
 def unique_map_to_monic(src, tgt):
-    """The unique span map src => tgt when a leg of tgt is injective.
+    """The apex map of the unique span map src => tgt when a leg of tgt
+    is injective.
 
     Returns None when some apex element of src has no image.  Raises
     NotMonic when neither leg of tgt is injective.
@@ -212,7 +190,7 @@ def unique_map_to_monic(src, tgt):
             return None
         if not np.array_equal(tgt.g.table[table], src.g.table):
             return None
-        return SpanMap(src, tgt, table)
+        return FinFn(src.apex, tgt.apex, table)
     if tgt.g.is_injective():
         lookup = -np.ones(tgt.right.size, dtype=np.int64)
         lookup[tgt.g.table] = np.arange(tgt.apex.size)
@@ -221,5 +199,5 @@ def unique_map_to_monic(src, tgt):
             return None
         if not np.array_equal(tgt.f.table[table], src.f.table):
             return None
-        return SpanMap(src, tgt, table)
+        return FinFn(src.apex, tgt.apex, table)
     raise NotMonic("target span has no injective leg")

@@ -1,6 +1,8 @@
 """The oplax bimonoid checker: ten coherence axioms for the four
 structure 2-cells, plus inference of those cells when they are unique."""
 
+from functools import cached_property
+
 from ..cells import (
     braiding_cell,
     identity_2cell,
@@ -23,7 +25,9 @@ from .base import (
 
 
 class _Parts:
-    """Shared ingredients for the axiom programs of one bimonoid."""
+    """Shared ingredients for the axiom programs of one bimonoid.  The
+    mixing tail and the sharing head are built on first read, since
+    structure_cell_boundaries reads only the tail."""
 
     def __init__(self, monoid, comonoid):
         self.m = monoid.mlt
@@ -31,18 +35,26 @@ class _Parts:
         self.d = comonoid.lcm
         self.e = comonoid.lcu
         self.one = identity_cell(monoid.carrier)
-        # the middle-four interchange (1 s 1) on A x A x A x A; its legs are
-        # permuting words, so the two composites below never tabulate it.
-        # It is not kept: its components can be large matrices.
-        mid = tensor_chain(self.one, braiding_cell(monoid.carrier, monoid.carrier), self.one)
-        # (1 s 1) then (m x m), the mixing tail of the split-multiplication
-        self.mix = compose_chain(mid, tensor_chain(self.m, self.m))
-        # (d x d) then (1 s 1), the sharing head used on the other side
-        self.share = compose_chain(tensor_chain(self.d, self.d), mid)
         self.id2m = identity_2cell(self.m)
         self.id2j = identity_2cell(self.j)
         self.id2one = identity_2cell(self.one)
         self.id2one2 = identity_2cell(tensor_cells(self.one, self.one))
+
+    @cached_property
+    def _mid(self):
+        # the middle-four interchange (1 s 1) on A x A x A x A; its legs are
+        # permuting words, so the two composites below never tabulate it
+        return tensor_chain(self.one, braiding_cell(self.one.dom, self.one.dom), self.one)
+
+    @cached_property
+    def mix(self):
+        """(1 s 1) then (m x m), the mixing tail of the split-multiplication."""
+        return compose_chain(self._mid, tensor_chain(self.m, self.m))
+
+    @cached_property
+    def share(self):
+        """(d x d) then (1 s 1), the sharing head used on the other side."""
+        return compose_chain(tensor_chain(self.d, self.d), self._mid)
 
 
 def structure_cell_boundaries(monoid, comonoid):

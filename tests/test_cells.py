@@ -278,3 +278,51 @@ def test_find_2cells_and_search_limit():
         find_2cells(wide, wide)  # 4^4 candidates is past the cap
     assert search_limit(256) == 256
     assert len(find_2cells(wide, wide, 256)) == 256
+
+
+def _relabelled_pair():
+    # an apex of 3 over {0, 1} with both legs [0, 0, 1], and a relabelled
+    # copy with both legs [1, 0, 0]: four 2-cells between any two of them
+    fam = VFam(TrivialBackend(), FinSet((2,)))
+    apex = FinSet((3,))
+
+    def cell(legs):
+        leg = FinFn(apex, fam.base, legs)
+        return VCell1(fam, fam, Span(fam.base, apex, fam.base, leg, leg), None)
+
+    return {"a": cell([0, 0, 1]), "b": cell([1, 0, 0])}
+
+
+def test_two_cells_equal_names_the_first_differing_element():
+    cells = _relabelled_pair()
+
+    def two(ends, table):
+        found = {tuple(t.u.tolist()): t for t in find_2cells(cells[ends[0]], cells[ends[1]], 64)}
+        assert len(found) == 4
+        return found[tuple(table)]
+
+    cases = [
+        # equal boundaries
+        (two("ab", [1, 1, 0]), two("ab", [1, 2, 0]), {"element": [1], "this": [1], "other": [2]}),
+        # bridged targets, then bridged sources, then both
+        (two("aa", [0, 1, 2]), two("ab", [2, 2, 0]), {"element": [0], "this": [1], "other": [2]}),
+        (two("ab", [1, 2, 0]), two("bb", [0, 1, 1]), {"element": [1], "this": [2], "other": [1]}),
+        (two("aa", [0, 0, 2]), two("bb", [0, 2, 1]), {"element": [0], "this": [1], "other": [2]}),
+        (two("aa", [1, 0, 2]), two("bb", [0, 2, 1]), None),
+    ]
+    for x, y, info in cases:
+        assert two_cells_equal(x, y) == (info is None, info)
+        assert two_cells_equal(paste([x, identity_2cell(x.tgt)]), y) == (info is None, info)
+
+
+def test_pasting_keeps_word_and_product_maps_lazy():
+    a = _relabelled_pair()["a"]
+    i = identity_2cell(a)
+    both = paste([i, i]).apex_map
+    assert both.word is not None and "table" not in vars(both)
+    swap = make_2cell(a, a, [1, 0, 2])
+    t = tensor_2cells(swap, i)
+    back = paste([t, t])
+    assert back.apex_map.factors is not None and "table" not in vars(back.apex_map)
+    assert two_cells_equal(back, identity_2cell(t.src)) == (True, None)
+    assert np.array_equal(back.u, np.arange(9))

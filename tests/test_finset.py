@@ -454,6 +454,7 @@ def test_full_product_apex_lists_every_pair_without_storing_them():
 def test_input_checks_hold_under_python_O():
     # python -O strips asserts; each check an input can reach is a typed error
     script = (
+        "from spanv.cells import Column\n"
         "from spanv.errors import SpanVError\n"
         "from spanv.finset import FinFn, FinSet, SubsetApex, identity_fn, reindex_fn\n"
         "from spanv.span import Span\n"
@@ -467,7 +468,9 @@ def test_input_checks_hold_under_python_O():
         "                lambda: Span(a, FinSet((3,)), a, leg, leg),\n"
         "                lambda: Span(a, a, FinSet((3,)), leg, leg),\n"
         "                lambda: FinFn(a, FinSet((2, 2)), word=[0, 0]).inverse(),\n"
-        "                lambda: FinFn(a, a, [1, 0]).inverse()):\n"
+        "                lambda: FinFn(a, a, [1, 0]).inverse(),\n"
+        "                lambda: Column([1], 3).all_equal(Column([1], 2), int.__eq__),\n"
+        "                lambda: Column([1, 2], 3, [0, 1, 0]).zip_with(Column([1], 2), max)):\n"
         "    try:\n"
         "        attempt()\n"
         "    except SpanVError as err:\n"
@@ -480,10 +483,12 @@ def test_input_checks_hold_under_python_O():
     assert lines[0] == lines[1]
     assert [line.split(" | ")[0] for line in lines[0]] == [
         "ShapeMismatch", "TableOutOfRange", "TableOutOfRange", "ShapeMismatch",
-        "FeetMismatch", "FeetMismatch", "NotInvertible", "NotInvertible"]
+        "FeetMismatch", "FeetMismatch", "NotInvertible", "NotInvertible",
+        "ShapeMismatch", "ShapeMismatch"]
     assert "width" not in lines[0][0] and "(3,)" in lines[0][0]
     assert "pair code 3 is not a member" in lines[0][1]
     assert "0 of 4" in lines[0][2]
     assert "left leg starts at FinSet(2,)" in lines[0][4]
     assert "right leg ends at FinSet(2,)" in lines[0][5]
     assert lines[0][6].endswith("got word (0, 0)") and lines[0][7].endswith("got word None")
+    assert all(line.endswith("column of 3 entries with one of 2") for line in lines[0][8:])

@@ -1,5 +1,6 @@
 """Source hygiene of src/spanv: no unused imports, no dead helpers, no
-object-dtype arrays, no dense Kronecker products or identities."""
+object-dtype arrays, no dense Kronecker products or identities, no
+tabulated apex maps in pasting or the structures layer."""
 
 import ast
 import re
@@ -75,6 +76,13 @@ def test_no_dense_kronecker_products_or_identities():
     # a matrix morphism is stored by its nonzeros; a dense tensor power or
     # identity must not come back
     assert not _lines_matching(r"np\.(kron|eye)\b")
+
+
+def test_pasting_and_structures_never_read_tabulated_apex_maps():
+    # they compose and compare VCell2.apex_map, so a word or product map
+    # stays lazy; reading VCell2.u would tabulate it
+    assert not [line for line in _lines_matching(r"\.u\b")
+                if line.startswith(("pasting.py", "structures/"))]
 
 
 def test_every_public_name_is_referenced():

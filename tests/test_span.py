@@ -6,11 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_finset import _tabled, table_fns, word_fns
 
-from spanv.errors import FeetMismatch, NotMonic, TriangleViolation
+from spanv.errors import FeetMismatch, NotMonic
 from spanv.finset import FinFn, FinSet, identity_fn, reindex_fn
 from spanv.span import (
     Span,
-    SpanMap,
     braiding_span,
     compose_spans,
     from_function,
@@ -157,14 +156,6 @@ def test_spans_not_isomorphic():
     s = Span(x, apex, x, FinFn(apex, x, [0, 0, 1]), g)
     t = Span(x, apex, x, FinFn(apex, x, [0, 1, 1]), g)
     assert spans_isomorphic(s, t) is None
-
-
-def test_span_map_validates_triangles():
-    x = FinSet((2,))
-    s = Span(x, x, x, identity_fn(x), identity_fn(x))
-    t = Span(x, x, x, identity_fn(x), FinFn(x, x, [1, 0]))
-    with pytest.raises(TriangleViolation):
-        SpanMap(s, t, [0, 1])
 
 
 def test_unique_map_to_monic():
