@@ -379,15 +379,6 @@ def hcompose_2cells(x, y):
     return make_2cell(src, tgt, u)
 
 
-def whisker(cell, two, side="left"):
-    """Horizontally compose a 2-cell with an identity 2-cell on one side."""
-    if side == "left":
-        return hcompose_2cells(identity_2cell(cell), two)
-    if side == "right":
-        return hcompose_2cells(two, identity_2cell(cell))
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def tensor_2cells(x, y):
     """Side-by-side tensor; its apex map keeps the two factor maps."""
     src = tensor_cells(x.src, y.src)

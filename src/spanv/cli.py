@@ -446,7 +446,7 @@ def _write_text(path, text):
         raise OutputError("cannot write %s: %s" % (path, err.strerror or err)) from None
 
 
-def cmd_check(path, report_path=None, quiet=False, out=sys.stdout):
+def cmd_check(path, report_path=None, quiet=False):
     """Check one structure file; returns the process exit code."""
     try:
         with open(path, "rb") as fh:
@@ -457,7 +457,7 @@ def cmd_check(path, report_path=None, quiet=False, out=sys.stdout):
     try:
         try:
             data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
             raise ParseError(str(err))
         kind, structure = load_structure(data)
         report = run_checks(kind, structure)
@@ -469,12 +469,12 @@ def cmd_check(path, report_path=None, quiet=False, out=sys.stdout):
         return 2
     if not quiet:
         for line in report.lines():
-            print(line, file=out)
+            print(line)
         failed = sum(1 for r in report.results if not r.ok)
         if failed:
-            print("FAILED %d of %d checks" % (failed, len(report.results)), file=out)
+            print("FAILED %d of %d checks" % (failed, len(report.results)))
         else:
-            print("all %d checks passed" % len(report.results), file=out)
+            print("all %d checks passed" % len(report.results))
     if report_path:
         try:
             _write_text(report_path, _dump_json(build_report(kind, report, raw)))
@@ -509,9 +509,12 @@ def _demo_groupoid(objects):
 def _demo_group_hopf(p, group):
     if not 2 <= p <= MAX_PRIME:
         raise OutOfBounds("p must be a prime at most %d" % MAX_PRIME)
-    if not (isinstance(group, str) and group[:1] in "zZ" and group[1:].isdigit()):
+    if not (isinstance(group, str) and group[:1] in "zZ" and group[1:].isdecimal()):
         raise SchemaError("group must look like z2, z3, ...")
-    order = int(group[1:])
+    try:
+        order = int(group[1:])
+    except ValueError:  # more digits than int() converts: out of range as well
+        order = 0
     if not 1 <= order <= MAX_DIM:
         raise OutOfBounds("group order must be between 1 and %d" % MAX_DIM)
     h = group_algebra_hopf(p, order)
@@ -579,7 +582,7 @@ def main(argv=None):
         path, report_path = cmd_demo(
             args.name, out_dir=args.out, size=args.size, objects=args.objects,
             p=args.p, group=args.group, max_n=args.max_n)
-    except (OutOfBounds, OutputError, SchemaError) as err:
+    except SpanVError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     print(path)

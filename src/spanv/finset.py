@@ -453,10 +453,9 @@ def reindex_fn(dom, cod, word):
     return FinFn(dom, cod, word=word)
 
 
-def diagonal_fn(x, copies=2):
-    """x -> x^copies, every output block reading the same input."""
-    word = tuple(range(len(x.shape))) * copies
-    return reindex_fn(x, FinSet(x.shape * copies), word)
+def diagonal_fn(x):
+    """The diagonal x -> x^2, both output blocks reading the same input."""
+    return reindex_fn(x, FinSet(x.shape * 2), tuple(range(len(x.shape))) * 2)
 
 
 def terminal_fn(x):

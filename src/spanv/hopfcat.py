@@ -465,11 +465,10 @@ def discrete_groupoid(n):
                         ident, ident)
 
 
-def groupoid_to_hopfcat(G, backend=None):
+def groupoid_to_hopfcat(G):
     """A groupoid as an enriched category over finite sets: homs are the
     hom-sets, comultiplication is the diagonal, antipode the inversion."""
-    if backend is None:
-        backend = FinSetBackend()
+    backend = FinSetBackend()
     t = backend.tensor_obj
     n = G.g0.size
     n1 = G.g1.size

@@ -19,11 +19,6 @@ from .finset import compose_fn, identity_fn
 from .span import feet_pairs, match_by_signature
 
 
-def search_limit(override=None):
-    """Cap on exhaustive 2-cell searches: the argument, else 8."""
-    return 8 if override is None else int(override)
-
-
 def _signature_cols(a, b):
     cols_a = [a.span.f.table, a.span.g.table]
     cols_b = [b.span.f.table, b.span.g.table]
@@ -135,9 +130,8 @@ def _candidate_options(src, tgt):
     return counts, t[keep]
 
 
-def find_2cells(src, tgt, limit=None):
-    """All 2-cells src => tgt, raising OutOfBounds past the search cap."""
-    cap = search_limit(limit)
+def find_2cells(src, tgt, limit=8):
+    """All 2-cells src => tgt, raising OutOfBounds past limit candidates."""
     options = _candidate_options(src, tgt)
     if options is None:
         return []
@@ -145,8 +139,8 @@ def find_2cells(src, tgt, limit=None):
     count = 1
     for c in counts.tolist():
         count *= c
-        if count > cap:
-            raise OutOfBounds("more than %d candidate 2-cells" % cap)
+        if count > limit:
+            raise OutOfBounds("more than %d candidate 2-cells" % limit)
     groups = np.split(cand, np.cumsum(counts)[:-1]) if counts.size else []
     return [
         VCell2(src, tgt, np.array(combo, dtype=np.int64))

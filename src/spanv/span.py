@@ -182,22 +182,10 @@ def unique_map_to_monic(src, tgt):
     """
     if src.left != tgt.left or src.right != tgt.right:
         raise FeetMismatch("span map needs equal feet")
-    if tgt.f.is_injective():
-        lookup = -np.ones(tgt.left.size, dtype=np.int64)
-        lookup[tgt.f.table] = np.arange(tgt.apex.size)
-        table = lookup[src.f.table]
-        if (table < 0).any():
-            return None
-        if not np.array_equal(tgt.g.table[table], src.g.table):
-            return None
-        return FinFn(src.apex, tgt.apex, table)
-    if tgt.g.is_injective():
-        lookup = -np.ones(tgt.right.size, dtype=np.int64)
-        lookup[tgt.g.table] = np.arange(tgt.apex.size)
-        table = lookup[src.g.table]
-        if (table < 0).any():
-            return None
-        if not np.array_equal(tgt.f.table[table], src.f.table):
-            return None
-        return FinFn(src.apex, tgt.apex, table)
-    raise NotMonic("target span has no injective leg")
+    if not (tgt.f.is_injective() or tgt.g.is_injective()):
+        raise NotMonic("target span has no injective leg")
+    # an injective leg leaves at most one target element over each pair of feet
+    s, t = feet_pairs(src, tgt)
+    if not np.array_equal(s, np.arange(src.apex.size)):
+        return None
+    return FinFn(src.apex, tgt.apex, t)

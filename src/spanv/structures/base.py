@@ -6,10 +6,11 @@ from functools import reduce
 from ..cells import (
     InvalidCell,
     compose_cells,
+    hcompose_2cells,
+    identity_2cell,
     identity_cell,
     tensor_2cells,
     tensor_cells,
-    whisker,
 )
 from ..errors import PasteError
 from ..pasting import _canonical_iso_ex, paste, two_cells_equal
@@ -30,11 +31,12 @@ def tensor_2chain(*twos):
 
 
 def framed(two, pre=None, post=None):
-    """Whisker a 2-cell with 1-cells on either side; None skips a side."""
+    """Whisker a 2-cell with 1-cells on either side, first pre, then
+    post; None skips a side."""
     if pre is not None:
-        two = whisker(pre, two, "left")
+        two = hcompose_2cells(identity_2cell(pre), two)
     if post is not None:
-        two = whisker(post, two, "right")
+        two = hcompose_2cells(two, identity_2cell(post))
     return two
 
 

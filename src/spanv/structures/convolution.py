@@ -11,7 +11,6 @@ from ..cells import (
     invert_2cell,
     tensor_2cells,
     tensor_cells,
-    whisker,
 )
 from ..errors import NotBimodule, NotFirm
 from ..pasting import canonical_cell_iso, find_2cells, paste, two_cells_equal
@@ -21,6 +20,7 @@ from .base import (
     CheckReport,
     MoritaContextData,
     compose_chain,
+    framed,
     invalid_result,
     tensor_chain,
 )
@@ -46,9 +46,7 @@ def antipode_boundaries(bim, s):
 
 def convolution_2cells(bim, x, y):
     """The convolution of two 2-cells, whiskered by lcm and mlt."""
-    inner = tensor_2cells(x, y)
-    inner = whisker(bim.comonoid.lcm, inner, "left")
-    return whisker(bim.monoid.mlt, inner, "right")
+    return framed(tensor_2cells(x, y), pre=bim.comonoid.lcm, post=bim.monoid.mlt)
 
 
 def _firmness(bim, ctx):
@@ -168,7 +166,7 @@ def _is_bimodule_endo(bim, g):
 
 
 @per_check
-def check_fusion_inverse(bim, candidate, limit=None):
+def check_fusion_inverse(bim, candidate):
     """Check a candidate oplax inverse of the fusion cell.
 
     The candidate must be a module and comodule endomorphism of the
@@ -182,8 +180,8 @@ def check_fusion_inverse(bim, candidate, limit=None):
         raise NotBimodule("fusion cell is not linear and colinear")
     doubled = tensor_cells(
         identity_cell(bim.monoid.carrier), identity_cell(bim.monoid.carrier))
-    t1s = find_2cells(compose_chain(fus, candidate), doubled, limit)
-    t2s = find_2cells(compose_chain(candidate, fus), doubled, limit)
+    t1s = find_2cells(compose_chain(fus, candidate), doubled)
+    t2s = find_2cells(compose_chain(candidate, fus), doubled)
     id_c = identity_2cell(candidate)
     id_f = identity_2cell(fus)
     for t1, t2 in itertools.product(t1s, t2s):

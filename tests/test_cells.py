@@ -21,7 +21,6 @@ from spanv.cells import (
     try_make_2cell,
     unit_fam,
     vcompose_2cells,
-    whisker,
 )
 from spanv.errors import (
     BoundaryMismatch,
@@ -38,7 +37,6 @@ from spanv.pasting import (
     find_2cells,
     find_unique_2cell,
     paste,
-    search_limit,
     two_cells_equal,
 )
 from spanv.span import Span
@@ -256,7 +254,7 @@ def test_whisker_and_paste():
     s, t = _parallel_pair(41, nl=2, na=3, nr=2)
     a = canonical_cell_iso(s, t)
     frame = identity_cell(s.dom)
-    left = whisker(frame, a, "left")
+    left = hcompose_2cells(identity_2cell(frame), a)
     assert cells_equal(left.src, compose_cells(frame, s))
     b = canonical_cell_iso(t, s)
     ok, _ = two_cells_equal(paste([a, b]), identity_2cell(s))
@@ -273,10 +271,8 @@ def test_find_2cells_and_search_limit():
     found = find_2cells(identity_cell(fam), wide)
     assert len(found) == 4
     assert find_unique_2cell(identity_cell(fam), wide) is None
-    assert search_limit() == 8
     with pytest.raises(OutOfBounds):
         find_2cells(wide, wide)  # 4^4 candidates is past the cap
-    assert search_limit(256) == 256
     assert len(find_2cells(wide, wide, 256)) == 256
 
 

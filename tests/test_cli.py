@@ -335,7 +335,51 @@ def test_demo_bounds(tmp_path):
     assert main(["demo", "group-hopf", "--group", "z9", "--out", str(tmp_path)]) == 2
     assert main(["demo", "group-hopf", "--group", "q7", "--out", str(tmp_path)]) == 2
     assert main(["demo", "mat", "--p", "101", "--out", str(tmp_path)]) == 2
+    for group in ("z²", "z" + "9" * 5000):
+        assert main(["demo", "group-hopf", "--group", group, "--out", str(tmp_path)]) == 2
     assert main(["demo", "x2", "--size", "3", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_bad_demo_values_and_deep_nesting_exit_2_with_one_line(tmp_path, flags):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000)
+    for args, line in ((["demo", "group-hopf", "--p", "4"], "error: modulus 4 is not a prime\n"),
+                       (["demo", "mat", "--p", "9"], "error: modulus 9 is not a prime\n"),
+                       (["check", str(nested)], "parse error: maximum recursion depth")):
+        if args[0] == "demo":
+            args += ["--out", str(tmp_path)]
+        run = subprocess.run([sys.executable, *flags, "-m", "spanv.cli", *args],
+                             capture_output=True, text=True, env=_env(), timeout=60)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith(line) and run.stderr.count("\n") == 1, run.stderr
+        assert run.stdout == ""
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["x2", "groupoid", "group-hopf", "mat"]), st.integers(0, 100),
+       st.integers(-1, 6), st.integers(-1, 6), st.integers(-1, 6),
+       st.one_of(st.text(max_size=4),
+                 st.builds("{}{}".format, st.sampled_from("zZq"), st.integers(-1, 6))))
+def test_demo_exits_0_or_2(name, p, size, objects, max_n, group):
+    # a traceback would be an exception escaping main, which fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["demo", name, "--out", tmp, "--p=%d" % p, "--size=%d" % size,
+                     "--objects=%d" % objects, "--max-n=%d" % max_n, "--group=%s" % group])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().startswith("error: ")
+
+
+def test_check_prints_to_the_current_stdout():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", str(FIXTURES / "mat-frobenius.json")]) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 9 and lines[-1] == "all 8 checks passed"
 
 
 def test_demo_fixture_files_are_in_sync(tmp_path):

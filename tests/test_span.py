@@ -176,6 +176,63 @@ def test_unique_map_to_monic():
         unique_map_to_monic(src, fat)
 
 
+def test_unique_map_to_monic_through_the_right_leg():
+    # only the target's right leg is injective: its left leg sends 0 and 1 to 0
+    x, y = FinSet((2,)), FinSet((3,))
+    apex = FinSet((2,))
+    tgt = Span(x, apex, y, FinFn(apex, x, [0, 0]), FinFn(apex, y, [2, 0]))
+    assert not tgt.f.is_injective() and tgt.g.is_injective()
+    src_apex = FinSet((3,))
+    src = Span(x, src_apex, y, FinFn(src_apex, x, [0, 0, 0]), FinFn(src_apex, y, [0, 2, 0]))
+    m = unique_map_to_monic(src, tgt)
+    assert m is not None and np.array_equal(m.table, [1, 0, 1])
+    # a right foot the target misses, and a right foot over the wrong left foot
+    for left, right in (([0, 0, 0], [0, 1, 0]), ([0, 1, 0], [0, 2, 0])):
+        off = Span(x, src_apex, y, FinFn(src_apex, x, left), FinFn(src_apex, y, right))
+        assert unique_map_to_monic(off, tgt) is None
+
+
+@st.composite
+def _span_pairs(draw):
+    """Two small parallel spans with random legs, the target sometimes
+    given an injective leg."""
+    nl, nr = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    left, right = FinSet((nl,)), FinSet((nr,))
+
+    def span(n, injective):
+        apex = FinSet((n,))
+        legs = [draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)) for k in (nl, nr)]
+        if injective is not None:
+            k = (nl, nr)[injective]
+            legs[injective] = draw(st.permutations(range(k)))[:n]
+        return Span(left, apex, right, FinFn(apex, left, legs[0]), FinFn(apex, right, legs[1]))
+
+    injective = draw(st.sampled_from([None, 0, 1]))
+    k = None if injective is None else (nl, nr)[injective]
+    tgt = span(draw(st.integers(0, 4 if k is None else k)), injective)
+    return span(draw(st.integers(0, 4)), None), tgt
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_pairs())
+def test_unique_map_to_monic_matches_its_definition(pair):
+    # a map exists exactly when each source element has one target
+    # element over its feet, and then it sends the element there
+    src, tgt = pair
+    over = [[b for b in range(tgt.apex.size)
+             if (tgt.f.table[b], tgt.g.table[b]) == (src.f.table[a], src.g.table[a])]
+            for a in range(src.apex.size)]
+    if not (tgt.f.is_injective() or tgt.g.is_injective()):
+        with pytest.raises(NotMonic):
+            unique_map_to_monic(src, tgt)
+        return
+    m = unique_map_to_monic(src, tgt)
+    if all(len(bs) == 1 for bs in over):
+        assert m is not None and m.table.tolist() == [bs[0] for bs in over]
+    else:
+        assert m is None
+
+
 # Spans whose legs are words (see test_finset) against the same spans with
 # materialised tables.
 
