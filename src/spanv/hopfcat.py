@@ -74,11 +74,16 @@ def _indices(n, arity):
     return itertools.product(range(n), repeat=arity)
 
 
-def _entries(table, n, arity):
-    """A nested table's entries with their indices, row-major."""
+def _entries(table, n, arity, name):
+    """A nested table's entries with their indices, row-major.  Every
+    level above the entries must be a list or tuple of n items; a level
+    that is not fails with the field name and its index path."""
     for idx in _indices(n, arity):
         entry = table
-        for i in idx:
+        for depth, i in enumerate(idx):
+            if not isinstance(entry, (list, tuple)) or len(entry) != n:
+                raise ShapeMismatch("%s must list %d entries"
+                                    % (name + "[%d]" * depth % idx[:depth], n))
             entry = entry[i]
         yield idx, entry
 
@@ -109,6 +114,7 @@ class _VCat:
         if not (isinstance(objects, FinSet) and len(objects.shape) == 1):
             raise ShapeMismatch("the objects must be a one-axis FinSet, got %r" % (objects,))
         n = objects.size
+        homs = _nest([hom for _, hom in _entries(homs, n, 2, "homs")], n, 2)
         self.backend = backend
         self.objects = objects
         self.n = n
@@ -119,7 +125,7 @@ class _VCat:
                 continue
             arity, ends, _ = FIELDS[name]
             entries = []
-            for idx, mor in _entries(table, n, arity):
+            for idx, mor in _entries(table, n, arity, name):
                 mor = backend.mor(mor)
                 dom, cod = ends(homs, backend.tensor_obj, backend.unit, *idx)
                 label = name + "[%d]" * arity % idx
@@ -163,8 +169,10 @@ class VFunctorData:
         if not isinstance(obj_map, FinFn):
             raise ShapeMismatch("the object map must be a FinFn, got %s"
                                 % type(obj_map).__name__)
+        n = obj_map.dom.size
         self.obj_map = obj_map
-        self.components = components
+        self.components = _nest([mor for _, mor in _entries(components, n, 2, "components")],
+                                n, 2)
 
 
 def _first_mor_diff(backend, lhs, rhs):
@@ -178,7 +186,7 @@ def _first_mor_diff(backend, lhs, rhs):
     if isinstance(lhs, FinFn):
         if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
             return {"shapes": [lhs.dom.shape, rhs.dom.shape]}
-        w = int(np.nonzero(lhs.table != rhs.table)[0][0])
+        w = lhs.first_difference(rhs)
         return {"entry": [w], "this": int(lhs.table[w]), "other": int(rhs.table[w])}
     return None
 
@@ -475,7 +483,7 @@ def groupoid_to_hopfcat(G):
     mems = _tabulate(n, 2, G.hom)
     homs = _tabulate(n, 2, lambda x, y: FinSet((len(mems[x][y]),)))
     loc = np.zeros(n1, dtype=np.int64)
-    for _, mem in _entries(mems, n, 2):
+    for _, mem in _entries(mems, n, 2, "mems"):
         loc[mem] = np.arange(len(mem))
     pos = G.pairs.position_of
 
@@ -532,9 +540,9 @@ def _field_cells(v):
     """Each given field of an enriched category as a 1-cell over the
     squared index set, its entries laid on its span in row-major order."""
     n = v.n
-    carrier = VFam(v.backend, FinSet((n, n)), [hom for _, hom in _entries(v.homs, n, 2)])
+    carrier = VFam(v.backend, FinSet((n, n)), [hom for _, hom in _entries(v.homs, n, 2, "homs")])
     tables = {name: getattr(v, name) for name in v.fields}
-    components = {FIELDS[name][2]: [mor for _, mor in _entries(table, n, FIELDS[name][0])]
+    components = {FIELDS[name][2]: [mor for _, mor in _entries(table, n, FIELDS[name][0], name)]
                   for name, table in tables.items() if table is not None}
     return _span_cells(_groupoid_spans(codiscrete_groupoid(n)), carrier, components)
 
@@ -597,12 +605,10 @@ def hopfcat_to_spanv(h):
 def _transport(cell, template, label):
     """Reorder a cell's components along the canonical span isomorphism
     onto a template span."""
-    iso = spans_isomorphic(cell.span, template)
+    iso = spans_isomorphic(template, cell.span)
     if iso is None:
         raise NotOverX2("%s does not match the squared-index template" % label)
-    inverse = np.empty_like(iso.table)
-    inverse[iso.table] = np.arange(iso.table.size)
-    return cell.alphas.take(inverse)
+    return cell.alphas.along(iso)
 
 
 def spanv_to_hopfcat(bim, antipode=None):
@@ -658,7 +664,7 @@ def vfunctor_to_spanv(ha, hb, fun):
     fspan = Span(base_a, base_a, base_b, identity_fn(base_a),
                  FinFn(base_a, base_b, table))
     f = VCell1(bim_a.monoid.carrier, bim_b.monoid.carrier, fspan,
-               [mor for _, mor in _entries(fun.components, na, 2)])
+               [mor for _, mor in _entries(fun.components, na, 2, "components")])
     return OplaxMorphismData(f, **_forced_cells(morphism_boundaries(bim_a, bim_b, f)))
 
 
@@ -707,13 +713,13 @@ def hopfcat_data_equal(a, b):
     if type(a) is not type(b) or a.backend != b.backend or a.n != b.n:
         return False
     n, backend = a.n, a.backend
-    tables = [(a.homs, b.homs, 2, backend.obj_key)] + [
-        (getattr(a, name), getattr(b, name), FIELDS[name][0], backend.mor_key)
+    tables = [("homs", a.homs, b.homs, 2, backend.obj_key)] + [
+        (name, getattr(a, name), getattr(b, name), FIELDS[name][0], backend.mor_key)
         for name in a.fields]
-    for ta, tb, arity, key in tables:
+    for name, ta, tb, arity, key in tables:
         if (ta is None) != (tb is None):
             return False
-        if ta is not None and any(key(p) != key(q) for (_, p), (_, q)
-                                  in zip(_entries(ta, n, arity), _entries(tb, n, arity))):
+        if ta is not None and any(key(p) != key(q) for (_, p), (_, q) in zip(
+                _entries(ta, n, arity, name), _entries(tb, n, arity, name))):
             return False
     return True

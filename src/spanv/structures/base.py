@@ -195,12 +195,12 @@ def invalid_result(name, gen, cell):
                        note=cell.error)
 
 
-def run_axioms(rows, gens, *args):
+def run_axioms(rows, gens):
     """Run a table of (name, needs, build) rows over the generators gens.
 
     An axiom that needs a generator which failed validation fails with
     the first such generator in its needs; every other axiom pastes the
-    two sides build(*args) returns and compares them.
+    two sides build() returns and compares them.
     """
     results = []
     for name, needs, build in rows:
@@ -208,7 +208,7 @@ def run_axioms(rows, gens, *args):
         if bad:
             results.append(invalid_result(name, bad[0], gens[bad[0]]))
         else:
-            results.append(paste_result(name, *build(*args)))
+            results.append(paste_result(name, *build()))
     return results
 
 

@@ -25,7 +25,7 @@ from .base import (
 
 
 class _Parts:
-    """Shared ingredients for the axiom programs of one bimonoid.  The
+    """Shared ingredients for the axiom rows of one bimonoid.  The
     mixing tail and the sharing head are built on first read, since
     structure_cell_boundaries reads only the tail."""
 
@@ -69,140 +69,6 @@ def structure_cell_boundaries(monoid, comonoid):
     }
 
 
-def _ax1(p, g):
-    th = g["theta"]
-    left = [
-        framed(th, pre=tensor_chain(p.one, p.m)),
-        framed(tensor_2chain(p.id2one2, th),
-               pre=tensor_chain(p.d, p.one, p.one), post=p.mix),
-    ]
-    right = [
-        framed(th, pre=tensor_chain(p.m, p.one)),
-        framed(tensor_2chain(th, p.id2one2),
-               pre=tensor_chain(p.one, p.one, p.d), post=p.mix),
-    ]
-    return left, right
-
-
-def _ax2a(p, g):
-    left = [
-        framed(g["theta"], pre=tensor_chain(p.j, p.one)),
-        framed(tensor_2chain(g["theta0"], p.id2one2), pre=p.d, post=p.mix),
-    ]
-    return left, [identity_2cell(p.d)]
-
-
-def _ax2b(p, g):
-    left = [
-        framed(g["theta"], pre=tensor_chain(p.one, p.j)),
-        framed(tensor_2chain(p.id2one2, g["theta0"]), pre=p.d, post=p.mix),
-    ]
-    return left, [identity_2cell(p.d)]
-
-
-def _ax3(p, g):
-    ch = g["chi"]
-    left = [
-        framed(ch, pre=tensor_chain(p.m, p.one)),
-        framed(tensor_2chain(ch, p.id2one), post=p.e),
-    ]
-    right = [
-        framed(ch, pre=tensor_chain(p.one, p.m)),
-        framed(tensor_2chain(p.id2one, ch), post=p.e),
-    ]
-    return left, right
-
-
-def _ax4a(p, g):
-    left = [
-        framed(g["chi"], pre=tensor_chain(p.j, p.one)),
-        framed(tensor_2chain(g["chi0"], p.id2one), post=p.e),
-    ]
-    return left, [identity_2cell(p.e)]
-
-
-def _ax4b(p, g):
-    left = [
-        framed(g["chi"], pre=tensor_chain(p.one, p.j)),
-        framed(tensor_2chain(p.id2one, g["chi0"]), post=p.e),
-    ]
-    return left, [identity_2cell(p.e)]
-
-
-def _ax5(p, g):
-    th = g["theta"]
-    left = [
-        framed(th, post=tensor_chain(p.d, p.one)),
-        framed(tensor_2chain(th, p.id2m), pre=p.share),
-    ]
-    right = [
-        framed(th, post=tensor_chain(p.one, p.d)),
-        framed(tensor_2chain(p.id2m, th), pre=p.share),
-    ]
-    return left, right
-
-
-def _ax6(p, g):
-    th0 = g["theta0"]
-    left = [
-        framed(th0, post=tensor_chain(p.d, p.one)),
-        tensor_2chain(th0, p.id2j),
-    ]
-    right = [
-        framed(th0, post=tensor_chain(p.one, p.d)),
-        tensor_2chain(p.id2j, th0),
-    ]
-    return left, right
-
-
-def _ax7(p, g):
-    left = [
-        framed(g["theta"], post=tensor_chain(p.one, p.e)),
-        framed(tensor_2chain(p.id2m, g["chi"]), pre=p.share),
-    ]
-    return left, [p.id2m]
-
-
-def _ax8(p, g):
-    left = [
-        framed(g["theta0"], post=tensor_chain(p.one, p.e)),
-        tensor_2chain(p.id2j, g["chi0"]),
-    ]
-    return left, [p.id2j]
-
-
-def _ax9(p, g):
-    left = [
-        framed(g["theta"], post=tensor_chain(p.e, p.one)),
-        framed(tensor_2chain(g["chi"], p.id2m), pre=p.share),
-    ]
-    return left, [p.id2m]
-
-
-def _ax10(p, g):
-    left = [
-        framed(g["theta0"], post=tensor_chain(p.e, p.one)),
-        tensor_2chain(g["chi0"], p.id2j),
-    ]
-    return left, [p.id2j]
-
-
-AXIOMS = [
-    ("ax1", ("theta",), _ax1),
-    ("ax2a", ("theta", "theta0"), _ax2a),
-    ("ax2b", ("theta", "theta0"), _ax2b),
-    ("ax3", ("chi",), _ax3),
-    ("ax4a", ("chi", "chi0"), _ax4a),
-    ("ax4b", ("chi", "chi0"), _ax4b),
-    ("ax5", ("theta",), _ax5),
-    ("ax6", ("theta0",), _ax6),
-    ("ax7", ("theta", "chi"), _ax7),
-    ("ax8", ("theta0", "chi0"), _ax8),
-    ("ax9", ("theta", "chi"), _ax9),
-    ("ax10", ("theta0", "chi0"), _ax10),
-]
-
-
 @per_check
 def check_oplax_bimonoid(bim):
     """Strict (co)monoid laws, then the ten structure-cell axioms.
@@ -212,9 +78,62 @@ def check_oplax_bimonoid(bim):
     """
     results = check_strict_monoid(bim.monoid).results
     results += check_strict_comonoid(bim.comonoid).results
-    parts = _Parts(bim.monoid, bim.comonoid)
-    gens = {"theta": bim.theta, "theta0": bim.theta0, "chi": bim.chi, "chi0": bim.chi0}
-    results += run_axioms(AXIOMS, gens, parts, gens)
+    p = _Parts(bim.monoid, bim.comonoid)
+    th, th0, ch, ch0 = bim.theta, bim.theta0, bim.chi, bim.chi0
+    rows = [
+        ("ax1", ("theta",), lambda: (
+            [framed(th, pre=tensor_chain(p.one, p.m)),
+             framed(tensor_2chain(p.id2one2, th),
+                    pre=tensor_chain(p.d, p.one, p.one), post=p.mix)],
+            [framed(th, pre=tensor_chain(p.m, p.one)),
+             framed(tensor_2chain(th, p.id2one2),
+                    pre=tensor_chain(p.one, p.one, p.d), post=p.mix)])),
+        ("ax2a", ("theta", "theta0"), lambda: (
+            [framed(th, pre=tensor_chain(p.j, p.one)),
+             framed(tensor_2chain(th0, p.id2one2), pre=p.d, post=p.mix)],
+            [identity_2cell(p.d)])),
+        ("ax2b", ("theta", "theta0"), lambda: (
+            [framed(th, pre=tensor_chain(p.one, p.j)),
+             framed(tensor_2chain(p.id2one2, th0), pre=p.d, post=p.mix)],
+            [identity_2cell(p.d)])),
+        ("ax3", ("chi",), lambda: (
+            [framed(ch, pre=tensor_chain(p.m, p.one)),
+             framed(tensor_2chain(ch, p.id2one), post=p.e)],
+            [framed(ch, pre=tensor_chain(p.one, p.m)),
+             framed(tensor_2chain(p.id2one, ch), post=p.e)])),
+        ("ax4a", ("chi", "chi0"), lambda: (
+            [framed(ch, pre=tensor_chain(p.j, p.one)),
+             framed(tensor_2chain(ch0, p.id2one), post=p.e)],
+            [identity_2cell(p.e)])),
+        ("ax4b", ("chi", "chi0"), lambda: (
+            [framed(ch, pre=tensor_chain(p.one, p.j)),
+             framed(tensor_2chain(p.id2one, ch0), post=p.e)],
+            [identity_2cell(p.e)])),
+        ("ax5", ("theta",), lambda: (
+            [framed(th, post=tensor_chain(p.d, p.one)),
+             framed(tensor_2chain(th, p.id2m), pre=p.share)],
+            [framed(th, post=tensor_chain(p.one, p.d)),
+             framed(tensor_2chain(p.id2m, th), pre=p.share)])),
+        ("ax6", ("theta0",), lambda: (
+            [framed(th0, post=tensor_chain(p.d, p.one)), tensor_2chain(th0, p.id2j)],
+            [framed(th0, post=tensor_chain(p.one, p.d)), tensor_2chain(p.id2j, th0)])),
+        ("ax7", ("theta", "chi"), lambda: (
+            [framed(th, post=tensor_chain(p.one, p.e)),
+             framed(tensor_2chain(p.id2m, ch), pre=p.share)],
+            [p.id2m])),
+        ("ax8", ("theta0", "chi0"), lambda: (
+            [framed(th0, post=tensor_chain(p.one, p.e)), tensor_2chain(p.id2j, ch0)],
+            [p.id2j])),
+        ("ax9", ("theta", "chi"), lambda: (
+            [framed(th, post=tensor_chain(p.e, p.one)),
+             framed(tensor_2chain(ch, p.id2m), pre=p.share)],
+            [p.id2m])),
+        ("ax10", ("theta0", "chi0"), lambda: (
+            [framed(th0, post=tensor_chain(p.e, p.one)), tensor_2chain(ch0, p.id2j)],
+            [p.id2j])),
+    ]
+    gens = {"theta": th, "theta0": th0, "chi": ch, "chi0": ch0}
+    results += run_axioms(rows, gens)
     return CheckReport(results)
 
 

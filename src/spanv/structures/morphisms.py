@@ -27,44 +27,6 @@ def morphism_boundaries(bim_a, bim_b, f):
     }
 
 
-def _monoid_rows(pa, pb, id2_f, phi, phi0):
-    """Compatibility of a lax structure on f with the two multiplications."""
-    return [
-        ("monoid-assoc", ("phi",), lambda: (
-            [framed(phi, pre=tensor_chain(pa.one, pa.m)),
-             framed(tensor_2chain(id2_f, phi), post=pb.m)],
-            [framed(phi, pre=tensor_chain(pa.m, pa.one)),
-             framed(tensor_2chain(phi, id2_f), post=pb.m)])),
-        ("monoid-unit-left", ("phi", "phi0"), lambda: (
-            [framed(phi, pre=tensor_chain(pa.j, pa.one)),
-             framed(tensor_2chain(phi0, id2_f), post=pb.m)],
-            [id2_f])),
-        ("monoid-unit-right", ("phi", "phi0"), lambda: (
-            [framed(phi, pre=tensor_chain(pa.one, pa.j)),
-             framed(tensor_2chain(id2_f, phi0), post=pb.m)],
-            [id2_f])),
-    ]
-
-
-def _comonoid_rows(pa, pb, id2_f, psi, psi0):
-    """Compatibility of an oplax structure on f with the comultiplications."""
-    return [
-        ("comonoid-coassoc", ("psi",), lambda: (
-            [framed(tensor_2chain(id2_f, psi), pre=pa.d),
-             framed(psi, post=tensor_chain(pb.one, pb.d))],
-            [framed(tensor_2chain(psi, id2_f), pre=pa.d),
-             framed(psi, post=tensor_chain(pb.d, pb.one))])),
-        ("comonoid-counit-left", ("psi0", "psi"), lambda: (
-            [framed(tensor_2chain(psi0, id2_f), pre=pa.d),
-             framed(psi, post=tensor_chain(pb.e, pb.one))],
-            [id2_f])),
-        ("comonoid-counit-right", ("psi0", "psi"), lambda: (
-            [framed(tensor_2chain(id2_f, psi0), pre=pa.d),
-             framed(psi, post=tensor_chain(pb.one, pb.e))],
-            [id2_f])),
-    ]
-
-
 @per_check
 def check_oplax_bimonoid_morphism(bim_a, bim_b, morph):
     """A morphism of bimonoids: lax monoidal, oplax comonoidal, and the
@@ -86,9 +48,33 @@ def check_oplax_bimonoid_morphism(bim_a, bim_b, morph):
         "theta[tgt]": bim_b.theta, "theta0[tgt]": bim_b.theta0,
         "chi[tgt]": bim_b.chi, "chi0[tgt]": bim_b.chi0,
     }
-    rows = _monoid_rows(pa, pb, id2_f, phi, phi0)
-    rows += _comonoid_rows(pa, pb, id2_f, psi, psi0)
-    rows += [
+    rows = [
+        ("monoid-assoc", ("phi",), lambda: (
+            [framed(phi, pre=tensor_chain(pa.one, pa.m)),
+             framed(tensor_2chain(id2_f, phi), post=pb.m)],
+            [framed(phi, pre=tensor_chain(pa.m, pa.one)),
+             framed(tensor_2chain(phi, id2_f), post=pb.m)])),
+        ("monoid-unit-left", ("phi", "phi0"), lambda: (
+            [framed(phi, pre=tensor_chain(pa.j, pa.one)),
+             framed(tensor_2chain(phi0, id2_f), post=pb.m)],
+            [id2_f])),
+        ("monoid-unit-right", ("phi", "phi0"), lambda: (
+            [framed(phi, pre=tensor_chain(pa.one, pa.j)),
+             framed(tensor_2chain(id2_f, phi0), post=pb.m)],
+            [id2_f])),
+        ("comonoid-coassoc", ("psi",), lambda: (
+            [framed(tensor_2chain(id2_f, psi), pre=pa.d),
+             framed(psi, post=tensor_chain(pb.one, pb.d))],
+            [framed(tensor_2chain(psi, id2_f), pre=pa.d),
+             framed(psi, post=tensor_chain(pb.d, pb.one))])),
+        ("comonoid-counit-left", ("psi0", "psi"), lambda: (
+            [framed(tensor_2chain(psi0, id2_f), pre=pa.d),
+             framed(psi, post=tensor_chain(pb.e, pb.one))],
+            [id2_f])),
+        ("comonoid-counit-right", ("psi0", "psi"), lambda: (
+            [framed(tensor_2chain(id2_f, psi0), pre=pa.d),
+             framed(psi, post=tensor_chain(pb.one, pb.e))],
+            [id2_f])),
         ("mult-comult", ("theta[src]", "phi", "psi", "theta[tgt]"), lambda: (
             [framed(bim_a.theta, post=ff),
              framed(tensor_2chain(phi, phi), pre=pa.share),

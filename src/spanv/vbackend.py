@@ -16,7 +16,7 @@ from contextvars import ContextVar
 import numpy as np
 
 from .errors import InvalidBackend, ShapeMismatch, UnsupportedBackend
-from .finset import UNIT, FinFn, FinSet, compose_fn, identity_fn, swap_fn
+from .finset import UNIT, FinFn, FinSet, compose_fn, identity_fn, product, swap_fn, tensor_fn
 
 
 # operand keys -> result, for the checker running now; None outside one
@@ -328,17 +328,10 @@ class FinSetBackend(_Backend):
         return compose_fn(f, g)
 
     def tensor_obj(self, a, b):
-        if a.shape == ():
-            return b
-        if b.shape == ():
-            return a
-        return FinSet(a.shape + b.shape)
+        return product([a, b])
 
     def tensor_mor(self, f, g):
-        dom = self.tensor_obj(f.dom, g.dom)
-        cod = self.tensor_obj(f.cod, g.cod)
-        table = (f.table[:, None] * g.cod.size + g.table[None, :]).ravel()
-        return FinFn(dom, cod, table)
+        return tensor_fn(product([f.dom, g.dom]), product([f.cod, g.cod]), f, g)
 
     def braiding(self, a, b):
         return swap_fn(a, b)

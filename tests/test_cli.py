@@ -1,6 +1,7 @@
 """Structure files, reports, exit codes and the shipped fixtures."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -256,11 +257,24 @@ _JSON_VALUES = st.one_of(
     st.text(max_size=4), st.lists(st.integers(-2, 5), max_size=4), st.just({}))
 
 
+@functools.lru_cache(maxsize=None)
+def _fuzz_sources():
+    """The shipped fixtures, plus two demo files, written once: a
+    groupoid enriched in finite sets and a group algebra over Z/3."""
+    texts = {stem: (FIXTURES / ("%s.json" % stem)).read_text()
+             for stem in ("x2-hopf", "mat-frobenius", "corrupted-theta0")}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, params in (("groupoid", {"objects": 2}), ("group-hopf", {"group": "z2"})):
+            path, _ = cmd_demo(name, out_dir=tmp, **params)
+            texts[name] = Path(path).read_text()
+    return texts
+
+
 @st.composite
 def _mangled_fixture(draw):
-    """A shipped fixture with one value deleted or replaced."""
-    stem = draw(st.sampled_from(("x2-hopf", "mat-frobenius", "corrupted-theta0")))
-    data = json.loads((FIXTURES / ("%s.json" % stem)).read_text())
+    """A shipped fixture or demo file with one value deleted or replaced."""
+    texts = _fuzz_sources()
+    data = json.loads(texts[draw(st.sampled_from(sorted(texts)))])
     path = draw(st.sampled_from(list(_json_paths(data))[1:]))
     parent = data
     for key in path[:-1]:

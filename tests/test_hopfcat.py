@@ -436,14 +436,28 @@ def test_a_bridge_inside_a_check_shares_its_memo(monkeypatch):
 _BAD_ARGUMENTS = """
 import numpy as np
 from spanv.cells import VFam
-from spanv.finset import FinSet
-from spanv.hopfcat import HopfVCat, VFunctorData, group_algebra_hopf, mat_frobenius_example
+from spanv.finset import FinSet, identity_fn
+from spanv.hopfcat import (FrobVCat, HopfVCat, VFunctorData, group_algebra_hopf,
+                           mat_frobenius_example)
 from spanv.vbackend import FinSetBackend
+h = group_algebra_hopf(3, 2)
+fc = mat_frobenius_example(2, 2)
 for make in (lambda: group_algebra_hopf(3, 0), lambda: group_algebra_hopf(3, -2),
              lambda: mat_frobenius_example(3, 0),
              lambda: HopfVCat(FinSetBackend(), FinSet((2, 2)), [], [], [], [], []),
              lambda: VFunctorData(np.arange(2), []),
-             lambda: VFam(FinSetBackend(), 3)):
+             lambda: VFam(FinSetBackend(), 3),
+             # grids one level too short or not lists at all
+             lambda: HopfVCat(h.backend, h.objects, [], h.m, h.u, h.delta, h.eps),
+             lambda: HopfVCat(h.backend, h.objects, h.homs, [], h.u, h.delta, h.eps),
+             lambda: HopfVCat(h.backend, h.objects, h.homs, [h.m[0][0][0]], h.u, h.delta,
+                              h.eps),
+             lambda: HopfVCat(h.backend, h.objects, h.homs, h.m, 5, h.delta, h.eps),
+             lambda: FrobVCat(fc.backend, fc.objects, [fc.homs[0], 7], fc.m, fc.u, fc.comlt,
+                              fc.couni),
+             lambda: FrobVCat(fc.backend, fc.objects, fc.homs, fc.m, fc.u,
+                              [fc.comlt[0], fc.comlt[1][:1]], fc.couni),
+             lambda: VFunctorData(identity_fn(fc.objects), [fc.homs[0]])):
     try:
         make()
     except Exception as err:
@@ -464,6 +478,13 @@ def test_bad_constructor_arguments_raise_typed_errors_under_python_O():
         "ShapeMismatch the objects must be a one-axis FinSet, got FinSet(2, 2)",
         "ShapeMismatch the object map must be a FinFn, got ndarray",
         "ShapeMismatch a family's base must be a FinSet, got int",
+        "ShapeMismatch homs must list 1 entries",
+        "ShapeMismatch m must list 1 entries",
+        "ShapeMismatch m[0] must list 1 entries",
+        "ShapeMismatch u must list 1 entries",
+        "ShapeMismatch homs[1] must list 2 entries",
+        "ShapeMismatch comlt[1] must list 2 entries",
+        "ShapeMismatch components must list 2 entries",
     ], runs[0].stderr
     assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""
 

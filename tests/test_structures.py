@@ -321,21 +321,74 @@ def test_module_morphism_checks_fail_on_an_invalid_cell(pair2):
     assert report["action-compat"].note == bad.error
 
 
-def test_identity_bimonoid_morphism(pair2):
-    _, _, _, bim, _, _ = pair2
+MORPHISM_AXIOMS = [
+    "monoid-assoc", "monoid-unit-left", "monoid-unit-right",
+    "comonoid-coassoc", "comonoid-counit-left", "comonoid-counit-right",
+    "mult-comult", "unit-comult", "mult-counit", "unit-counit"]
+
+
+def _identity_comparisons(bim):
+    """The identity 1-cell on the carrier with its four canonical
+    comparison cells."""
     f = identity_cell(bim.monoid.carrier)
     ff = tensor_cells(f, f)
-    phi = canonical_cell_iso(compose_chain(bim.monoid.mlt, f),
-                             compose_chain(ff, bim.monoid.mlt))
-    phi0 = canonical_cell_iso(compose_chain(bim.monoid.uni, f), bim.monoid.uni)
-    psi = canonical_cell_iso(compose_chain(bim.comonoid.lcm, ff),
-                             compose_chain(f, bim.comonoid.lcm))
-    psi0 = canonical_cell_iso(bim.comonoid.lcu,
-                              compose_chain(f, bim.comonoid.lcu))
-    morph = OplaxMorphismData(f, phi, phi0, psi, psi0)
-    report = check_oplax_bimonoid_morphism(bim, bim, morph)
+    return f, {
+        "phi": canonical_cell_iso(compose_chain(bim.monoid.mlt, f),
+                                  compose_chain(ff, bim.monoid.mlt)),
+        "phi0": canonical_cell_iso(compose_chain(bim.monoid.uni, f), bim.monoid.uni),
+        "psi": canonical_cell_iso(compose_chain(bim.comonoid.lcm, ff),
+                                  compose_chain(f, bim.comonoid.lcm)),
+        "psi0": canonical_cell_iso(bim.comonoid.lcu, compose_chain(f, bim.comonoid.lcu)),
+    }
+
+
+def test_identity_bimonoid_morphism(pair2):
+    _, _, _, bim, _, _ = pair2
+    f, cells = _identity_comparisons(bim)
+    report = check_oplax_bimonoid_morphism(bim, bim, OplaxMorphismData(f, **cells))
     assert report.ok
-    assert len(report.results) == 10
+    assert [r.name for r in report.results] == MORPHISM_AXIOMS
+
+
+def _failures(report, gen):
+    """The names of the failing results, each of which must name gen as
+    its invalid generator."""
+    failed = [r for r in report.results if not r.ok]
+    assert all(r.counterexample["invalid"] == gen for r in failed)
+    return [r.name for r in failed]
+
+
+@pytest.mark.parametrize("gen, expected", [
+    ("theta", ["ax1", "ax2a", "ax2b", "ax5", "ax7", "ax9"]),
+    ("theta0", ["ax2a", "ax2b", "ax6", "ax8", "ax10"]),
+    ("chi", ["ax3", "ax4a", "ax4b", "ax7", "ax9"]),
+    ("chi0", ["ax4a", "ax4b", "ax8", "ax10"]),
+])
+def test_an_invalid_structure_cell_poisons_exactly_its_axioms(pair2, gen, expected):
+    bim = pair2[3]
+    cells = {name: getattr(bim, name) for name in ("theta", "theta0", "chi", "chi0")}
+    cells[gen] = InvalidCell(None, None, None, "poisoned", element=[0])
+    report = check_oplax_bimonoid(OplaxBimonoidData(bim.monoid, bim.comonoid, **cells))
+    assert _failures(report, gen) == expected
+    assert report[expected[0]].note == "poisoned"
+
+
+@pytest.mark.parametrize("gen, expected", [
+    ("phi", ["monoid-assoc", "monoid-unit-left", "monoid-unit-right",
+             "mult-comult", "mult-counit"]),
+    ("phi0", ["monoid-unit-left", "monoid-unit-right", "unit-comult", "unit-counit"]),
+    ("psi", ["comonoid-coassoc", "comonoid-counit-left", "comonoid-counit-right",
+             "mult-comult", "unit-comult"]),
+    ("psi0", ["comonoid-counit-left", "comonoid-counit-right", "mult-counit",
+              "unit-counit"]),
+])
+def test_an_invalid_comparison_cell_poisons_exactly_its_axioms(pair2, gen, expected):
+    bim = pair2[3]
+    f, cells = _identity_comparisons(bim)
+    cells[gen] = InvalidCell(None, None, None, "poisoned", element=[0])
+    report = check_oplax_bimonoid_morphism(bim, bim, OplaxMorphismData(f, **cells))
+    assert [r.name for r in report.results] == MORPHISM_AXIOMS
+    assert _failures(report, gen) == expected
 
 
 def _idempotent_bimonoid():
