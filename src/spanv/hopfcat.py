@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from .cells import (
+    Column,
     VCell1,
     VFam,
     tensor_fams,
@@ -52,12 +53,10 @@ from .structures import (
 )
 from .vbackend import FinSetBackend, MatBackend, TrivialBackend, per_check
 
-# Every field of an enriched category, declared once:
-#   name: (number of object indices of an entry,
-#          (dom, cod) of the entry at those indices, from the homs H, the
-#          object tensor t and the unit I,
-#          the span of _groupoid_spans that carries the entries over the
-#          squared index set, in row-major index order)
+# Every field of an enriched category, declared once: name: (number of
+# object indices of an entry, (dom, cod) of the entry at those indices from
+# the homs H, the object tensor t and the unit I, and the span of
+# _groupoid_spans that carries the entries over the squared index set, row-major)
 FIELDS = {
     "m": (3, lambda H, t, I, x, y, z: (t(H[x][y], H[y][z]), H[x][z]), "mlt"),
     "u": (1, lambda H, t, I, x: (I, H[x][x]), "uni"),
@@ -105,7 +104,8 @@ def _tabulate(n, arity, entry):
 class _VCat:
     """The homs and the declared fields of an enriched category; every
     entry of every given field must have the ends FIELDS gives it, and is
-    stored as backend.mor of it."""
+    stored as backend.mor of it.  columns holds each grid, row-major, as a
+    Column (the homs under "H"); the nested attributes view the same entries."""
 
     fields = ()
     optional = ()
@@ -114,11 +114,10 @@ class _VCat:
         if not (isinstance(objects, FinSet) and len(objects.shape) == 1):
             raise ShapeMismatch("the objects must be a one-axis FinSet, got %r" % (objects,))
         n = objects.size
-        homs = _nest([hom for _, hom in _entries(homs, n, 2, "homs")], n, 2)
-        self.backend = backend
-        self.objects = objects
-        self.n = n
-        self.homs = homs
+        self.backend, self.objects, self.n = backend, objects, n
+        self.columns = {"H": Column.from_list([hom for _, hom in _entries(homs, n, 2, "homs")],
+                                              backend.obj_key)}
+        self.homs = _nest(self.columns["H"], n, 2)
         for name, table in zip(self.fields, tables):
             if table is None and name in self.optional:
                 setattr(self, name, None)
@@ -127,14 +126,15 @@ class _VCat:
             entries = []
             for idx, mor in _entries(table, n, arity, name):
                 mor = backend.mor(mor)
-                dom, cod = ends(homs, backend.tensor_obj, backend.unit, *idx)
+                dom, cod = ends(self.homs, backend.tensor_obj, backend.unit, *idx)
                 label = name + "[%d]" * arity % idx
                 if not backend.eq_obj(backend.dom(mor), dom):
                     raise ShapeMismatch("%s has wrong domain" % label)
                 if not backend.eq_obj(backend.cod(mor), cod):
                     raise ShapeMismatch("%s has wrong codomain" % label)
                 entries.append(mor)
-            setattr(self, name, _nest(entries, n, arity))
+            self.columns[name] = Column.from_list(entries, backend.mor_key)
+            setattr(self, name, _nest(self.columns[name], n, arity))
 
     def __repr__(self):
         return "%s(%r, %d objects)" % (type(self).__name__, self.backend, self.n)
@@ -191,35 +191,57 @@ def _first_mor_diff(backend, lhs, rhs):
     return None
 
 
-def _run_laws(backend, n, rows):
-    """One result per (name, arity, sides) row.  A law holds when the two
-    morphisms sides(*idx) are equal at every index; a failure records the
-    first index, row-major, and the first entry that differs there."""
+# the largest mixed-radix key of a tuple of entry codes
+_KEY_LIMIT = 2**62
+
+
+def _run_laws(backend, n, grids, rows):
+    """One result per (name, arity, reads, law) row.  reads lists the
+    entries a law reads at an index tuple, each a grid's name and the
+    positions of its indices: "m023 H01" is m[x][z][w] and H[x][y] at
+    (x, y, z, w).  law maps them to two morphisms that must be equal.  Each
+    distinct tuple of entry codes is decided once, at its first tuple
+    row-major, so a failure records the first failing tuple and the first
+    entry that differs there."""
     results = []
-    for name, arity, sides in rows:
-        result = AxiomResult(name, True)
-        for idx in _indices(n, arity):
-            lhs, rhs = sides(*idx)
+    for name, arity, reads, law in rows:
+        digits = np.indices((n,) * arity).reshape(arity, -1)
+        key, span, picks = np.zeros(digits.shape[1], dtype=np.int64), 1, []
+        for read in reads.split():
+            grid = read.rstrip("0123456789")
+            column, pattern = grids[grid], [int(i) for i in read[len(grid):]]
+            values, codes = column.values, column.codes
+            if codes is not None:  # a column of one value leaves the key as it is
+                codes = codes[np.ravel_multi_index(tuple(digits[pattern]), (n,) * len(pattern))]
+                if span * len(values) > _KEY_LIMIT:
+                    _, key = np.unique(key, return_inverse=True)
+                    span = int(key.max()) + 1
+                key, span = key * len(values) + codes, span * len(values)
+            picks.append((values, codes))
+        result, first = AxiomResult(name, True), np.zeros(key.size, dtype=bool)
+        first[np.unique(key, return_index=True)[1] if span > 1 else slice(1)] = True
+        tuples = np.flatnonzero(first)
+        entries = zip(*(values[:1] * tuples.size if codes is None else
+                        [values[c] for c in codes[tuples].tolist()] for values, codes in picks))
+        for i, args in zip(tuples.tolist(), entries):
+            lhs, rhs = law(*args)
             if not backend.eq_mor(lhs, rhs):
-                result = AxiomResult(name, False,
-                                     {"at": list(idx), "diff": _first_mor_diff(backend, lhs, rhs)})
+                result = AxiomResult(name, False, {"at": digits[:, i].tolist(),
+                                                   "diff": _first_mor_diff(backend, lhs, rhs)})
                 break
         results.append(result)
     return results
 
 
-def _category_laws(v):
+def _category_laws(backend):
     """Rows for associativity and the two unit laws of composition."""
-    backend, H, m, u = v.backend, v.homs, v.m, v.u
     t, c, iden = backend.tensor_mor, backend.compose, backend.id
     return [
-        ("cat-assoc", 4, lambda x, y, z, w: (
-            c(t(m[x][y][z], iden(H[z][w])), m[x][z][w]),
-            c(t(iden(H[x][y]), m[y][z][w]), m[x][y][w]))),
-        ("cat-unit-left", 2, lambda x, y: (
-            c(t(u[x], iden(H[x][y])), m[x][x][y]), iden(H[x][y]))),
-        ("cat-unit-right", 2, lambda x, y: (
-            c(t(iden(H[x][y]), u[y]), m[x][y][y]), iden(H[x][y]))),
+        ("cat-assoc", 4, "m012 H23 m023 H01 m123 m013",
+         lambda m012, H23, m023, H01, m123, m013: (
+             c(t(m012, iden(H23)), m023), c(t(iden(H01), m123), m013))),
+        ("cat-unit-left", 2, "u0 H01 m001", lambda u0, H, m: (c(t(u0, iden(H)), m), iden(H))),
+        ("cat-unit-right", 2, "H01 u1 m011", lambda H, u1, m: (c(t(iden(H), u1), m), iden(H))),
     ]
 
 
@@ -227,28 +249,22 @@ def _category_laws(v):
 def check_semi_hopf_vcat(h):
     """Category laws, a comonoid on every hom, and the compatibility of
     composition and identities with those comonoids."""
-    backend, H = h.backend, h.homs
-    m, u, delta, eps = h.m, h.u, h.delta, h.eps
+    backend = h.backend
     t, c, iden = backend.tensor_mor, backend.compose, backend.id
-
-    def split(x, y, z):
-        dd = t(delta[x][y], delta[y][z])
-        mid = t(t(iden(H[x][y]), backend.braiding(H[x][y], H[y][z])), iden(H[y][z]))
-        return c(c(dd, mid), t(m[x][y][z], m[x][y][z]))
-
-    return CheckReport(_run_laws(backend, h.n, _category_laws(h) + [
-        ("local-coassoc", 2, lambda x, y: (
-            c(delta[x][y], t(delta[x][y], iden(H[x][y]))),
-            c(delta[x][y], t(iden(H[x][y]), delta[x][y])))),
-        ("local-counit-left", 2, lambda x, y: (
-            c(delta[x][y], t(eps[x][y], iden(H[x][y]))), iden(H[x][y]))),
-        ("local-counit-right", 2, lambda x, y: (
-            c(delta[x][y], t(iden(H[x][y]), eps[x][y])), iden(H[x][y]))),
-        ("mult-comult", 3, lambda x, y, z: (c(m[x][y][z], delta[x][z]), split(x, y, z))),
-        ("unit-comult", 1, lambda x: (c(u[x], delta[x][x]), t(u[x], u[x]))),
-        ("mult-counit", 3, lambda x, y, z: (
-            c(m[x][y][z], eps[x][z]), t(eps[x][y], eps[y][z]))),
-        ("unit-counit", 1, lambda x: (c(u[x], eps[x][x]), iden(backend.unit))),
+    return CheckReport(_run_laws(backend, h.n, h.columns, _category_laws(backend) + [
+        ("local-coassoc", 2, "delta01 H01", lambda d, H: (
+            c(d, t(d, iden(H))), c(d, t(iden(H), d)))),
+        ("local-counit-left", 2, "delta01 eps01 H01", lambda d, e, H: (
+            c(d, t(e, iden(H))), iden(H))),
+        ("local-counit-right", 2, "delta01 H01 eps01", lambda d, H, e: (
+            c(d, t(iden(H), e)), iden(H))),
+        ("mult-comult", 3, "m012 delta02 delta01 delta12 H01 H12",
+         lambda m012, d02, d01, d12, H01, H12: (c(m012, d02), c(c(t(d01, d12), t(t(
+             iden(H01), backend.braiding(H01, H12)), iden(H12))), t(m012, m012)))),
+        ("unit-comult", 1, "u0 delta00", lambda u, d: (c(u, d), t(u, u))),
+        ("mult-counit", 3, "m012 eps02 eps01 eps12", lambda m012, e02, e01, e12: (
+            c(m012, e02), t(e01, e12))),
+        ("unit-counit", 1, "u0 eps00", lambda u, e: (c(u, e), iden(backend.unit))),
     ]))
 
 
@@ -258,57 +274,67 @@ def check_hopf_vcat(h):
     if h.s is None:
         raise SchemaError("missing field 's': check_hopf_vcat needs an antipode; "
                           "check_semi_hopf_vcat checks the rest")
-    backend, H = h.backend, h.homs
-    m, u, delta, eps, s = h.m, h.u, h.delta, h.eps, h.s
+    backend = h.backend
     t, c, iden = backend.tensor_mor, backend.compose, backend.id
-    return CheckReport(check_semi_hopf_vcat(h).results + _run_laws(backend, h.n, [
-        ("antipode-left", 2, lambda x, y: (
-            c(c(delta[x][y], t(s[x][y], iden(H[x][y]))), m[y][x][y]), c(eps[x][y], u[y]))),
-        ("antipode-right", 2, lambda x, y: (
-            c(c(delta[x][y], t(iden(H[x][y]), s[x][y])), m[x][y][x]), c(eps[x][y], u[x]))),
+    return CheckReport(check_semi_hopf_vcat(h).results + _run_laws(backend, h.n, h.columns, [
+        ("antipode-left", 2, "delta01 s01 H01 m101 eps01 u1",
+         lambda d01, s01, H01, m101, e01, u1: (c(c(d01, t(s01, iden(H01))), m101), c(e01, u1))),
+        ("antipode-right", 2, "delta01 H01 s01 m010 eps01 u0",
+         lambda d01, H01, s01, m010, e01, u0: (c(c(d01, t(iden(H01), s01)), m010), c(e01, u0))),
     ]))
 
 
 @per_check
 def check_frobenius_vcat(fc):
     """Category and cocategory laws plus both indexed exchange squares."""
-    backend, H = fc.backend, fc.homs
-    m, comlt, couni = fc.m, fc.comlt, fc.couni
+    backend = fc.backend
     t, c, iden = backend.tensor_mor, backend.compose, backend.id
-    return CheckReport(_run_laws(backend, fc.n, _category_laws(fc) + [
-        ("cocat-coassoc", 4, lambda x, y, z, w: (
-            c(comlt[x][z][w], t(comlt[x][y][z], iden(H[z][w]))),
-            c(comlt[x][y][w], t(iden(H[x][y]), comlt[y][z][w])))),
-        ("cocat-counit-left", 2, lambda x, y: (
-            c(comlt[x][x][y], t(couni[x], iden(H[x][y]))), iden(H[x][y]))),
-        ("cocat-counit-right", 2, lambda x, y: (
-            c(comlt[x][y][y], t(iden(H[x][y]), couni[y])), iden(H[x][y]))),
-        ("frobenius-left", 4, lambda x, y, z, w: (
-            c(m[x][y][z], comlt[x][w][z]),
-            c(t(comlt[x][w][y], iden(H[y][z])), t(iden(H[x][w]), m[w][y][z])))),
-        ("frobenius-right", 4, lambda x, y, z, w: (
-            c(m[x][y][z], comlt[x][w][z]),
-            c(t(iden(H[x][y]), comlt[y][w][z]), t(m[x][y][w], iden(H[w][z]))))),
+    return CheckReport(_run_laws(backend, fc.n, fc.columns, _category_laws(backend) + [
+        ("cocat-coassoc", 4, "comlt023 comlt012 H23 comlt013 H01 comlt123",
+         lambda k023, k012, H23, k013, H01, k123: (
+             c(k023, t(k012, iden(H23))), c(k013, t(iden(H01), k123)))),
+        ("cocat-counit-left", 2, "comlt001 couni0 H01", lambda k001, e0, H01: (
+            c(k001, t(e0, iden(H01))), iden(H01))),
+        ("cocat-counit-right", 2, "comlt011 H01 couni1", lambda k011, H01, e1: (
+            c(k011, t(iden(H01), e1)), iden(H01))),
+        ("frobenius-left", 4, "m012 comlt032 comlt031 H12 H03 m312",
+         lambda m012, k032, k031, H12, H03, m312: (
+             c(m012, k032), c(t(k031, iden(H12)), t(iden(H03), m312)))),
+        ("frobenius-right", 4, "m012 comlt032 H01 comlt132 m013 H32",
+         lambda m012, k032, H01, k132, m013, H32: (
+             c(m012, k032), c(t(iden(H01), k132), t(m013, iden(H32))))),
     ]))
+
+
+def _functor_components(ca, cb, fun):
+    """fun's components, row-major, as a Column; its object map must run ca -> cb."""
+    for side, end, v in (("domain", fun.obj_map.dom, ca), ("codomain", fun.obj_map.cod, cb)):
+        if end != v.objects:
+            raise ShapeMismatch("the object map's %s %r is not %r" % (side, end, v.objects))
+    backend = ca.backend
+    return Column.from_list([backend.mor(f) for row in fun.components for f in row],
+                            backend.mor_key)
 
 
 @per_check
 def check_frobenius_vfunctor(ca, cb, fun):
     """The four squares: composition, identities, cocomposition and
-    coidentities all commute with the components."""
+    coidentities all commute with the components.  The grids "b..." are
+    those of cb at the objects the object map sends the indices to."""
     backend = ca.backend
     t, c = backend.tensor_mor, backend.compose
-    f0 = fun.obj_map.table
-    fc = fun.components
-    return CheckReport(_run_laws(backend, ca.n, [
-        ("functor-mult", 3, lambda x, y, z: (
-            c(ca.m[x][y][z], fc[x][z]),
-            c(t(fc[x][y], fc[y][z]), cb.m[f0[x]][f0[y]][f0[z]]))),
-        ("functor-unit", 1, lambda x: (c(ca.u[x], fc[x][x]), cb.u[f0[x]])),
-        ("opfunctor-comult", 3, lambda x, y, z: (
-            c(ca.comlt[x][y][z], t(fc[x][y], fc[y][z])),
-            c(fc[x][z], cb.comlt[f0[x]][f0[y]][f0[z]]))),
-        ("opfunctor-counit", 1, lambda x: (ca.couni[x], c(fc[x][x], cb.couni[f0[x]]))),
+    grids = dict(ca.columns, F=_functor_components(ca, cb, fun))
+    for name in ("m", "u", "comlt", "couni"):
+        arity = FIELDS[name][0]
+        at = fun.obj_map.table[np.indices((ca.n,) * arity).reshape(arity, -1)]
+        grids["b" + name] = cb.columns[name].take(np.ravel_multi_index(tuple(at), (cb.n,) * arity))
+    return CheckReport(_run_laws(backend, ca.n, grids, [
+        ("functor-mult", 3, "m012 F02 F01 F12 bm012", lambda m012, F02, F01, F12, bm012: (
+            c(m012, F02), c(t(F01, F12), bm012))),
+        ("functor-unit", 1, "u0 F00 bu0", lambda u0, F00, bu0: (c(u0, F00), bu0)),
+        ("opfunctor-comult", 3, "comlt012 F01 F12 F02 bcomlt012",
+         lambda k012, F01, F12, F02, bk012: (c(k012, t(F01, F12)), c(F02, bk012))),
+        ("opfunctor-counit", 1, "couni0 F00 bcouni0", lambda e0, F00, be0: (e0, c(F00, be0))),
     ]))
 
 
@@ -381,17 +407,9 @@ class GroupoidData:
     The groupoid laws are checked on construction."""
 
     def __init__(self, g0, g1, src, tgt, comp_table, e, inv):
-        self.g0 = g0
-        self.g1 = g1
-        self.src = src
-        self.tgt = tgt
-        self.e = e
-        self.inv = inv
-        pairs, p1, p2 = pullback(tgt, src)
-        self.pairs = pairs
-        self.p1 = p1
-        self.p2 = p2
-        self.comp = FinFn(pairs, g1, comp_table)
+        self.g0, self.g1, self.src, self.tgt, self.e, self.inv = g0, g1, src, tgt, e, inv
+        self.pairs, self.p1, self.p2 = pullback(tgt, src)
+        self.comp = FinFn(self.pairs, g1, comp_table)
         self._validate()
 
     def _validate(self):
@@ -401,8 +419,7 @@ class GroupoidData:
         ids = np.arange(n0)
         if not (np.array_equal(src[e], ids) and np.array_equal(tgt[e], ids)):
             raise NotAGroupoid("identities have wrong boundaries")
-        left = self.p1.table
-        right = self.p2.table
+        left, right = self.p1.table, self.p2.table
         if not np.array_equal(src[comp], src[left]):
             raise NotAGroupoid("composite changes the source")
         if not np.array_equal(tgt[comp], tgt[right]):
@@ -422,9 +439,7 @@ class GroupoidData:
         # associativity over all composable triples
         mid_tgt = FinFn(self.pairs, self.g0, tgt[right])
         triples, q1, q2 = pullback(mid_tgt, self.src)
-        g = left[q1.table]
-        h = right[q1.table]
-        k = q2.table
+        g, h, k = left[q1.table], right[q1.table], q2.table
         gh = comp[q1.table]
         hk = comp[pos(h * n1 + k)]
         if not np.array_equal(comp[pos(gh * n1 + k)], comp[pos(g * n1 + hk)]):
@@ -478,8 +493,7 @@ def groupoid_to_hopfcat(G):
     hom-sets, comultiplication is the diagonal, antipode the inversion."""
     backend = FinSetBackend()
     t = backend.tensor_obj
-    n = G.g0.size
-    n1 = G.g1.size
+    n, n1 = G.g0.size, G.g1.size
     mems = _tabulate(n, 2, G.hom)
     homs = _tabulate(n, 2, lambda x, y: FinSet((len(mems[x][y]),)))
     loc = np.zeros(n1, dtype=np.int64)
@@ -539,12 +553,9 @@ def _span_cells(spans, carrier, components):
 def _field_cells(v):
     """Each given field of an enriched category as a 1-cell over the
     squared index set, its entries laid on its span in row-major order."""
-    n = v.n
-    carrier = VFam(v.backend, FinSet((n, n)), [hom for _, hom in _entries(v.homs, n, 2, "homs")])
-    tables = {name: getattr(v, name) for name in v.fields}
-    components = {FIELDS[name][2]: [mor for _, mor in _entries(table, n, FIELDS[name][0], name)]
-                  for name, table in tables.items() if table is not None}
-    return _span_cells(_groupoid_spans(codiscrete_groupoid(n)), carrier, components)
+    carrier = VFam(v.backend, FinSet((v.n, v.n)), v.columns["H"])
+    components = {FIELDS[name][2]: v.columns[name] for name in v.fields if name in v.columns}
+    return _span_cells(_groupoid_spans(codiscrete_groupoid(v.n)), carrier, components)
 
 
 def _leg_forced_cell(src_cell, tgt_cell):
@@ -626,11 +637,9 @@ def spanv_to_hopfcat(bim, antipode=None):
     cells = {"mlt": bim.monoid.mlt, "uni": bim.monoid.uni,
              "lcm": bim.comonoid.lcm, "lcu": bim.comonoid.lcu,
              "anti": None if antipode is None else antipode.s}
-    tables = []
-    for name in HopfVCat.fields:
-        arity, _, span = FIELDS[name]
-        tables.append(None if cells[span] is None else _nest(
-            _transport(cells[span], spans[span], "the %s span" % span), n, arity))
+    tables = [None if cells[span] is None else _nest(
+        _transport(cells[span], spans[span], "the %s span" % span), n, arity)
+        for arity, _, span in (FIELDS[name] for name in HopfVCat.fields)]
     return HopfVCat(fam.backend, FinSet((n,)), _nest(fam.objs, n, 2), *tables)
 
 
@@ -654,6 +663,7 @@ def frobcat_to_spanv(fc):
 def vfunctor_to_spanv(ha, hb, fun):
     """An enriched functor as a span-layer morphism of the realized
     structures, with all four comparison cells forced by the legs."""
+    components = _functor_components(ha, hb, fun)
     bim_a, _ = hopfcat_to_spanv(ha)
     bim_b, _ = hopfcat_to_spanv(hb)
     na, nb = ha.n, hb.n
@@ -663,8 +673,7 @@ def vfunctor_to_spanv(ha, hb, fun):
     table = f0[codes // na] * nb + f0[codes % na]
     fspan = Span(base_a, base_a, base_b, identity_fn(base_a),
                  FinFn(base_a, base_b, table))
-    f = VCell1(bim_a.monoid.carrier, bim_b.monoid.carrier, fspan,
-               [mor for _, mor in _entries(fun.components, na, 2, "components")])
+    f = VCell1(bim_a.monoid.carrier, bim_b.monoid.carrier, fspan, components)
     return OplaxMorphismData(f, **_forced_cells(morphism_boundaries(bim_a, bim_b, f)))
 
 
@@ -696,12 +705,10 @@ def opposite_vcat(h):
     way around, and the antipode at (x, y) is the inverse of s[x][y].
     Raises NotInvertible when some s[x][y] has no inverse."""
     backend, n = h.backend, h.n
-    homs = [[h.homs[y][x] for y in range(n)] for x in range(n)]
-    m = [[[backend.compose(backend.braiding(h.homs[y][x], h.homs[z][y]),
-                           h.m[z][y][x])
-           for z in range(n)] for y in range(n)] for x in range(n)]
-    delta = [[h.delta[y][x] for y in range(n)] for x in range(n)]
-    eps = [[h.eps[y][x] for y in range(n)] for x in range(n)]
+    homs, delta, eps = ([[g[y][x] for y in range(n)] for x in range(n)]
+                        for g in (h.homs, h.delta, h.eps))
+    m = _tabulate(n, 3, lambda x, y, z: backend.compose(
+        backend.braiding(h.homs[y][x], h.homs[z][y]), h.m[z][y][x]))
     s = None
     if h.s is not None:
         s = _tabulate(n, 2, lambda x, y: _inverse_antipode(backend, h.homs, h.s, x, y))
@@ -710,16 +717,9 @@ def opposite_vcat(h):
 
 def hopfcat_data_equal(a, b):
     """Field-by-field data equality of two enriched categories of one kind."""
-    if type(a) is not type(b) or a.backend != b.backend or a.n != b.n:
+    if (type(a) is not type(b) or a.backend != b.backend or a.n != b.n
+            or a.columns.keys() != b.columns.keys()):
         return False
-    n, backend = a.n, a.backend
-    tables = [("homs", a.homs, b.homs, 2, backend.obj_key)] + [
-        (name, getattr(a, name), getattr(b, name), FIELDS[name][0], backend.mor_key)
-        for name in a.fields]
-    for name, ta, tb, arity, key in tables:
-        if (ta is None) != (tb is None):
-            return False
-        if ta is not None and any(key(p) != key(q) for (_, p), (_, q) in zip(
-                _entries(ta, n, arity, name), _entries(tb, n, arity, name))):
-            return False
-    return True
+    keys = {name: a.backend.obj_key if name == "H" else a.backend.mor_key for name in a.columns}
+    return all(keys[name](p) == keys[name](q)
+               for name in a.columns for p, q in zip(a.columns[name], b.columns[name]))

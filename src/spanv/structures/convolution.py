@@ -49,8 +49,13 @@ def convolution_2cells(bim, x, y):
     return framed(tensor_2cells(x, y), pre=bim.comonoid.lcm, post=bim.monoid.mlt)
 
 
-def _firmness(bim, ctx):
-    """The two defining equations with invertibility, plus the inverses."""
+def _firmness(bim, ctx, names=("tau", "mu")):
+    """The two defining equations with invertibility, plus the inverses.
+    If tau or mu (called by names) failed validation, the result is one
+    failed antipode-cells law naming the first of them, and no inverses."""
+    for name, cell in zip(names, (ctx.tau, ctx.mu)):
+        if isinstance(cell, InvalidCell):
+            return [invalid_result("antipode-cells", name, cell)], None, None
     id_p = identity_2cell(ctx.p)
     id_q = identity_2cell(ctx.q)
     results = []
@@ -87,9 +92,11 @@ def morita_uniqueness_iso(bim, ctx1, ctx2):
     """
     results1, alpha1, beta1 = _firmness(bim, ctx1)
     results2, alpha2, beta2 = _firmness(bim, ctx2)
-    failed = [r.name for r in results1 + results2 if not r.ok]
+    failed = [r for r in results1 + results2 if not r.ok]
     if failed:
-        raise NotFirm("%s fails" % failed[0])
+        invalid = (failed[0].counterexample or {}).get("invalid")
+        raise NotFirm("%s fails" % failed[0].name if invalid is None else
+                      "%s is not a 2-cell: %s" % (invalid, failed[0].note))
     id_q1 = identity_2cell(ctx1.q)
     id_q2 = identity_2cell(ctx2.q)
 
@@ -123,11 +130,8 @@ def antipode_context(bim, antipode):
 @per_check
 def check_oplax_hopf(bim, antipode):
     """Check an antipode: its context on (identity, s) must be firm."""
-    for name in ("tau1", "tau2"):
-        cell = getattr(antipode, name)
-        if isinstance(cell, InvalidCell):
-            return CheckReport([invalid_result("antipode-cells", name, cell)])
-    return check_oplax_inverse(bim, antipode_context(bim, antipode))
+    results, _, _ = _firmness(bim, antipode_context(bim, antipode), ("tau1", "tau2"))
+    return CheckReport(results)
 
 
 def fusion_cell(bim):

@@ -1,6 +1,8 @@
 """Hom-indexed enriched categories, groupoids, and the two-way bridges."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanv import vbackend
+from spanv import hopfcat, vbackend
 from spanv.cells import InvalidCell
-from spanv.errors import NotAGroupoid, NotInvertible, NotOverX2
+from spanv.errors import NotAGroupoid, NotFirm, NotInvertible, NotOverX2
 from spanv.finset import FinFn, FinSet, identity_fn
 from spanv.hopfcat import (
+    FIELDS,
     FrobVCat,
     GroupoidData,
     HopfVCat,
@@ -36,11 +39,15 @@ from spanv.hopfcat import (
     vfunctor_to_spanv,
 )
 from spanv.structures import (
+    AxiomResult,
+    antipode_context,
     check_frobenius,
     check_oplax_bimonoid,
     check_oplax_bimonoid_morphism,
     check_oplax_hopf,
+    check_oplax_inverse,
     infer_unique_structure_cells,
+    morita_uniqueness_iso,
 )
 from spanv.vbackend import FinSetBackend, MatBackend, NonzeroMatrix, per_check
 
@@ -528,3 +535,186 @@ def test_inference_returns_none_when_a_cell_is_not_forced():
     bim, _ = hopfcat_to_spanv(bad)
     assert isinstance(bim.theta, InvalidCell)
     assert infer_unique_structure_cells(bim.monoid, bim.comonoid) is None
+
+
+def _per_tuple_laws(backend, n, grids, rows):
+    """The reference runner: every law at every index tuple, row-major,
+    reading each entry through Column indexing."""
+    results = []
+    for name, arity, reads, law in rows:
+        result = AxiomResult(name, True)
+        for idx in itertools.product(range(n), repeat=arity):
+            entries = []
+            for read in reads.split():
+                grid = read.rstrip("0123456789")
+                assert grids[grid].size == n ** len(read[len(grid):]), read
+                flat = 0
+                for digit in read[len(grid):]:
+                    flat = flat * n + idx[int(digit)]
+                entries.append(grids[grid][flat])
+            lhs, rhs = law(*entries)
+            if not backend.eq_mor(lhs, rhs):
+                result = AxiomResult(name, False, {
+                    "at": list(idx), "diff": hopfcat._first_mor_diff(backend, lhs, rhs)})
+                break
+        results.append(result)
+    return results
+
+
+def _on_every_hom(h, n):
+    """The category on n objects whose every hom, composition and
+    comonoid is that of the one-object category h: all of its entries
+    are equal, so each law has one distinct tuple of entries."""
+    return HopfVCat(h.backend, FinSet((n,)), [[h.homs[0][0]] * n] * n,
+                    [[[h.m[0][0][0]] * n] * n] * n, [h.u[0]] * n, [[h.delta[0][0]] * n] * n,
+                    [[h.eps[0][0]] * n] * n, [[h.s[0][0]] * n] * n)
+
+
+def _moved(backend, mor, rng):
+    """mor with one entry moved, or None if no entry can move."""
+    if isinstance(mor, FinFn):
+        if mor.cod.size < 2 or mor.dom.size == 0:
+            return None
+        table = mor.table.copy()
+        i = rng.randrange(table.size)
+        table[i] = (table[i] + 1 + rng.randrange(mor.cod.size - 1)) % mor.cod.size
+        return FinFn(mor.dom, mor.cod, table)
+    a = np.array(backend.mor(mor))
+    a[rng.randrange(a.shape[0]), rng.randrange(a.shape[1])] += 1
+    return a
+
+
+def _mutants(v, rng):
+    """v with one entry of one field moved: the first, the last and a
+    seeded entry of every field."""
+    n = v.n
+    for name in v.fields:
+        arity = FIELDS[name][0]
+        seeded = tuple(rng.randrange(n) for _ in range(arity))
+        for idx in sorted({(0,) * arity, (n - 1,) * arity, seeded}):
+            table = getattr(v, name)
+            entry = table
+            for i in idx:
+                entry = entry[i]
+            mor = _moved(v.backend, entry, rng)
+            if mor is None:
+                continue
+            tables = {f: getattr(v, f) for f in v.fields}
+            tables[name] = _replaced(table, idx, mor)
+            yield type(v)(v.backend, v.objects, v.homs, **tables)
+
+
+def _replaced(table, idx, entry):
+    if not idx:
+        return entry
+    return [_replaced(t, idx[1:], entry) if i == idx[0] else t for i, t in enumerate(table)]
+
+
+def test_distinct_tuple_runner_matches_a_per_tuple_loop(monkeypatch):
+    rng = random.Random(15)
+    hopf = [groupoid_to_hopfcat(make(n)) for make in
+            (codiscrete_groupoid, discrete_groupoid, cyclic_group_groupoid) for n in (1, 2, 3, 4)]
+    hopf += [group_algebra_hopf(p, k) for p in (2, 3, 5) for k in range(1, 7)]
+    # many objects with equal entries: a moved entry fails at several tuples
+    hopf += [_on_every_hom(groupoid_to_hopfcat(cyclic_group_groupoid(3)), 3),
+             _on_every_hom(group_algebra_hopf(3, 2), 3)]
+    frob = [mat_frobenius_example(p, n) for p in (2, 3) for n in (1, 2, 3)]
+    fc, small = mat_frobenius_example(3, 3), mat_frobenius_example(3, 2)
+    comps = [[fc.backend.id(fc.homs[x][y]) for y in range(3)] for x in range(3)]
+    comps[2][1] = _moved(fc.backend, comps[2][1], rng)
+    checks = [(check_hopf_vcat, v) for h in hopf for v in [h, *_mutants(h, rng)]]
+    checks += [(check_frobenius_vcat, v) for f in frob for v in [f, *_mutants(f, rng)]]
+    checks += [(lambda fun: check_frobenius_vfunctor(fc, fc, fun),
+                VFunctorData(identity_fn(fc.objects), comps)),
+               (lambda fun: check_frobenius_vfunctor(small, fc, fun),
+                VFunctorData(FinFn(small.objects, fc.objects, [0, 1]),
+                             [row[:2] for row in comps[:2]]))]
+    failed, later = 0, 0
+    for check, v in checks:
+        got = [r.as_dict() for r in check(v).results]
+        with monkeypatch.context() as patch:
+            # keys this small are renumbered after almost every read
+            patch.setattr(hopfcat, "_KEY_LIMIT", 8)
+            renumbered = [r.as_dict() for r in check(v).results]
+            patch.setattr(hopfcat, "_run_laws", _per_tuple_laws)
+            want = [r.as_dict() for r in check(v).results]
+        assert got == renumbered == want
+        failed += any(r["status"] == "fail" for r in got)
+        # a first failure past the first tuple tests the row-major order
+        later += any(r["status"] == "fail" and any(r["counterexample"]["at"]) for r in got)
+    assert (len(checks), failed, later) == (211, 172, 45)
+
+
+def test_direct_check_cost_does_not_grow_with_the_objects(monkeypatch):
+    # every entry of the codiscrete FinSet category is equal, so each law
+    # is decided once however many objects there are
+    calls = []
+    compose = FinSetBackend.compose
+    monkeypatch.setattr(FinSetBackend, "compose",
+                        lambda self, f, g: calls.append(1) or compose(self, f, g))
+    counts = []
+    for n in (2, 6):
+        calls.clear()
+        assert check_hopf_vcat(groupoid_to_hopfcat(codiscrete_groupoid(n))).ok
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def _z3_antipode_mutant():
+    z = groupoid_to_hopfcat(cyclic_group_groupoid(3))
+    s = z.s[0][0]
+    table = s.table.copy()
+    table[1] = 1
+    return HopfVCat(z.backend, z.objects, z.homs, z.m, z.u, z.delta, z.eps,
+                    [[FinFn(s.dom, s.cod, table)]])
+
+
+def test_an_invalid_context_cell_fails_firmness_by_name():
+    bim, anti = hopfcat_to_spanv(_z3_antipode_mutant())
+    assert isinstance(anti.tau1, InvalidCell)
+    ctx = antipode_context(bim, anti)
+    [hopf] = check_oplax_hopf(bim, anti).results
+    [inverse] = check_oplax_inverse(bim, ctx).results
+    assert (hopf.name, hopf.counterexample["invalid"]) == ("antipode-cells", "tau1")
+    assert (inverse.name, inverse.counterexample["invalid"]) == ("antipode-cells", "tau")
+    assert inverse.counterexample["element"] == hopf.counterexample["element"]
+    assert inverse.note == hopf.note == anti.tau1.error
+    good_bim, good = hopfcat_to_spanv(groupoid_to_hopfcat(cyclic_group_groupoid(3)))
+    with pytest.raises(NotFirm, match="^tau is not a 2-cell: " + anti.tau1.error):
+        morita_uniqueness_iso(bim, ctx, ctx)
+    assert morita_uniqueness_iso(good_bim, *[antipode_context(good_bim, good)] * 2)
+
+
+_FUNCTOR_OBJECT_MAPS = """
+from spanv.finset import FinFn, FinSet
+from spanv.hopfcat import (VFunctorData, check_frobenius_vfunctor, group_algebra_hopf,
+                           mat_frobenius_example, vfunctor_to_spanv)
+fc = mat_frobenius_example(2, 2)
+h = group_algebra_hopf(3, 2)
+ident = [[fc.backend.id(fc.homs[x][y]) for y in range(2)] for x in range(2)]
+for run in (lambda: check_frobenius_vfunctor(
+                fc, fc, VFunctorData(FinFn(FinSet((1,)), FinSet((2,)), [0]), [[ident[0][0]]])),
+            lambda: check_frobenius_vfunctor(
+                fc, fc, VFunctorData(FinFn(FinSet((2,)), FinSet((3,)), [0, 1]), ident)),
+            lambda: vfunctor_to_spanv(
+                h, h, VFunctorData(FinFn(FinSet((2,)), FinSet((1,)), [0, 0]), ident))):
+    try:
+        run()
+    except Exception as err:
+        print(type(err).__name__, err)
+"""
+
+
+def test_functor_object_map_must_join_the_two_object_sets_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, *flags, "-c", _FUNCTOR_OBJECT_MAPS],
+                           capture_output=True, text=True, env=env, timeout=60)
+            for flags in ([], ["-O"])]
+    assert runs[0].stdout.splitlines() == [
+        "ShapeMismatch the object map's domain FinSet(1,) is not FinSet(2,)",
+        "ShapeMismatch the object map's codomain FinSet(3,) is not FinSet(2,)",
+        "ShapeMismatch the object map's domain FinSet(2,) is not FinSet(1,)",
+    ], runs[0].stderr
+    assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""

@@ -105,3 +105,17 @@ def test_every_public_name_is_referenced():
                 continue
             unreferenced.append("%s: %s" % (path.relative_to(SRC), node.name))
     assert not unreferenced
+
+
+def test_no_direct_checker_loops_over_index_tuples():
+    # a direct law is decided once per distinct tuple of the entries it
+    # reads (hopfcat._run_laws), never by a loop over every index tuple
+    tree = ast.parse((SRC / "hopfcat.py").read_text())
+    checkers = {node.name: _used_names(node) for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and (node.name.startswith("check_") or node.name.endswith("_laws"))}
+    assert sorted(checkers) == ["_category_laws", "_run_laws", "check_frobenius_vcat",
+                                "check_frobenius_vfunctor", "check_hopf_vcat",
+                                "check_semi_hopf_vcat"]
+    assert not [name for name, used in checkers.items()
+                if used & {"_indices", "_entries", "_tabulate", "itertools", "product"}]
