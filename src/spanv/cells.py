@@ -31,6 +31,7 @@ from .errors import (
 )
 from .finset import FinFn, FinSet, compose_fn, identity_fn, pullback, tensor_fn
 from .span import Span, braiding_span, identity_span, is_identity_span, tensor_spans
+from .vbackend import pairwise
 
 
 class Column:
@@ -40,8 +41,10 @@ class Column:
     with one value stores no codes, so it costs O(1) memory at any
     length.  Columns built from a list, and the results of tensor,
     compose and braiding, merge values whose backend keys are equal.
-    Operations call the backend once per stored value or occurring pair
-    of values, then take one numpy step over the codes.
+    zip_with and outer call fn(xs, ys) once, on the lists of the first and
+    second values of every occurring pair, so a backend's compose_many or
+    tensor_many is one backend call per operation; map calls fn once per
+    stored value.  Then one numpy step maps the codes.
     """
 
     def __init__(self, values, size, codes=None, key=None):
@@ -97,7 +100,7 @@ class Column:
         return Column([fn(v) for v in self.values], self.size, self.codes)
 
     def zip_with(self, other, fn, key=None):
-        """Entry i is fn(self[i], other[i])."""
+        """Entry i is fn's result at the pair (self[i], other[i])."""
         if self.size != other.size:
             raise ShapeMismatch("cannot pair a column of %d entries with one of %d"
                                 % (self.size, other.size))
@@ -106,7 +109,7 @@ class Column:
                            lambda: self._dense() * width + other._dense())
 
     def outer(self, other, fn, key=None):
-        """Row-major product: entry i * len(other) + j is fn(self[i], other[j])."""
+        """Row-major product: entry i * len(other) + j is fn's result at (self[i], other[j])."""
         width = len(other.values)
         return self._pairs(other, self.size * other.size, fn, key,
                            lambda: (self._dense()[:, None] * width + other._dense()).ravel())
@@ -115,14 +118,15 @@ class Column:
         return np.zeros(self.size, dtype=np.int64) if self.codes is None else self.codes
 
     def _pairs(self, other, size, fn, key, pair_codes):
-        # fn runs once per distinct pair of values; pair_codes() numbers
-        # each entry's pair and is never built when both sides are constant
+        # one call of fn on the distinct pairs of values; pair_codes()
+        # numbers each entry's pair and is never built when both sides are constant
         if self.codes is None and other.codes is None:
-            return Column([fn(x, y) for x in self.values for y in other.values], size, key=key)
+            return Column(fn(self.values * len(other.values), other.values * len(self.values)),
+                          size, key=key)
         distinct, codes = np.unique(pair_codes(), return_inverse=True)
-        width = len(other.values)
-        values = [fn(self.values[p // width], other.values[p % width])
-                  for p in distinct.tolist()]
+        left, right = np.divmod(distinct, len(other.values))
+        values = fn([self.values[i] for i in left.tolist()],
+                    [other.values[j] for j in right.tolist()])
         return Column(values, size, codes.reshape(-1), key)
 
     def first_false(self):
@@ -157,7 +161,7 @@ class VFam:
 
 def fams_equal(a, b):
     return a is b or (a.backend == b.backend and a.base == b.base
-                      and a.objs.all_equal(b.objs, a.backend.eq_obj))
+                      and a.objs.all_equal(b.objs, pairwise(a.backend.eq_obj)))
 
 
 def unit_fam(backend):
@@ -170,7 +174,7 @@ def tensor_fams(a, b):
     if b.base.shape == ():
         return a
     backend = a.backend
-    objs = a.objs.outer(b.objs, backend.tensor_obj, backend.obj_key)
+    objs = a.objs.outer(b.objs, pairwise(backend.tensor_obj), backend.obj_key)
     return VFam(backend, FinSet(a.base.shape + b.base.shape), objs)
 
 
@@ -190,8 +194,9 @@ class VCell1:
         if alphas.size != span.apex.size:
             raise ShapeMismatch("cell has %d components for an apex of %d elements"
                                 % (alphas.size, span.apex.size))
-        ends = (alphas.map(backend.dom).zip_with(dom.objs.along(span.f), backend.eq_obj),
-                alphas.map(backend.cod).zip_with(cod.objs.along(span.g), backend.eq_obj))
+        eq = pairwise(backend.eq_obj)
+        ends = (alphas.map(backend.dom).zip_with(dom.objs.along(span.f), eq),
+                alphas.map(backend.cod).zip_with(cod.objs.along(span.g), eq))
         bad = [s for s in (end.first_false() for end in ends) if s is not None]
         if bad:
             raise ComponentShapeError("component %d has wrong boundary" % min(bad))
@@ -215,7 +220,7 @@ def cells_equal(a, b):
         return False
     if not fams_equal(a.dom, b.dom) or not fams_equal(a.cod, b.cod):
         return False
-    return a.alphas.all_equal(b.alphas, a.backend.eq_mor)
+    return a.alphas.all_equal(b.alphas, pairwise(a.backend.eq_mor))
 
 
 def identity_cell(fam):
@@ -228,7 +233,7 @@ def is_identity_cell(cell):
     if cell._is_id is None:
         backend = cell.backend
         cell._is_id = is_identity_span(cell.span) and cell.alphas.all_equal(
-            cell.dom.objs.map(backend.id), backend.eq_mor)
+            cell.dom.objs.map(backend.id), pairwise(backend.eq_mor))
     return cell._is_id
 
 
@@ -249,7 +254,7 @@ def compose_cells(a, b):
                 compose_fn(p1, a.span.f), compose_fn(p2, b.span.g))
     backend = a.backend
     alphas = a.alphas.take(p1.table).zip_with(
-        b.alphas.take(p2.table), backend.compose, backend.mor_key)
+        b.alphas.take(p2.table), backend.compose_many, backend.mor_key)
     return VCell1(a.dom, b.cod, span, alphas)
 
 
@@ -261,7 +266,7 @@ def tensor_cells(a, b):
         return a
     span = tensor_spans(a.span, b.span)
     backend = a.backend
-    alphas = a.alphas.outer(b.alphas, backend.tensor_mor, backend.mor_key)
+    alphas = a.alphas.outer(b.alphas, backend.tensor_many, backend.mor_key)
     return VCell1(tensor_fams(a.dom, b.dom), tensor_fams(a.cod, b.cod), span, alphas)
 
 
@@ -269,7 +274,7 @@ def braiding_cell(a, b):
     """The symmetry (X, A) tensor (Y, B) -> (Y, B) tensor (X, A)."""
     backend = a.backend
     span = braiding_span(a.base, b.base)
-    alphas = a.objs.outer(b.objs, backend.braiding, backend.mor_key)
+    alphas = a.objs.outer(b.objs, pairwise(backend.braiding), backend.mor_key)
     return VCell1(tensor_fams(a, b), tensor_fams(b, a), span, alphas)
 
 
@@ -324,7 +329,7 @@ def make_2cell(src, tgt, u):
             err = TriangleViolation("%s leg disagrees at apex element %d" % (side, bad))
             err.element = tuple(src.span.apex.decode(np.array([bad]))[0].tolist())
             raise err
-    s = src.alphas.zip_with(tgt.alphas.along(u), src.backend.eq_mor).first_false()
+    s = src.alphas.zip_with(tgt.alphas.along(u), pairwise(src.backend.eq_mor)).first_false()
     if s is not None:
         err = FactorizationViolation("component disagrees at apex element %d" % s)
         err.element = tuple(src.span.apex.decode(np.array([s]))[0].tolist())

@@ -51,7 +51,7 @@ from .structures import (
     morphism_boundaries,
     structure_cell_boundaries,
 )
-from .vbackend import FinSetBackend, MatBackend, TrivialBackend, per_check
+from .vbackend import FinSetBackend, MatBackend, TrivialBackend, pairwise, per_check
 
 # Every field of an enriched category, declared once: name: (number of
 # object indices of an entry, (dom, cod) of the entry at those indices from
@@ -175,22 +175,6 @@ class VFunctorData:
                                 n, 2)
 
 
-def _first_mor_diff(backend, lhs, rhs):
-    if isinstance(backend, MatBackend):
-        lhs, rhs = np.asarray(backend.mor(lhs)), np.asarray(backend.mor(rhs))
-        if lhs.shape != rhs.shape:
-            return {"shapes": [list(lhs.shape), list(rhs.shape)]}
-        where = np.argwhere(lhs != rhs)[0]
-        return {"entry": [int(v) for v in where],
-                "this": int(lhs[tuple(where)]), "other": int(rhs[tuple(where)])}
-    if isinstance(lhs, FinFn):
-        if lhs.dom != rhs.dom or lhs.cod != rhs.cod:
-            return {"shapes": [lhs.dom.shape, rhs.dom.shape]}
-        w = lhs.first_difference(rhs)
-        return {"entry": [w], "this": int(lhs.table[w]), "other": int(rhs.table[w])}
-    return None
-
-
 # the largest mixed-radix key of a tuple of entry codes
 _KEY_LIMIT = 2**62
 
@@ -199,10 +183,12 @@ def _run_laws(backend, n, grids, rows):
     """One result per (name, arity, reads, law) row.  reads lists the
     entries a law reads at an index tuple, each a grid's name and the
     positions of its indices: "m023 H01" is m[x][z][w] and H[x][y] at
-    (x, y, z, w).  law maps them to two morphisms that must be equal.  Each
-    distinct tuple of entry codes is decided once, at its first tuple
-    row-major, so a failure records the first failing tuple and the first
-    entry that differs there."""
+    (x, y, z, w), and "I" is the unit object.  law maps them to two
+    morphisms that must be equal, and runs once, on Columns over the
+    distinct tuples of entry codes, each at its first tuple row-major; so
+    its first false entry is the first failing tuple, where a failure
+    records the first entry that differs."""
+    grids = dict(grids, I=Column([backend.unit], 1))
     results = []
     for name, arity, reads, law in rows:
         digits = np.indices((n,) * arity).reshape(arity, -1)
@@ -218,24 +204,31 @@ def _run_laws(backend, n, grids, rows):
                     span = int(key.max()) + 1
                 key, span = key * len(values) + codes, span * len(values)
             picks.append((values, codes))
-        result, first = AxiomResult(name, True), np.zeros(key.size, dtype=bool)
+        first = np.zeros(key.size, dtype=bool)
         first[np.unique(key, return_index=True)[1] if span > 1 else slice(1)] = True
         tuples = np.flatnonzero(first)
-        entries = zip(*(values[:1] * tuples.size if codes is None else
-                        [values[c] for c in codes[tuples].tolist()] for values, codes in picks))
-        for i, args in zip(tuples.tolist(), entries):
-            lhs, rhs = law(*args)
-            if not backend.eq_mor(lhs, rhs):
-                result = AxiomResult(name, False, {"at": digits[:, i].tolist(),
-                                                   "diff": _first_mor_diff(backend, lhs, rhs)})
-                break
-        results.append(result)
+        lhs, rhs = law(*(Column(values, tuples.size, None if codes is None else codes[tuples])
+                         for values, codes in picks))
+        bad = lhs.zip_with(rhs, pairwise(backend.eq_mor)).first_false()
+        results.append(AxiomResult(name, True) if bad is None else AxiomResult(name, False, {
+            "at": digits[:, tuples[bad]].tolist(),
+            "diff": backend.first_difference(lhs[bad], rhs[bad])}))
     return results
+
+
+def _column_ops(backend):
+    """compose, tensor, identity and braiding of Columns, entry by entry,
+    each one backend call."""
+    mor = backend.mor_key
+    return (lambda f, g: f.zip_with(g, backend.compose_many, mor),
+            lambda f, g: f.zip_with(g, backend.tensor_many, mor),
+            lambda a: a.map(backend.id),
+            lambda a, b: a.zip_with(b, pairwise(backend.braiding), mor))
 
 
 def _category_laws(backend):
     """Rows for associativity and the two unit laws of composition."""
-    t, c, iden = backend.tensor_mor, backend.compose, backend.id
+    c, t, iden, _ = _column_ops(backend)
     return [
         ("cat-assoc", 4, "m012 H23 m023 H01 m123 m013",
          lambda m012, H23, m023, H01, m123, m013: (
@@ -250,7 +243,7 @@ def check_semi_hopf_vcat(h):
     """Category laws, a comonoid on every hom, and the compatibility of
     composition and identities with those comonoids."""
     backend = h.backend
-    t, c, iden = backend.tensor_mor, backend.compose, backend.id
+    c, t, iden, braid = _column_ops(backend)
     return CheckReport(_run_laws(backend, h.n, h.columns, _category_laws(backend) + [
         ("local-coassoc", 2, "delta01 H01", lambda d, H: (
             c(d, t(d, iden(H))), c(d, t(iden(H), d)))),
@@ -260,11 +253,11 @@ def check_semi_hopf_vcat(h):
             c(d, t(iden(H), e)), iden(H))),
         ("mult-comult", 3, "m012 delta02 delta01 delta12 H01 H12",
          lambda m012, d02, d01, d12, H01, H12: (c(m012, d02), c(c(t(d01, d12), t(t(
-             iden(H01), backend.braiding(H01, H12)), iden(H12))), t(m012, m012)))),
+             iden(H01), braid(H01, H12)), iden(H12))), t(m012, m012)))),
         ("unit-comult", 1, "u0 delta00", lambda u, d: (c(u, d), t(u, u))),
         ("mult-counit", 3, "m012 eps02 eps01 eps12", lambda m012, e02, e01, e12: (
             c(m012, e02), t(e01, e12))),
-        ("unit-counit", 1, "u0 eps00", lambda u, e: (c(u, e), iden(backend.unit))),
+        ("unit-counit", 1, "u0 eps00 I", lambda u, e, I: (c(u, e), iden(I))),
     ]))
 
 
@@ -275,7 +268,7 @@ def check_hopf_vcat(h):
         raise SchemaError("missing field 's': check_hopf_vcat needs an antipode; "
                           "check_semi_hopf_vcat checks the rest")
     backend = h.backend
-    t, c, iden = backend.tensor_mor, backend.compose, backend.id
+    c, t, iden, _ = _column_ops(backend)
     return CheckReport(check_semi_hopf_vcat(h).results + _run_laws(backend, h.n, h.columns, [
         ("antipode-left", 2, "delta01 s01 H01 m101 eps01 u1",
          lambda d01, s01, H01, m101, e01, u1: (c(c(d01, t(s01, iden(H01))), m101), c(e01, u1))),
@@ -288,7 +281,7 @@ def check_hopf_vcat(h):
 def check_frobenius_vcat(fc):
     """Category and cocategory laws plus both indexed exchange squares."""
     backend = fc.backend
-    t, c, iden = backend.tensor_mor, backend.compose, backend.id
+    c, t, iden, _ = _column_ops(backend)
     return CheckReport(_run_laws(backend, fc.n, fc.columns, _category_laws(backend) + [
         ("cocat-coassoc", 4, "comlt023 comlt012 H23 comlt013 H01 comlt123",
          lambda k023, k012, H23, k013, H01, k123: (
@@ -307,13 +300,19 @@ def check_frobenius_vcat(fc):
 
 
 def _functor_components(ca, cb, fun):
-    """fun's components, row-major, as a Column; its object map must run ca -> cb."""
+    """fun's components, row-major, as a Column; its object map must run
+    ca -> cb, and its component at (x, y) from ca's hom there to cb's hom
+    at the objects (x, y) go to."""
     for side, end, v in (("domain", fun.obj_map.dom, ca), ("codomain", fun.obj_map.cod, cb)):
         if end != v.objects:
             raise ShapeMismatch("the object map's %s %r is not %r" % (side, end, v.objects))
-    backend = ca.backend
-    return Column.from_list([backend.mor(f) for row in fun.components for f in row],
-                            backend.mor_key)
+    backend, f0 = ca.backend, fun.obj_map.table
+    components = [backend.mor(f) for row in fun.components for f in row]
+    for (x, y), f in zip(_indices(ca.n, 2), components):
+        if not (backend.eq_obj(backend.dom(f), ca.homs[x][y])
+                and backend.eq_obj(backend.cod(f), cb.homs[f0[x]][f0[y]])):
+            raise ShapeMismatch("components[%d][%d] has wrong ends" % (x, y))
+    return Column.from_list(components, backend.mor_key)
 
 
 @per_check
@@ -322,7 +321,7 @@ def check_frobenius_vfunctor(ca, cb, fun):
     coidentities all commute with the components.  The grids "b..." are
     those of cb at the objects the object map sends the indices to."""
     backend = ca.backend
-    t, c = backend.tensor_mor, backend.compose
+    c, t, _, _ = _column_ops(backend)
     grids = dict(ca.columns, F=_functor_components(ca, cb, fun))
     for name in ("m", "u", "comlt", "couni"):
         arity = FIELDS[name][0]

@@ -17,6 +17,7 @@ from .cells import VCell2, cells_equal, fams_equal, identity_2cell, make_2cell
 from .errors import OutOfBounds, PasteError
 from .finset import compose_fn, identity_fn
 from .span import feet_pairs, match_by_signature
+from .vbackend import pairwise
 
 
 def _signature_cols(a, b):
@@ -122,7 +123,7 @@ def _candidate_options(src, tgt):
     if not fams_equal(src.dom, tgt.dom) or not fams_equal(src.cod, tgt.cod):
         return None
     s, t = feet_pairs(src.span, tgt.span)
-    same = src.alphas.take(s).zip_with(tgt.alphas.take(t), src.backend.eq_mor)
+    same = src.alphas.take(s).zip_with(tgt.alphas.take(t), pairwise(src.backend.eq_mor))
     keep = same.expand(same.values).astype(bool)
     counts = np.bincount(s[keep], minlength=src.span.apex.size)
     if counts.size and counts.min() == 0:

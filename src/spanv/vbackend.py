@@ -6,17 +6,23 @@ and hashable keys.  Matrices over a prime field or the boolean semiring,
 finite sets with functions, and a trivial one-object one-morphism
 backend are provided.
 
-While a checker decorated with ``per_check`` runs, the matrix backend
-computes each distinct product, tensor and identity once.
+compose_many and tensor_many are one call on two equal-length lists of
+operands: the matrix backend runs one kernel over the whole batch, the
+others go pair by pair.  While a checker decorated with ``per_check``
+runs, the matrix backend computes each distinct product, tensor and
+identity once: a batch looks every pair up and computes only the misses.
 """
 
 import functools
+import itertools
+import operator
 from contextvars import ContextVar
 
 import numpy as np
 
-from .errors import InvalidBackend, ShapeMismatch, UnsupportedBackend
-from .finset import UNIT, FinFn, FinSet, compose_fn, identity_fn, product, swap_fn, tensor_fn
+from .errors import InvalidBackend, OutOfBounds, ShapeMismatch, UnsupportedBackend
+from .finset import (_MAX_SIZE, UNIT, FinFn, FinSet, compose_fn, identity_fn, product, swap_fn,
+                     tensor_fn)
 
 
 # operand keys -> result, for the checker running now; None outside one
@@ -42,15 +48,22 @@ def per_check(fn):
     return run
 
 
-def _memoised(key, make, *args):
-    """make(*args), computed once per key while a checker runs."""
+def _memoised(keys, make, *args):
+    """The result for each key.  make maps the lists of args at the keys
+    not computed yet to their results and runs once per call: a running
+    check computes each key once, and outside a check each call computes
+    its distinct keys."""
     memo = _MEMO.get()
-    if memo is None:
-        return make(*args)
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = make(*args)
-    return out
+    memo = {} if memo is None else memo
+    todo = {key: i for i, key in enumerate(keys) if key not in memo}
+    if todo:
+        memo.update(zip(todo, make(*([arg[i] for i in todo.values()] for arg in args))))
+    return [memo[key] for key in keys]
+
+
+def pairwise(op):
+    """op(x, y) as a function of two equal-length lists of operands."""
+    return lambda xs, ys: list(map(op, xs, ys))
 
 
 class _Backend:
@@ -61,6 +74,14 @@ class _Backend:
 
     def __hash__(self):
         return hash((type(self).__name__,) + tuple(sorted(vars(self).items())))
+
+    def compose_many(self, fs, gs):
+        """compose of each pair of two equal-length lists, in one call."""
+        return list(map(self.compose, fs, gs))
+
+    def tensor_many(self, fs, gs):
+        """tensor_mor of each pair of two equal-length lists, in one call."""
+        return list(map(self.tensor_mor, fs, gs))
 
 
 class TrivialBackend(_Backend):
@@ -166,6 +187,48 @@ def _identity(n):
     return _one_per_row(np.arange(n), n)
 
 
+def _starts(sizes):
+    """0 and the running sums of a batch's block sizes, summed as Python
+    ints, so a total past int64 is refused before any array holds it."""
+    starts = list(itertools.accumulate(sizes, initial=0))
+    if starts[-1] > _MAX_SIZE:
+        raise OutOfBounds("a batch of %d blocks holds %d entries" % (len(sizes), starts[-1]))
+    return np.array(starts, dtype=np.int64)
+
+
+def _nonzeros(mats):
+    """Every nonzero of a list of matrices as its matrix's index, row,
+    column and value, concatenated."""
+    block = np.arange(len(mats)).repeat([a.pos.size for a in mats])
+    width = np.array([a.shape[1] for a in mats], dtype=np.int64)
+    rows, cols = np.divmod(np.concatenate([a.pos for a in mats]), width[block])
+    return block, rows, cols, np.concatenate([a.vals for a in mats])
+
+
+def _meet(f_keys, g_keys, size):
+    """(left, right) for every pair of an f item and a g item whose keys
+    in range(size) are equal, ascending in left and then in right; the g
+    keys must ascend, so those of one key are one slice."""
+    count = np.bincount(g_keys, minlength=size)
+    per = count[f_keys]
+    left = np.arange(per.size).repeat(per)
+    skip = (count.cumsum() - count)[f_keys] - (per.cumsum() - per)
+    return left, np.arange(left.size) + skip.repeat(per)
+
+
+def _split(shapes, out, pos, vals):
+    """The batch's matrices, block b holding the ascending positions from
+    out[b] on.  Each block keeps views of pos and vals, with its positions
+    shifted to its own in place: a copy of a large block costs nearly as
+    much as its sort."""
+    cut = np.searchsorted(pos, out).tolist()
+    mats = []
+    for b, (shape, lo, hi) in enumerate(zip(shapes, cut, cut[1:])):
+        pos[lo:hi] -= out[b]
+        mats.append(NonzeroMatrix(shape, pos[lo:hi], vals[lo:hi]))
+    return mats
+
+
 class MatBackend(_Backend):
     """Matrices over Z/p (p prime) or over the boolean semiring.
 
@@ -174,13 +237,15 @@ class MatBackend(_Backend):
     tensor pairs basis vectors row-major (the Kronecker product).  A
     morphism is a NonzeroMatrix with values reduced mod p (always 1 over
     the booleans); every operation also accepts a dense 2-D int array and
-    converts it on entry.  Products and tensors touch only nonzeros.
+    converts it on entry.  Products and tensors touch only nonzeros, and
+    compose_many and tensor_many run one kernel over a whole batch:
+    compose and tensor_mor are batches of one.
 
-    The prime is at most 65537, so (p - 1)**2 <= 2**32 and a product's
-    int64 sums of fewer than 2**31 terms are exact.  While a checker
-    decorated with per_check runs, compose, tensor_mor and id look their
-    result up by the operands' keys and compute each distinct one once;
-    outside a checker they compute every call.
+    The prime is an integer of at most 65537, so (p - 1)**2 <= 2**32 and a
+    product's int64 sums of fewer than 2**31 terms are exact.  While a
+    checker decorated with per_check runs, a batch looks its results up
+    by the operands' keys and computes each distinct one once, and so
+    does id; outside a checker each call computes its distinct pairs.
     """
 
     unit = 1
@@ -188,6 +253,9 @@ class MatBackend(_Backend):
     def __init__(self, prime=None, boolean=False):
         if (prime is None) == (not boolean):
             raise InvalidBackend("pass a prime or boolean=True")
+        if isinstance(prime, bool) or (prime is not None and not hasattr(prime, "__index__")):
+            raise InvalidBackend("modulus %r is not an integer" % (prime,))
+        prime = None if prime is None else operator.index(prime)
         if prime is not None and prime > _PRIME_LIMIT:
             raise InvalidBackend("prime %r is above %d, past which int64 matrix products "
                                  "can overflow" % (prime, _PRIME_LIMIT))
@@ -225,56 +293,94 @@ class MatBackend(_Backend):
         return (f.shape == g.shape and np.array_equal(f.pos, g.pos)
                 and np.array_equal(f.vals, g.vals))
 
+    def first_difference(self, f, g):
+        """Their shapes, or the row-major first entry where they differ."""
+        f, g = np.asarray(self.mor(f)), np.asarray(self.mor(g))
+        if f.shape != g.shape:
+            return {"shapes": [list(f.shape), list(g.shape)]}
+        where = np.argwhere(f != g)[0]
+        return {"entry": [int(v) for v in where],
+                "this": int(f[tuple(where)]), "other": int(g[tuple(where)])}
+
     def id(self, obj):
-        return _memoised(("id", obj), _identity, obj)
+        return _memoised([("id", obj)], lambda objs: list(map(_identity, objs)), [obj])[0]
 
     def compose(self, f, g):
-        f, g = self.mor(f), self.mor(g)
-        return _memoised(("compose", self.prime, f.key, g.key), self._product, f, g)
+        return self.compose_many([f], [g])[0]
 
-    def _product(self, f, g):
-        (n, k), m = f.shape, g.shape[1]
-        if k != g.shape[0]:
-            raise ShapeMismatch("cannot chain %r after %r" % (g.shape, f.shape))
-        # Gustavson's product over both operands' nonzeros: each nonzero
-        # (i, c) of f meets every nonzero (c, j) of g, which is one slice of
-        # g's row-major list, and the products landing on one (i, j) add up
-        f_rows, f_cols = np.divmod(f.pos, k)
-        g_rows, g_cols = np.divmod(g.pos, m)
-        row_len = np.bincount(g_rows, minlength=k)
-        per = row_len[f_cols]
-        left = np.arange(f.pos.size).repeat(per)
-        ends = per.cumsum()
-        right = np.arange(left.size) + (
-            (row_len.cumsum() - row_len)[f_cols] - (ends - per)).repeat(per)
-        pos = f_rows[left] * m + g_cols[right]
-        order = pos.argsort()
-        pos = pos[order]
-        first = np.ones(pos.size, dtype=bool)
-        first[1:] = pos[1:] != pos[:-1]
-        heads = first.nonzero()[0]
-        sums = self._reduce(np.add.reduceat((f.vals[left] * g.vals[right])[order], heads))
-        keep = sums != 0
-        return NonzeroMatrix((n, m), pos[heads][keep], sums[keep])
+    def compose_many(self, fs, gs):
+        return self._batch("compose", self._products, fs, gs)
 
     def tensor_obj(self, a, b):
         return a * b
 
     def tensor_mor(self, f, g):
-        f, g = self.mor(f), self.mor(g)
-        return _memoised(("tensor", self.prime, f.key, g.key), self._kron, f, g)
+        return self.tensor_many([f], [g])[0]
 
-    def _kron(self, f, g):
-        (n1, m1), (n2, m2) = f.shape, g.shape
+    def tensor_many(self, fs, gs):
+        return self._batch("tensor", self._krons, fs, gs)
+
+    def _batch(self, op, kernel, fs, gs):
+        fs, gs = [self.mor(f) for f in fs], [self.mor(g) for g in gs]
+        return _memoised([(op, self.prime, f.key, g.key) for f, g in zip(fs, gs)], kernel, fs, gs)
+
+    def _products(self, fs, gs):
+        """f @ g for each pair, as Gustavson's product of the block-diagonal
+        matrices of the fs and of the gs: pair b's inner indices start at
+        inner[b]; each nonzero (i, c) of f meets every nonzero (c, j) of g,
+        and the products landing on one (i, j) add up."""
+        for f, g in zip(fs, gs):
+            if f.shape[1] != g.shape[0]:
+                raise ShapeMismatch("cannot chain %r after %r" % (g.shape, f.shape))
+        shapes = [(f.shape[0], g.shape[1]) for f, g in zip(fs, gs)]
+        out = _starts([n * m for n, m in shapes])
+        if len(fs) == 1:  # one pair skips the block offsets, which double its cost
+            (f,), (g,) = fs, gs
+            (i, c), (c2, j) = np.divmod(f.pos, f.shape[1]), np.divmod(g.pos, g.shape[1])
+            left, right = _meet(c, c2, f.shape[1])
+            pos, f_vals, g_vals = i[left] * g.shape[1] + j[right], f.vals, g.vals
+        else:
+            inner = _starts([f.shape[1] for f in fs])
+            f_block, i, c, f_vals = _nonzeros(fs)
+            g_block, c2, j, g_vals = _nonzeros(gs)
+            left, right = _meet(c + inner[f_block], c2 + inner[g_block], int(inner[-1]))
+            at_f = out[f_block] + i * np.array([m for _, m in shapes])[f_block]
+            pos = at_f[left] + j[right]
+        # the terms are built in sorted order and reduced at once, while they
+        # are still in cache
+        order = pos.argsort()
+        pos = pos[order]
+        first = np.ones(pos.size, dtype=bool)
+        first[1:] = pos[1:] != pos[:-1]
+        heads = first.nonzero()[0]
+        sums = self._reduce(np.add.reduceat((f_vals[left] * g_vals[right])[order], heads))
+        keep = sums != 0
+        return _split(shapes, out, pos[heads][keep], sums[keep])
+
+    def _krons(self, fs, gs):
+        """The Kronecker product of each pair: every nonzero of f meets
+        every nonzero of g in its block, and one sort orders the batch."""
+        shapes = [(f.shape[0] * g.shape[0], f.shape[1] * g.shape[1]) for f, g in zip(fs, gs)]
+        out = _starts([n * m for n, m in shapes])
         # entry (i1 * n2 + i2, j1 * m2 + j2) is f[i1, j1] * g[i2, j2], which
         # is nonzero over a field or the booleans, so nothing is dropped
-        i1, j1 = np.divmod(f.pos, m1)
-        i2, j2 = np.divmod(g.pos, m2)
-        width = m1 * m2
-        pos = np.add.outer(i1 * n2 * width + j1 * m2, i2 * width + j2).ravel()
-        order = pos.argsort()
-        vals = self._reduce(np.multiply.outer(f.vals, g.vals).ravel()[order])
-        return NonzeroMatrix((n1 * n2, width), pos[order], vals)
+        if len(fs) == 1:  # one pair meets all of its nonzeros: their outer sum
+            (f,), (g,), width = fs, gs, shapes[0][1]
+            (i1, j1), (i2, j2) = np.divmod(f.pos, f.shape[1]), np.divmod(g.pos, g.shape[1])
+            pos = np.add.outer(i1 * g.shape[0] * width + j1 * g.shape[1], i2 * width + j2).ravel()
+            order = pos.argsort()
+            vals = self._reduce(np.multiply.outer(f.vals, g.vals).ravel()[order])
+        else:
+            n2, m2, width = (np.array(d) for d in zip(*(
+                (g.shape[0], g.shape[1], m) for g, (_, m) in zip(gs, shapes))))
+            f_block, i1, j1, f_vals = _nonzeros(fs)
+            g_block, i2, j2, g_vals = _nonzeros(gs)
+            left, right = _meet(f_block, g_block, len(gs))
+            at_f = out[f_block] + (i1 * n2[f_block] * width[f_block] + j1 * m2[f_block])
+            pos = at_f[left] + (i2 * width[g_block] + j2)[right]
+            order = pos.argsort()
+            vals = self._reduce((f_vals[left] * g_vals[right])[order])
+        return _split(shapes, out, pos[order], vals)
 
     def braiding(self, a, b):
         i, j = np.divmod(np.arange(a * b), b)
@@ -320,6 +426,12 @@ class FinSetBackend(_Backend):
 
     def eq_mor(self, f, g):
         return f == g
+
+    def first_difference(self, f, g):
+        if f.dom != g.dom or f.cod != g.cod:
+            return {"shapes": [f.dom.shape, g.dom.shape]}
+        w = f.first_difference(g)
+        return {"entry": [w], "this": int(f.table[w]), "other": int(g.table[w])}
 
     def id(self, obj):
         return identity_fn(obj)

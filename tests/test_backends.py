@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanv.errors import InvalidBackend, ShapeMismatch, UnsupportedBackend
+from spanv.errors import InvalidBackend, OutOfBounds, ShapeMismatch, UnsupportedBackend
 from spanv.finset import FinFn, FinSet
 from spanv.vbackend import (
     FinSetBackend,
     MatBackend,
+    NonzeroMatrix,
     TrivialBackend,
     left_kan_along_function,
     per_check,
@@ -95,9 +96,9 @@ def test_memo_lives_for_one_check(monkeypatch):
     # the next check computes it again, and outside a check every call does
     be = MatBackend(prime=3)
     made = []
-    product = MatBackend._product
-    monkeypatch.setattr(MatBackend, "_product",
-                        lambda self, f, g: made.append(1) or product(self, f, g))
+    product = MatBackend._products
+    monkeypatch.setattr(MatBackend, "_products",
+                        lambda self, fs, gs: made.append(len(fs)) or product(self, fs, gs))
     f, g = be.mor([[1, 2], [0, 1]]), be.mor([[2, 0], [1, 1]])
 
     def check():
@@ -105,7 +106,7 @@ def test_memo_lives_for_one_check(monkeypatch):
                 be.tensor_mor(f, g), be.id(2), be.id(2)]
 
     first = per_check(check)()
-    assert len(made) == 1
+    assert made == [1]
     assert first[0] is first[1] and first[2] is first[3] and first[4] is first[5]
     second = per_check(check)()
     assert len(made) == 2 and second[0] is not first[0]
@@ -225,3 +226,104 @@ def test_kan_family_length_is_checked_under_python_O():
         "ShapeMismatch 2 objects for a domain of 3 elements",
     ], runs[0].stderr
     assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""
+
+
+def test_mat_prime_must_be_an_integer_under_python_O():
+    # a float prime computed float64 values whose bytes the key read as
+    # int64, so f @ f came out as the zero matrix; only integers (not
+    # bools) are primes, and an integer-like prime is stored as an int
+    script = (
+        "import numpy as np\n"
+        "from spanv.vbackend import MatBackend\n"
+        "for prime in (3.0, True, '3', np.int64(3)):\n"
+        "    try:\n"
+        "        b = MatBackend(prime=prime)\n"
+        "    except Exception as err:\n"
+        "        print(type(err).__name__, err)\n"
+        "        continue\n"
+        "    f = b.mor([[1, 2], [2, 2]])\n"
+        "    print(b, b == MatBackend(prime=3), np.asarray(b.compose(f, f)).tolist())\n")
+    runs = [subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                           text=True, timeout=60) for flags in ([], ["-O"])]
+    assert runs[0].stdout.splitlines() == [
+        "InvalidBackend modulus 3.0 is not an integer",
+        "InvalidBackend modulus True is not an integer",
+        "InvalidBackend modulus '3' is not an integer",
+        "MatBackend(prime=3) True [[2, 0], [0, 2]]",
+    ], runs[0].stderr
+    assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, None])
+def test_batched_kernels_match_dense_products(p):
+    # one batch of mixed shapes, 1 x 1 blocks, empty and zero operands and
+    # products that cancel to zero, against the dense int64 product and
+    # np.kron reduced mod p; each pair is also run as a batch of one
+    be = MatBackend(boolean=True) if p is None else MatBackend(prime=p)
+    modulus = 2 if p is None else p
+    rng = np.random.default_rng(modulus)
+
+    def reduced(a):
+        return (a != 0).astype(np.int64) if p is None else np.mod(a, p)
+
+    def operand(rows, cols):
+        density = rng.choice([0.0, 0.3, 1.0])
+        entries = rng.integers(0, modulus, size=(rows, cols))
+        return reduced(np.where(rng.random((rows, cols)) < density, entries, 0))
+
+    dims = [(1, 1, 1), (1, 1, 1), (0, 2, 3), (2, 0, 3), (3, 2, 0)]
+    dims += [tuple(int(d) for d in rng.integers(0, 5, size=3)) for _ in range(60)]
+    fs = [operand(n, k) for n, k, _ in dims] + [np.array([[1, 1]]), np.array([[1, 0]])]
+    gs = [operand(k, m) for _, k, m in dims] + [np.array([[1], [modulus - 1]]),
+                                                np.array([[0], [1]])]
+    products = [reduced(f @ g) for f, g in zip(fs, gs)]
+    assert not products[-1].any() and (p is None or not products[-2].any())
+    tensor_gs = [operand(*(int(d) for d in rng.integers(0, 4, size=2))) for _ in fs]
+    tensors = [reduced(np.kron(f, g)) for f, g in zip(fs, tensor_gs)]
+    assert sum(f.any() for f in fs) > 15 and sum(not f.any() for f in fs) > 5
+    for batch, single, lefts, rights, want in (
+            (be.compose_many, be.compose, fs, gs, products),
+            (be.tensor_many, be.tensor_mor, fs, tensor_gs, tensors)):
+        nonzero = [be.mor(f) for f in lefts], [be.mor(g) for g in rights]
+        # twice over, so the memo of a check answers the second half
+        for got in (batch(lefts, rights), batch(*nonzero),
+                    per_check(batch)(lefts + lefts, rights + rights),
+                    [single(f, g) for f, g in zip(lefts, rights)]):
+            assert len(got) in (len(want), 2 * len(want))
+            for out, dense in zip(got, want + want):
+                assert np.asarray(out).shape == dense.shape
+                assert np.array_equal(out, dense) and be.eq_mor(out, dense)
+    assert be.compose_many([], []) == be.tensor_many([], []) == []
+
+
+def test_a_shape_mismatch_in_a_batch_names_its_first_bad_pair():
+    be = MatBackend(prime=3)
+    good = [be.mor(np.ones((2, 2)))] * 3
+    bad = [(be.mor(np.ones((2, 3))), be.mor(np.ones((2, 3)))),
+           (be.mor(np.ones((1, 4))), be.mor(np.ones((3, 1))))]
+    with pytest.raises(ShapeMismatch) as single:
+        be.compose(*bad[0])
+    with pytest.raises(ShapeMismatch) as batched:
+        be.compose_many(good + [bad[0][0]] + good + [bad[1][0]],
+                        good + [bad[0][1]] + good + [bad[1][1]])
+    assert str(batched.value) == str(single.value) == "cannot chain (2, 3) after (2, 3)"
+
+
+def test_a_batch_too_large_for_int64_positions_is_refused():
+    # its block offsets are summed as Python ints before any int64 array
+    # holds them: a product or tensor of 2**32 x 2**32 matrices is refused
+    # without allocating, and so are two outputs of 2**62 entries each
+    be = MatBackend(prime=3)
+    empty = np.zeros(0, dtype=np.int64)
+
+    def zero(n, m):
+        return NonzeroMatrix((n, m), empty.copy(), empty.copy())
+
+    with pytest.raises(OutOfBounds):
+        be.compose(zero(2**32, 1), zero(1, 2**32))
+    with pytest.raises(OutOfBounds):
+        be.tensor_mor(zero(2**16, 2**16), zero(2**16, 2**16))
+    assert np.asarray(be.compose(zero(2, 1), zero(1, 3))).shape == (2, 3)
+    assert be.compose(zero(2**31, 1), zero(1, 2**31)).shape == (2**31, 2**31)
+    with pytest.raises(OutOfBounds):
+        be.compose_many([zero(2**31, 1)] * 2, [zero(1, 2**31), zero(1, 2**31 + 1)])

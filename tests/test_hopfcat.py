@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from spanv import hopfcat, vbackend
-from spanv.cells import InvalidCell
-from spanv.errors import NotAGroupoid, NotFirm, NotInvertible, NotOverX2
+from spanv.cells import Column, InvalidCell
+from spanv.errors import NotAGroupoid, NotFirm, NotInvertible, NotOverX2, ShapeMismatch
 from spanv.finset import FinFn, FinSet, identity_fn
 from spanv.hopfcat import (
     FIELDS,
@@ -390,11 +390,12 @@ def test_mutated_comultiplication_names_the_entry():
 
 
 def _counting(counts, name):
+    """MatBackend's batched method name, adding the pairs of each batch to counts[name]."""
     method = getattr(MatBackend, name)
 
-    def count(self, *args):
-        counts[name] += 1
-        return method(self, *args)
+    def count(self, fs, gs):
+        counts[name] += len(fs)
+        return method(self, fs, gs)
     return count
 
 
@@ -405,23 +406,53 @@ def test_each_check_computes_each_product_once(monkeypatch):
     h = group_algebra_hopf(3, 4)
     fields = (h.m[0][0][0], h.u[0], h.delta[0][0], h.eps[0][0], h.s[0][0])
     assert all(isinstance(f, NonzeroMatrix) for f in fields)
-    counts = {"compose": 0, "_product": 0}
+    counts = {"compose_many": 0, "_products": 0}
     for name in counts:
         monkeypatch.setattr(MatBackend, name, _counting(counts, name))
     first = check_hopf_vcat(h)
     once = dict(counts)
     second = check_hopf_vcat(h)
-    assert 0 < once["_product"] < once["compose"]
+    assert 0 < once["_products"] < once["compose_many"]
     assert counts == {name: 2 * count for name, count in once.items()}
     assert [r.as_dict() for r in second.results] == [r.as_dict() for r in first.results]
     assert vbackend._MEMO.get() is None
 
 
+def test_the_product_kernel_runs_once_per_written_compose(monkeypatch):
+    # each law runs once, on columns over its distinct tuples, so each
+    # c(...) written in a row is one batch: the kernel runs at most that
+    # often however many tuples the row has (every tuple of the matrix
+    # category's entries is distinct)
+    written = {"cat-assoc": 2, "cat-unit-left": 1, "cat-unit-right": 1, "cocat-coassoc": 2,
+               "cocat-counit-left": 1, "cocat-counit-right": 1, "frobenius-left": 2,
+               "frobenius-right": 2}
+    batches, ran = [], {}
+    products, run_laws = MatBackend._products, hopfcat._run_laws
+    monkeypatch.setattr(MatBackend, "_products", lambda self, fs, gs: batches.append(
+        len(fs)) or products(self, fs, gs))
+
+    def counted(name, law):
+        def run(*columns):
+            before = len(batches)
+            sides = law(*columns)
+            ran[name] = ran.get(name, 0) + len(batches) - before
+            return sides
+        return run
+
+    monkeypatch.setattr(hopfcat, "_run_laws", lambda backend, n, grids, rows: run_laws(
+        backend, n, grids, [(name, arity, reads, counted(name, law))
+                            for name, arity, reads, law in rows]))
+    assert check_frobenius_vcat(mat_frobenius_example(3, 3)).ok
+    assert ran.keys() == written.keys()
+    assert [name for name in written if ran[name] > written[name]] == []
+    assert sum(batches) > 10 * len(batches)
+
+
 def test_a_bridge_inside_a_check_shares_its_memo(monkeypatch):
     memos = []
-    product = MatBackend._product
-    monkeypatch.setattr(MatBackend, "_product",
-                        lambda self, f, g: memos.append(vbackend._MEMO.get()) or product(self, f, g))
+    product = MatBackend._products
+    monkeypatch.setattr(MatBackend, "_products", lambda self, fs, gs: memos.append(
+        vbackend._MEMO.get()) or product(self, fs, gs))
     h = group_algebra_hopf(3, 3)
     for _ in range(2):
         hopfcat_to_spanv(h)
@@ -539,7 +570,9 @@ def test_inference_returns_none_when_a_cell_is_not_forced():
 
 def _per_tuple_laws(backend, n, grids, rows):
     """The reference runner: every law at every index tuple, row-major,
-    reading each entry through Column indexing."""
+    reading each entry through Column indexing.  The law ops act on
+    Columns, so each tuple's entries go in as one-entry Columns."""
+    grids = dict(grids, I=Column([backend.unit], 1))
     results = []
     for name, arity, reads, law in rows:
         result = AxiomResult(name, True)
@@ -551,11 +584,11 @@ def _per_tuple_laws(backend, n, grids, rows):
                 flat = 0
                 for digit in read[len(grid):]:
                     flat = flat * n + idx[int(digit)]
-                entries.append(grids[grid][flat])
-            lhs, rhs = law(*entries)
+                entries.append(Column([grids[grid][flat]], 1))
+            lhs, rhs = (side[0] for side in law(*entries))
             if not backend.eq_mor(lhs, rhs):
                 result = AxiomResult(name, False, {
-                    "at": list(idx), "diff": hopfcat._first_mor_diff(backend, lhs, rhs)})
+                    "at": list(idx), "diff": backend.first_difference(lhs, rhs)})
                 break
         results.append(result)
     return results
@@ -718,3 +751,19 @@ def test_functor_object_map_must_join_the_two_object_sets_under_python_O():
         "ShapeMismatch the object map's domain FinSet(2,) is not FinSet(1,)",
     ], runs[0].stderr
     assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""
+
+
+def test_a_functor_component_with_wrong_ends_is_named():
+    # the direct laws run column-wise over every tuple at once, so a
+    # component that cannot compose is refused by name before any law
+    # runs, whether or not an earlier component fails a law
+    fc, h = mat_frobenius_example(3, 3), group_algebra_hopf(3, 2)
+    comps = [[fc.backend.id(fc.homs[x][y]) for y in range(3)] for x in range(3)]
+    comps[2][1] = np.ones((6, 1), dtype=np.int64)
+    early = [row[:] for row in comps]
+    early[0][0] = np.array([[2]])
+    for bad in (comps, early):
+        with pytest.raises(ShapeMismatch, match=r"^components\[2\]\[1\] has wrong ends$"):
+            check_frobenius_vfunctor(fc, fc, VFunctorData(identity_fn(fc.objects), bad))
+    with pytest.raises(ShapeMismatch, match=r"^components\[0\]\[0\] has wrong ends$"):
+        vfunctor_to_spanv(h, h, VFunctorData(identity_fn(h.objects), [[np.eye(3, dtype=int)]]))

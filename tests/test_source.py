@@ -119,3 +119,42 @@ def test_no_direct_checker_loops_over_index_tuples():
                                 "check_semi_hopf_vcat"]
     assert not [name for name, used in checkers.items()
                 if used & {"_indices", "_entries", "_tabulate", "itertools", "product"}]
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _loop_depths(function, name):
+    """How many loops and comprehensions enclose each call of name in a function."""
+    depths = []
+
+    def walk(node, depth):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+            depths.append(depth)
+        for child in ast.iter_child_nodes(node):
+            walk(child, depth + isinstance(node, _LOOPS))
+
+    walk(function, 0)
+    return depths
+
+
+def _functions(path, owner=None):
+    tree = ast.parse((SRC / path).read_text())
+    if owner is not None:
+        tree = next(node for node in tree.body if getattr(node, "name", None) == owner)
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_column_operations_make_one_call_per_operation():
+    # zip_with and outer hand every distinct pair of values to fn at once
+    # (a backend's batched kernel); only map calls fn once per stored value
+    methods = _functions("cells.py", "Column")
+    assert set(_loop_depths(methods["_pairs"], "fn")) == {0}
+    assert {name for name, node in methods.items() if _loop_depths(node, "fn")} == {
+        "_pairs", "map"}
+
+
+def test_direct_laws_run_once_per_row():
+    # each law runs once, on columns over its distinct tuples: the only
+    # loop around the call is the one over the rows
+    assert _loop_depths(_functions("hopfcat.py")["_run_laws"], "law") == [1]
