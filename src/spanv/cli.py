@@ -551,8 +551,8 @@ def cmd_demo(name, out_dir=".", **params):
     path = os.path.join(out_dir, filename)
     _write_text(path, _dump_json(data))
     report_path = os.path.join(out_dir, filename[:-len(".json")] + "-report.json")
-    status = cmd_check(path, report_path=report_path, quiet=True)
-    assert status == 0, "generated structure failed its own checks"
+    if cmd_check(path, report_path=report_path, quiet=True) != 0:
+        raise OutputError("generated structure %s failed its own checks" % path)
     return path, report_path
 
 

@@ -96,7 +96,7 @@ class OutOfBounds(SpanVError):
 
 
 class OutputError(SpanVError):
-    """An output file cannot be written."""
+    """An output file cannot be written, or a written demo fails its own checks."""
 
 
 class ParseError(SpanVError):

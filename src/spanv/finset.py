@@ -2,6 +2,8 @@
 
 An element of ``FinSet((n1, ..., nk))`` is an integer code in
 ``range(n1 * ... * nk)``, row-major: the last factor varies fastest.
+Sets are hash-consed: one read-only instance per shape, validated and
+given its strides and identity word once, so equal sets are identical.
 ``SubsetApex`` is a subset of the product of two finite sets, listed by
 the pair codes ``i * right.size + j`` of positions in its two factors:
 the factorised form of a pullback, whose codes stay below the product of
@@ -40,46 +42,60 @@ from .errors import (
 # any int64 product.  A set past this bound has no table that fits in memory.
 _MAX_SIZE = 2 ** 62
 
+# the one FinSet of each shape, kept for the life of the process
+_INTERNED = {}
+
 
 class FinSet:
-    """A finite set presented as a product of atomic factors."""
+    """A finite set presented as a product of atomic factors, one per shape."""
 
-    def __init__(self, shape=()):
-        self.shape = tuple(int(n) for n in shape)
-        if any(n < 0 for n in self.shape):
-            raise NegativeSize("factor %d of shape %r is negative"
-                               % (min(self.shape), self.shape))
-        size = 1
-        strides = []
-        for n in reversed(self.shape):
-            strides.append(size)
-            size *= n
-        if size > _MAX_SIZE:
-            raise OutOfBounds("FinSet%r is too large: %d elements" % (self.shape, size))
-        self.strides = tuple(reversed(strides))
-        self.size = size
+    __slots__ = ("shape", "strides", "size", "axes", "_radix", "_stride")
+
+    def __new__(cls, shape=()):
+        try:
+            return _INTERNED[shape]
+        except (KeyError, TypeError):
+            shape = tuple(int(n) for n in shape)
+        if shape in _INTERNED:
+            return _INTERNED[shape]
+        if any(n < 0 for n in shape):
+            raise NegativeSize("factor %d of shape %r is negative" % (min(shape), shape))
+        # every coordinate and stride is an int64, an empty set's too
+        bound = math.prod(n or 1 for n in shape)
+        if bound > _MAX_SIZE:
+            raise OutOfBounds("FinSet%r is too large: its nonzero factors multiply to %d"
+                              % (shape, bound))
+        strides = tuple(math.prod(shape[k + 1:]) for k in range(len(shape)))
+        radix, stride = np.array(shape, dtype=np.int64), np.array(strides, dtype=np.int64)
+        radix.flags.writeable = stride.flags.writeable = False
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (shape, strides, math.prod(shape),
+                                               tuple(range(len(shape))), radix, stride)):
+            object.__setattr__(self, name, value)
+        return _INTERNED.setdefault(shape, self)
+
+    def _read_only(self, *args):
+        raise AttributeError("FinSet%r is read-only" % (self.shape,))
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        # copies and unpickled sets are the interned instance
+        return FinSet, (self.shape,)
 
     def encode(self, coords):
         coords = np.asarray(coords, dtype=np.int64)
         if coords.ndim == 0 or coords.shape[-1] != len(self.shape):
             raise ShapeMismatch("coordinates of shape %r do not fit the %d factors of %r"
                                 % (coords.shape, len(self.shape), self))
-        if not self.shape:
-            return np.zeros(coords.shape[:-1], dtype=np.int64)
-        return coords @ np.array(self.strides, dtype=np.int64)
+        return coords @ self._stride
 
     def decode(self, codes):
-        codes = np.asarray(codes, dtype=np.int64)
-        out = np.empty(codes.shape + (len(self.shape),), dtype=np.int64)
-        for j, (n, stride) in enumerate(zip(self.shape, self.strides)):
-            out[..., j] = (codes // stride) % n
-        return out
+        coords = np.asarray(codes, dtype=np.int64)[..., None] // self._stride
+        return np.remainder(coords, self._radix, out=coords)
 
     def __eq__(self, other):
-        return isinstance(other, FinSet) and self.shape == other.shape
-
-    def __ne__(self, other):
-        return not self == other
+        return self is other or (isinstance(other, FinSet) and self.shape == other.shape)
 
     def __hash__(self):
         return hash(self.shape)
@@ -263,7 +279,7 @@ class FinFn:
         # one mixed-radix block, so an identity costs nothing and a tensor
         # of identities and diagonals costs one step per block
         word, dom = self.word, self.dom
-        if word == tuple(range(len(dom.shape))):
+        if word == dom.axes:
             return positions
         out = np.zeros(positions.shape, dtype=np.int64)
         start = 0
@@ -279,7 +295,7 @@ class FinFn:
 
     def permutes(self):
         """Whether this is a word that permutes its domain's factors."""
-        return self.word is not None and sorted(self.word) == list(range(len(self.dom.shape)))
+        return self.word is not None and tuple(sorted(self.word)) == self.dom.axes
 
     def inverse(self):
         """The inverse of a permuting word, again a word."""
@@ -358,7 +374,7 @@ class FinFn:
 
 def identity_fn(x):
     if isinstance(x, FinSet):
-        return FinFn(x, x, word=range(len(x.shape)))
+        return FinFn(x, x, word=x.axes)
     return FinFn(x, x, np.arange(x.size, dtype=np.int64))
 
 
@@ -366,9 +382,9 @@ def compose_fn(f, g):
     """First f, then g.  An identity word is absorbed on either side."""
     if f.cod != g.dom:
         raise CodMismatch("cannot chain %r after %r" % (g, f))
-    if f.word is not None and f.word == tuple(range(len(f.dom.shape))):
+    if f.word is not None and f.word == f.dom.axes:
         return g
-    if g.word is not None and g.word == tuple(range(len(g.dom.shape))):
+    if g.word is not None and g.word == g.dom.axes:
         return f
     if f.word is not None and g.word is not None:
         return FinFn(f.dom, g.cod, word=[f.word[j] for j in g.word])
@@ -455,7 +471,7 @@ def reindex_fn(dom, cod, word):
 
 def diagonal_fn(x):
     """The diagonal x -> x^2, both output blocks reading the same input."""
-    return reindex_fn(x, FinSet(x.shape * 2), tuple(range(len(x.shape))) * 2)
+    return reindex_fn(x, FinSet(x.shape * 2), x.axes * 2)
 
 
 def terminal_fn(x):

@@ -370,6 +370,33 @@ def test_bad_demo_values_and_deep_nesting_exit_2_with_one_line(tmp_path, flags):
         assert run.stdout == ""
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_a_demo_failing_its_own_check_exits_2_with_one_line(tmp_path, flags):
+    # the check is an error, not an assert that python -O would strip
+    script = ("import sys\n"
+              "from spanv import cli\n"
+              "cli.cmd_check = lambda *args, **kwargs: 1\n"
+              "sys.exit(cli.main(['demo', 'x2', '--out', sys.argv[1]]))\n")
+    run = subprocess.run([sys.executable, *flags, "-c", script, str(tmp_path)],
+                         capture_output=True, text=True, env=_env(), timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr == "error: generated structure %s failed its own checks\n" % (
+        tmp_path / "x2-hopf.json")
+    assert run.stdout == ""
+
+
+def test_python_m_spanv_runs_the_command_line(tmp_path):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text((FIXTURES / "x2-hopf.json").read_text()[:100])
+    runs = [subprocess.run([sys.executable, "-m", "spanv", "check", str(path)],
+                           capture_output=True, text=True, env=_env(), timeout=60)
+            for path in (FIXTURES / "x2-hopf.json", truncated)]
+    assert [run.returncode for run in runs] == [0, 2]
+    assert runs[1].stderr.startswith("parse error:") and runs[1].stderr.count("\n") == 1
+    same = _spanv_check(FIXTURES / "x2-hopf.json")
+    assert (runs[0].stdout, runs[0].stderr) == (same.stdout, same.stderr)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["x2", "groupoid", "group-hopf", "mat"]), st.integers(0, 100),
        st.integers(-1, 6), st.integers(-1, 6), st.integers(-1, 6),

@@ -1,6 +1,9 @@
 """Row-major codec, subset apexes, pullbacks and function builders."""
 
+import copy
 import itertools
+import math
+import pickle
 import subprocess
 import sys
 
@@ -62,6 +65,91 @@ def test_finset_refuses_more_than_2_62_elements():
             FinSet(shape)
     with pytest.raises(OutOfBounds, match=r"\(1099511627776, 1099511627776\)"):
         product([FinSet((2**40,)), FinSet((2**40,))])
+
+
+def test_finsets_are_interned():
+    # one instance per shape, however the shape is spelled or reached
+    x = FinSet((2, 3))
+    assert x is FinSet([2, 3]) is FinSet(np.array([2, 3])) is FinSet((np.int64(2), 3))
+    assert x is product([FinSet((2,)), FinSet((3,))])
+    assert FinSet() is FinSet([]) is UNIT
+    assert x.axes == (0, 1) and UNIT.axes == ()
+    assert identity_fn(x).word is x.axes
+
+
+def test_bad_shapes_raise_on_every_call_under_python_O():
+    # a refused shape is never cached, so it is refused again; a zero
+    # factor does not let the other factors pass the int64 bound
+    script = (
+        "from spanv.errors import SpanVError\n"
+        "from spanv.finset import FinSet\n"
+        "for shape in [(2, -1), [2, -1], (3,) * 46, (3,) * 46, (0, 2 ** 70), (0, 2 ** 70)]:\n"
+        "    try:\n"
+        "        FinSet(shape)\n"
+        "    except SpanVError as err:\n"
+        "        print(type(err).__name__, '|', err)\n")
+    lines = []
+    for flags in ([], ["-O"]):
+        run = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                             text=True, check=True)
+        lines.append(run.stdout.splitlines())
+    assert lines[0] == lines[1]
+    assert [line.split(" | ")[0] for line in lines[0]] == ["NegativeSize"] * 2 + ["OutOfBounds"] * 4
+    assert lines[0][4].endswith("nonzero factors multiply to 1180591620717411303424")
+
+
+def test_copies_and_pickles_give_back_the_interned_set():
+    x = FinSet((2, 3))
+    for duplicate in (copy.copy, copy.deepcopy, lambda y: pickle.loads(pickle.dumps(y))):
+        assert duplicate(x) is x and duplicate(UNIT) is UNIT
+    fn = copy.deepcopy(identity_fn(x))
+    assert fn.dom is x and fn.cod is x
+    assert UNIT.shape == () and UNIT.size == 1 and x.shape == (2, 3)
+
+
+def test_a_finset_is_read_only():
+    x = FinSet((2, 3))
+    for attempt in (lambda: setattr(x, "shape", (4,)), lambda: setattr(x, "extra", 1),
+                    lambda: delattr(x, "size")):
+        with pytest.raises(AttributeError, match=r"FinSet\(2, 3\) is read-only"):
+            attempt()
+    with pytest.raises(ValueError, match="read-only"):
+        x._stride[0] = 5
+    assert x.shape == (2, 3) and x.strides == (3, 1) and x.size == 6
+
+
+def _reference_decode(shape, codes):
+    strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
+    out = np.empty(codes.shape + (len(shape),), dtype=np.int64)
+    for j, (n, stride) in enumerate(zip(shape, strides)):
+        out[..., j] = (codes // stride) % n
+    return out
+
+
+def _reference_encode(shape, coords):
+    out = np.zeros(coords.shape[:-1], dtype=np.int64)
+    for j in range(len(shape)):
+        out += coords[..., j] * math.prod(shape[j + 1:])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_codec_matches_a_per_factor_loop(seed):
+    rng = np.random.default_rng(seed)
+    fixed = [(), (0,), (2, 0, 3), (1, 1), (5,), (2, 3, 4, 1, 2)]
+    shape = fixed[seed] if seed < len(fixed) else tuple(
+        int(n) for n in rng.integers(0, 5, size=rng.integers(0, 7)))
+    x = FinSet(shape)
+    assert x.strides == tuple(math.prod(shape[j + 1:]) for j in range(len(shape)))
+    cases = [np.zeros((0,), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)]
+    if x.size:
+        cases += [rng.integers(0, x.size, size=(3, 4)), np.int64(x.size - 1)]
+    for codes in cases:
+        coords = x.decode(codes)
+        assert coords.dtype == np.int64
+        assert np.array_equal(coords, _reference_decode(shape, codes))
+        assert np.array_equal(x.encode(coords), _reference_encode(shape, coords))
+        assert np.array_equal(x.encode(coords), codes)
 
 
 def test_subset_apex_refuses_a_product_past_2_62():

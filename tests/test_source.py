@@ -1,6 +1,7 @@
 """Source hygiene of src/spanv: no unused imports, no dead helpers, no
 object-dtype arrays, no dense Kronecker products or identities, no
-tabulated apex maps in pasting or the structures layer."""
+tabulated apex maps in pasting or the structures layer, no loop in the
+FinSet codec and no identity word rebuilt outside FinSet."""
 
 import ast
 import re
@@ -124,12 +125,14 @@ def test_no_direct_checker_loops_over_index_tuples():
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def _loop_depths(function, name):
-    """How many loops and comprehensions enclose each call of name in a function."""
+def _loop_depths(function, name=None):
+    """How many loops and comprehensions enclose each call of name (of
+    anything, without a name) in a function."""
     depths = []
 
     def walk(node, depth):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+        if isinstance(node, ast.Call) and (name is None or isinstance(node.func, ast.Name)
+                                           and node.func.id == name):
             depths.append(depth)
         for child in ast.iter_child_nodes(node):
             walk(child, depth + isinstance(node, _LOOPS))
@@ -158,3 +161,19 @@ def test_direct_laws_run_once_per_row():
     # each law runs once, on columns over its distinct tuples: the only
     # loop around the call is the one over the rows
     assert _loop_depths(_functions("hopfcat.py")["_run_laws"], "law") == [1]
+
+
+def test_finset_codec_has_no_loop():
+    # decode and encode are one broadcast step over the stored strides
+    methods = _functions("finset.py", "FinSet")
+    for name in ("decode", "encode"):
+        assert set(_loop_depths(methods[name])) == {0}, name
+
+
+def test_identity_words_are_built_only_by_finset():
+    # each set builds its identity word once, as FinSet.axes
+    tree = ast.parse((SRC / "finset.py").read_text())
+    cls = next(node for node in tree.body if getattr(node, "name", None) == "FinSet")
+    inside = {"finset.py:%d" % line for line in range(cls.lineno, cls.end_lineno + 1)}
+    built = _lines_matching(r"range\(len\([\w.]*shape\)\)")
+    assert built and set(built) <= inside
