@@ -13,19 +13,19 @@ an apex element's atomic coordinates never depend on how it was built.
 A function is a table of codomain positions; between two FinSets, a
 reindexing word (see ``reindex_fn``); or the tensor product of two
 functions (see ``tensor_fn``).  A word's or a product's table is built
-only when something reads it.  Identities, braidings and their tensor
-products stay words, so composing with or pulling back along a
-coordinate shuffle evaluates it only on the points that take part.  A
-product keeps its two factors: it is evaluated factor by factor,
-composes and compares factor by factor with a product of the same
-split, and a pullback along it joins one factor at a time, so the
-tensor of a large identity with a small table is never tabulated.  The
-product of an apex with any set is a ``SubsetApex`` that lists every
-pair without storing the list.
+only when something reads it.  A word is its own index: its fibre over
+a value is a box, the value's coordinates fixing the factors it reads
+and the others running free, so a pullback of a word against anything
+but a larger table reads no table of the word.  A product keeps
+its two factors: it is evaluated, composed and compared factor by factor
+with a product of the same split, and a pullback along it joins one
+factor at a time, so the tensor of a large identity with a small table
+is never tabulated.  The product of an apex with any set is a
+``SubsetApex`` that lists every pair without storing the list.
 """
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -282,15 +282,10 @@ class FinFn:
         if word == dom.axes:
             return positions
         out = np.zeros(positions.shape, dtype=np.int64)
-        start = 0
-        while start < len(word):
-            stop = start + 1
-            while stop < len(word) and word[stop] == word[stop - 1] + 1:
-                stop += 1
+        for start, stop, _ in _runs(word):
             first, last = word[start], word[stop - 1]
             block = (positions // dom.strides[last]) % math.prod(dom.shape[first:last + 1])
             out += block * self.cod.strides[stop - 1]
-            start = stop
         return out
 
     def permutes(self):
@@ -416,14 +411,27 @@ def pullback(f, g):
     if f.cod != g.cod:
         raise CodMismatch("pullback needs a shared codomain, got %r and %r" % (f.cod, g.cod))
     a, b = f.dom, g.dom
-    if not g.permutes() and (f.permutes() or (g.factors is None and f.factors is not None)):
-        # join g's values into f instead, then order the pairs by a
+    if a.size * b.size > _MAX_SIZE:
+        raise OutOfBounds("product of sizes %d and %d is too large" % (a.size, b.size))
+    ordered = f.word is not None and g.permutes()
+    if ordered:
+        # the graph of the one word f ; g^-1, so f itself is never tabulated
+        a_idx = np.arange(a.size, dtype=np.int64)
+        b_idx = FinFn(a, b, word=[f.word[j] for j in g.inverse().word]).table
+    elif f.word is not None and not f.permutes() and g.factors is not None:
+        a_idx, b_idx = _split_join(f, g)
+    elif not g.permutes() and (f.permutes() or g.factors is None and (
+            f.factors is not None or f.word is not None and g.word is None and b.size <= a.size)):
+        # join g's values into f instead; into a word's fibres only if g has no more points
         b_idx, a_idx = _join(_values(g), f)
-        order = np.argsort(a_idx, kind="stable")
-        a_idx, b_idx = a_idx[order], b_idx[order]
     else:
         a_idx, b_idx = _join(_values(f), g)
-    apex = SubsetApex(a, b, a_idx * b.size + b_idx)
+        ordered = True
+    codes = a_idx * b.size + b_idx
+    if not ordered:
+        codes.sort(kind="stable")
+        a_idx, b_idx = np.divmod(codes, b.size)
+    apex = SubsetApex(a, b, codes)
     return apex, FinFn._of_table(apex, a, a_idx), FinFn._of_table(apex, b, b_idx)
 
 
@@ -432,18 +440,30 @@ def _values(fn):
     return fn.table if fn.factors is None else fn.at(np.arange(fn.dom.size, dtype=np.int64))
 
 
+def _split_join(f, g):
+    # the pairs, in no order, of a word f against a product g, factor by
+    # factor: g's table factor, the selective side, joins its sub-word's
+    # fibres first; the other sub-word is evaluated only where they meet
+    m = len(g.factors[0].cod.shape)
+    subs = [FinFn(f.dom, p.cod, word=w) for p, w in zip(g.factors, (f.word[:m], f.word[m:]))]
+    lead = int(g.factors[0].word is not None)
+    b_lead, a_idx = _join(_values(g.factors[lead]), subs[lead])
+    k, b_other = _join(subs[1 - lead].at(a_idx), g.factors[1 - lead])
+    b1, b2 = (b_lead[k], b_other) if lead == 0 else (b_other, b_lead[k])
+    return a_idx[k], b1 * g.factors[1].dom.size + b2
+
+
 def _join(values, g):
     """Every pair (k, b) with g(b) == values[k], ascending in k and then in
     b.  A product joins one factor at a time, on the split of each value,
-    and a permuting word renames, so neither reads g's whole table."""
+    and a word reads each fibre off a value: neither reads g's table."""
     if g.factors is not None:
         ga, gb = g.factors
         k, b1 = _join(values // gb.cod.size, ga)
         k2, b2 = _join(values[k] % gb.cod.size, gb)
         return k[k2], b1[k2] * gb.dom.size + b2
-    if g.permutes():
-        # every value meets exactly one b
-        return np.arange(values.size, dtype=np.int64), g.inverse().at(values)
+    if g.word is not None:
+        return _fibres(values, g)
     order = np.argsort(g.table, kind="stable")
     gsorted = g.table[order]
     starts = np.searchsorted(gsorted, values, side="left")
@@ -451,6 +471,46 @@ def _join(values, g):
     k = np.repeat(np.arange(values.size, dtype=np.int64), counts)
     offsets = np.arange(k.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
     return k, order[starts[k] + offsets]
+
+
+def _fibres(values, g):
+    # a word's fibre over a value is a box: the value's coordinates fix the
+    # factors the word reads, block by block, and must agree where it reads
+    # a factor twice; the unread factors run free, in row-major order
+    word, dom, cod = g.word, g.dom, g.cod
+    box = np.zeros(1, dtype=np.int64)
+    for j in dom.axes:
+        if j not in word:
+            box = (box[:, None] + np.arange(dom.shape[j], dtype=np.int64) * dom.strides[j]).ravel()
+    if not box.size:
+        return np.zeros((2, 0), dtype=np.int64)
+    base, ok = np.zeros(values.shape, dtype=np.int64), None
+    for start, stop, repeat in _runs(word):
+        first, last = word[start], word[stop - 1]
+        block = (values // cod.strides[stop - 1]) % math.prod(cod.shape[start:stop])
+        if repeat:
+            agree = (base // dom.strides[last]) % math.prod(dom.shape[first:last + 1]) == block
+            ok = agree if ok is None else ok & agree
+        else:
+            base += block * dom.strides[last]
+    k = np.arange(values.size, dtype=np.int64) if ok is None else np.flatnonzero(ok)
+    base = base if ok is None else base[k]
+    if box.size == 1:
+        return k, base
+    return np.repeat(k, box.size), (base[:, None] + box).ravel()
+
+
+@lru_cache(maxsize=1024)
+def _runs(word):
+    # the runs [start, stop) of a word's output factors that read
+    # consecutive input factors, all for the first time or all again
+    runs = []
+    for t, j in enumerate(word):
+        if runs and j == word[t - 1] + 1 and runs[-1][2] == (j in word[:t]):
+            runs[-1][1] = t + 1
+        else:
+            runs.append([t, t + 1, j in word[:t]])
+    return tuple(map(tuple, runs))
 
 
 def reindex_fn(dom, cod, word):

@@ -361,22 +361,70 @@ def table_fns(draw, cod):
 
 
 @st.composite
-def words_into(draw, target):
-    """A word leg into target: its factors permuted, maybe with one more
-    factor for the word to project away."""
+def words_into(draw, target, project=True):
+    """A word leg into target: its factors permuted, maybe (with project)
+    with one more factor for the word to project away."""
     perm = draw(st.permutations(range(len(target.shape))))
-    extra = draw(st.lists(st.integers(0, 3), max_size=1))
+    extra = draw(st.lists(st.integers(0, 3), max_size=int(project)))
     dom = FinSet(tuple(target.shape[j] for j in perm) + tuple(extra))
     return reindex_fn(dom, target, [perm.index(t) for t in range(len(perm))])
 
 
 @st.composite
+def any_words_into(draw, target):
+    """Any word leg into target: an output factor reads a new input factor
+    or one already read of its size (a diagonal), input factors that no
+    output reads are projected away, and the input factors are shuffled."""
+    shape = draw(st.lists(st.integers(0, 3), max_size=2))
+    word = []
+    for n in target.shape:
+        same = [j for j, m in enumerate(shape) if m == n]
+        if same and draw(st.booleans()):
+            word.append(draw(st.sampled_from(same)))
+        else:
+            word.append(len(shape))
+            shape.append(n)
+    perm = draw(st.permutations(range(len(shape))))
+    return reindex_fn(FinSet(tuple(shape[j] for j in perm)), target,
+                      [perm.index(j) for j in word])
+
+
+@st.composite
+def products_into(draw, target, kinds):
+    """A tensor_fn product into target, split anywhere, of a word and a
+    table factor (kinds "word", "table", in that order) or of two tables."""
+    cut = draw(st.integers(0, len(target.shape)))
+    parts = [FinSet(target.shape[:cut]), FinSet(target.shape[cut:])]
+    factors = [draw(any_words_into(part) if kind == "word" else table_fns(part))
+               for kind, part in zip(kinds, parts)]
+    return tensor_fn(product([p.dom for p in factors]), target, *factors)
+
+
+COSPAN_KINDS = ["table", "word", "words_into", "permutation", "word x table",
+                "table x word", "table x table", "table | word"]
+
+
+@st.composite
 def cospans(draw):
-    """(f, g) into one codomain, with a word on the left, the right or both."""
+    """(f, g, kind) into one codomain: f is a word with diagonals,
+    projections and zero-size factors, and g is a table, any word, a
+    permutation with or without one factor projected away, or a tensor_fn
+    product of a word and a table (either order) or of two tables; or f
+    is a table and g the word."""
     word = draw(word_fns())
-    side = draw(st.sampled_from(["left", "right", "both"]))
-    other = draw(words_into(word.cod) if side == "both" else table_fns(word.cod))
-    return (other, word) if side == "right" else (word, other)
+    kind = draw(st.sampled_from(COSPAN_KINDS))
+    target = word.cod
+    if kind in ("table", "table | word"):
+        other = draw(table_fns(target))
+    elif kind == "word":
+        other = draw(any_words_into(target))
+    elif kind == "words_into":
+        other = draw(words_into(target))
+    elif kind == "permutation":
+        other = draw(words_into(target, project=False))
+    else:
+        other = draw(products_into(target, kind.split(" x ")))
+    return (other, word, kind) if kind == "table | word" else (word, other, kind)
 
 
 @settings(max_examples=200, deadline=None)
@@ -392,16 +440,37 @@ def test_word_leg_matches_its_table(fn, data):
         assert np.array_equal(fn.inverse().table[fn.table], np.arange(fn.dom.size))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(cospans())
 def test_pullback_of_word_legs_matches_tables(pair):
-    f, g = pair
+    f, g, kind = pair
     apex, p1, p2 = pullback(f, g)
+    if kind == "permutation":
+        # the graph of the word f ; g^-1, with f itself never tabulated
+        assert "table" not in vars(f)
     ref_apex, r1, r2 = pullback(_tabled(f), _tabled(g))
     assert apex == ref_apex
     assert np.array_equal(apex.members, ref_apex.members)
     assert np.array_equal(p1.table, r1.table)
     assert np.array_equal(p2.table, r2.table)
+    if f.dom.size * g.dom.size <= 400:
+        pairs = list(zip(p1.table.tolist(), p2.table.tolist()))
+        assert pairs == _brute_pullback(_tabled(f), _tabled(g))
+
+
+def test_word_fibres_are_boxes():
+    # x -> (x0, x0, x2) on (2, 3, 2) reads factor 0 twice and never reads
+    # factor 1: a value's fibre is empty when its diagonal disagrees, else
+    # the three points of the free factor, in row-major order
+    dom = FinSet((2, 3, 2))
+    f = reindex_fn(dom, FinSet((2, 2, 2)), [0, 0, 2])
+    g = FinFn(FinSet((3,)), f.cod, f.cod.encode([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    apex, p1, p2 = pullback(f, g)
+    assert "table" not in vars(f)
+    assert p1.table.tolist() == dom.encode([[0, j, 1] for j in range(3)]
+                                           + [[1, j, 0] for j in range(3)]).tolist()
+    assert p2.table.tolist() == [2, 2, 2, 0, 0, 0]
+    assert np.array_equal(apex.members, p1.table * 3 + p2.table)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,8 @@
 """Source hygiene of src/spanv: no unused imports, no dead helpers, no
 object-dtype arrays, no dense Kronecker products or identities, no
 tabulated apex maps in pasting or the structures layer, no loop in the
-FinSet codec and no identity word rebuilt outside FinSet."""
+FinSet codec, no join that loops over values and no identity word
+rebuilt outside FinSet."""
 
 import ast
 import re
@@ -168,6 +169,20 @@ def test_finset_codec_has_no_loop():
     methods = _functions("finset.py", "FinSet")
     for name in ("decode", "encode"):
         assert set(_loop_depths(methods[name])) == {0}, name
+
+
+def test_joins_loop_over_factors_never_over_values():
+    # a word's fibre is read off a value's coordinates block by block, so
+    # the joins loop only over factors, never nested, and no loop reads
+    # the values or the pairs
+    factor_names = {"_runs", "word", "dom", "axes", "zip", "f", "g", "factors", "m"}
+    functions = _functions("finset.py")
+    for name in ("_join", "_split_join", "_fibres"):
+        assert set(_loop_depths(functions[name])) <= {0, 1}, name
+        iterated = [_used_names(node.iter) for node in ast.walk(functions[name])
+                    if isinstance(node, (ast.For, ast.comprehension))]
+        assert all(names <= factor_names for names in iterated), name
+    assert 1 in _loop_depths(functions["_fibres"])
 
 
 def test_identity_words_are_built_only_by_finset():

@@ -69,15 +69,18 @@ from spanv.structures import (
     convolution_to_endo,
     convolution_unit,
     endo_to_convolution,
+    framed,
     fusion_cell,
     infer_unique_structure_cells,
     morita_uniqueness_iso,
     regular_module,
+    tensor_2chain,
     tensor_chain,
     tensor_module_morphism,
     tensor_modules,
     unit_module,
 )
+from spanv.structures.bimonoid import _Parts
 from spanv.vbackend import MatBackend, TrivialBackend
 
 TWELVE = ["ax1", "ax2a", "ax2b", "ax3", "ax4a", "ax4b",
@@ -494,6 +497,21 @@ def test_interchange_legs_are_never_tabulated(monkeypatch):
     assert not any("table" in vars(fn) for fn in interchange)
     assert max(fn.dom.size for fn in tables) < big
     assert points and max(points) < big
+
+
+def test_a_word_leg_joins_through_its_fibres():
+    # On codiscrete n=7, whiskering id x id x theta with d x 1 x 1 pulls
+    # back the word leg x -> (x0, x1, x0, x1, x2, ..., x5) of 7^6 points
+    # against a product: the 16,807 pairs are read off the word's fibres
+    # and the word is never tabulated
+    _, _, _, bim, _, _ = groupoid_structures(codiscrete_groupoid(7))
+    p = _Parts(bim.monoid, bim.comonoid)
+    pre = tensor_chain(p.d, p.one, p.one)
+    leg = pre.span.g
+    assert leg.word == (0, 1, 0, 1, 2, 3, 4, 5) and leg.dom.size == 7 ** 6
+    two = framed(tensor_2chain(p.id2one2, bim.theta), pre=pre)
+    assert two.src.span.apex.size == 7 ** 5
+    assert "table" not in vars(leg)
 
 
 def test_every_apex_lists_int64_pair_codes(monkeypatch):
