@@ -13,14 +13,14 @@ an apex element's atomic coordinates never depend on how it was built.
 A function is a table of codomain positions; between two FinSets, a
 reindexing word (see ``reindex_fn``); or the tensor product of two
 functions (see ``tensor_fn``).  A word's or a product's table is built
-only when something reads it.  A word is its own index: its fibre over
-a value is a box, the value's coordinates fixing the factors it reads
-and the others running free, so a pullback of a word against anything
-but a larger table reads no table of the word.  A product keeps
-its two factors: it is evaluated, composed and compared factor by factor
-with a product of the same split, and a pullback along it joins one
-factor at a time, so the tensor of a large identity with a small table
-is never tabulated.  The product of an apex with any set is a
+only when something reads it.  A word is linear in its coordinates: its
+table is a grid, one broadcast step per factor, and its fibre over a
+value is a box, the value fixing the factors it reads and the others
+free, so a pullback of a word against anything but a larger table reads
+no table of the word.  A product keeps its two factors: its values are
+the grid of theirs, it is composed and compared factor by factor, and a
+pullback along it joins one factor at a time, or renames each factor's
+values through a permutation.  The product of an apex with any set is a
 ``SubsetApex`` that lists every pair without storing the list.
 """
 
@@ -253,9 +253,15 @@ class FinFn:
         # answers every read without this hook: a property would tax
         # every read of every table, in every inner loop of the span layer
         if self.factors is not None:
-            fa, fb = self.factors
-            return (fa.table[:, None] * fb.cod.size + fb.table[None, :]).ravel()
-        return self._reindex(np.arange(self.dom.size, dtype=np.int64))
+            return _values(self)
+        if self.word == self.dom.axes:
+            return np.arange(self.dom.size, dtype=np.int64)
+        # a word is linear in its coordinates: input factor j adds its
+        # coordinate times the codomain strides of the outputs reading it
+        weights = [0] * len(self.dom.shape)
+        for t, j in enumerate(self.word):
+            weights[j] += self.cod.strides[t]
+        return _grid(self.dom, weights)
 
     def at(self, positions):
         """The images of the given domain positions.  A product evaluates
@@ -274,19 +280,22 @@ class FinFn:
         return self._reindex(np.array(positions, dtype=np.int64))
 
     def _reindex(self, positions):
-        # decode the points, move their coordinates, encode them again; a
-        # run of output factors reading consecutive input factors moves as
-        # one mixed-radix block, so an identity costs nothing and a tensor
-        # of identities and diagonals costs one step per block
+        # decode fewer points than the domain has, move their coordinates,
+        # encode them again; a run of output factors reading consecutive
+        # input factors moves as one mixed-radix block, divided unless its
+        # last factor has stride 1 and reduced unless it starts at factor 0
         word, dom = self.word, self.dom
         if word == dom.axes:
             return positions
-        out = np.zeros(positions.shape, dtype=np.int64)
+        out = None
         for start, stop, _ in _runs(word):
             first, last = word[start], word[stop - 1]
-            block = (positions // dom.strides[last]) % math.prod(dom.shape[first:last + 1])
-            out += block * self.cod.strides[stop - 1]
-        return out
+            block = positions if dom.strides[last] == 1 else positions // dom.strides[last]
+            if first:
+                block = block % math.prod(dom.shape[first:last + 1])
+            block = block * self.cod.strides[stop - 1]
+            out = block if out is None else out + block
+        return np.zeros(positions.shape, dtype=np.int64) if out is None else out
 
     def permutes(self):
         """Whether this is a word that permutes its domain's factors."""
@@ -413,11 +422,14 @@ def pullback(f, g):
     a, b = f.dom, g.dom
     if a.size * b.size > _MAX_SIZE:
         raise OutOfBounds("product of sizes %d and %d is too large" % (a.size, b.size))
-    ordered = f.word is not None and g.permutes()
+    ordered = g.permutes() and (f.word is not None or f.factors is not None)
     if ordered:
-        # the graph of the one word f ; g^-1, so f itself is never tabulated
+        # the graph of f ; g^-1, a word or a grid, so f is never tabulated
         a_idx = np.arange(a.size, dtype=np.int64)
-        b_idx = FinFn(a, b, word=[f.word[j] for j in g.inverse().word]).table
+        b_idx = (_renamed(f, g) if f.factors is not None
+                 else FinFn(a, b, word=[f.word[j] for j in g.inverse().word]).table)
+    elif f.permutes() and g.factors is not None:
+        a_idx, b_idx = _renamed(g, f), np.arange(b.size, dtype=np.int64)
     elif f.word is not None and not f.permutes() and g.factors is not None:
         a_idx, b_idx = _split_join(f, g)
     elif not g.permutes() and (f.permutes() or g.factors is None and (
@@ -436,8 +448,35 @@ def pullback(f, g):
 
 
 def _values(fn):
-    # every value of fn; a product's are worked out without keeping its table
-    return fn.table if fn.factors is None else fn.at(np.arange(fn.dom.size, dtype=np.int64))
+    # every value of fn; a product's are the grid of its factors' values,
+    # worked out without keeping its table
+    if fn.factors is None or "table" in vars(fn):
+        return fn.table
+    fa, fb = fn.factors
+    return (_values(fa)[:, None] * fb.cod.size + _values(fb)[None, :]).ravel()
+
+
+def _renamed(fn, p):
+    # the product fn's values through p^-1, for a permuting word p: p^-1
+    # is linear, a value's coordinate t landing on p.dom's factor p.word[t],
+    # so each factor of fn is renamed alone and the two add on a grid
+    fa, fb = fn.factors
+    weights, m = p.dom._stride[list(p.word)], len(fa.cod.shape)
+    left = fa.cod.decode(_values(fa)) @ weights[:m]
+    right = fb.cod.decode(_values(fb)) @ weights[m:]
+    return (left[:, None] + right[None, :]).ravel()
+
+
+def _grid(dom, weights):
+    # the sum of coordinate j times weights[j] at every point of dom,
+    # row-major, one broadcast step per factor: a factor of weight 0
+    # repeats each partial sum, and one of weight None is left out
+    out = np.zeros(1, dtype=np.int64)
+    for j in dom.axes:
+        n, w = dom.shape[j], weights[j]
+        if w is not None and n != 1:
+            out = (out[:, None] + np.arange(n, dtype=np.int64) * w).ravel() if w else np.repeat(out, n)
+    return out
 
 
 def _split_join(f, g):
@@ -478,12 +517,11 @@ def _fibres(values, g):
     # factors the word reads, block by block, and must agree where it reads
     # a factor twice; the unread factors run free, in row-major order
     word, dom, cod = g.word, g.dom, g.cod
-    box = np.zeros(1, dtype=np.int64)
-    for j in dom.axes:
-        if j not in word:
-            box = (box[:, None] + np.arange(dom.shape[j], dtype=np.int64) * dom.strides[j]).ravel()
-    if not box.size:
-        return np.zeros((2, 0), dtype=np.int64)
+    box = None
+    if len(set(word)) < len(dom.axes):
+        box = _grid(dom, [None if j in word else dom.strides[j] for j in dom.axes])
+        if not box.size:
+            return np.zeros((2, 0), dtype=np.int64)
     base, ok = np.zeros(values.shape, dtype=np.int64), None
     for start, stop, repeat in _runs(word):
         first, last = word[start], word[stop - 1]
@@ -495,7 +533,7 @@ def _fibres(values, g):
             base += block * dom.strides[last]
     k = np.arange(values.size, dtype=np.int64) if ok is None else np.flatnonzero(ok)
     base = base if ok is None else base[k]
-    if box.size == 1:
+    if box is None or box.size == 1:
         return k, base
     return np.repeat(k, box.size), (base[:, None] + box).ravel()
 

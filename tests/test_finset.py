@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanv import finset as finset_module
 from spanv.errors import CodMismatch, OutOfBounds, ShapeMismatch, TableOutOfRange
 from spanv.finset import (
     UNIT,
@@ -389,19 +390,28 @@ def any_words_into(draw, target):
                       [perm.index(j) for j in word])
 
 
+PRODUCT_KINDS = ["word x table", "table x word", "table x table", "product x table",
+                 "table x product"]
+
+
 @st.composite
 def products_into(draw, target, kinds):
     """A tensor_fn product into target, split anywhere, of a word and a
-    table factor (kinds "word", "table", in that order) or of two tables."""
+    table factor (kinds "word", "table", in that order), of two tables,
+    or of a table and a product of two such factors (kind "product")."""
     cut = draw(st.integers(0, len(target.shape)))
     parts = [FinSet(target.shape[:cut]), FinSet(target.shape[cut:])]
-    factors = [draw(any_words_into(part) if kind == "word" else table_fns(part))
-               for kind, part in zip(kinds, parts)]
+    factors = []
+    for kind, part in zip(kinds, parts):
+        if kind == "product":
+            inner = draw(st.sampled_from(PRODUCT_KINDS[:3])).split(" x ")
+            factors.append(draw(products_into(part, inner)))
+        else:
+            factors.append(draw(any_words_into(part) if kind == "word" else table_fns(part)))
     return tensor_fn(product([p.dom for p in factors]), target, *factors)
 
 
-COSPAN_KINDS = ["table", "word", "words_into", "permutation", "word x table",
-                "table x word", "table x table", "table | word"]
+COSPAN_KINDS = ["table", "word", "words_into", "permutation", "table | word", *PRODUCT_KINDS]
 
 
 @st.composite
@@ -409,8 +419,9 @@ def cospans(draw):
     """(f, g, kind) into one codomain: f is a word with diagonals,
     projections and zero-size factors, and g is a table, any word, a
     permutation with or without one factor projected away, or a tensor_fn
-    product of a word and a table (either order) or of two tables; or f
-    is a table and g the word."""
+    product of a word and a table (either order), of two tables or of a
+    table and such a product (either order); or f is a table and g the
+    word.  f permutes its factors half of the time."""
     word = draw(word_fns())
     kind = draw(st.sampled_from(COSPAN_KINDS))
     target = word.cod
@@ -438,6 +449,86 @@ def test_word_leg_matches_its_table(fn, data):
     assert np.array_equal(fn.table, reference)
     if fn.permutes():
         assert np.array_equal(fn.inverse().table[fn.table], np.arange(fn.dom.size))
+
+
+def _pointwise_table(fn):
+    """A word's table one point at a time in Python integers: decode the
+    point factor by factor, read the word's coordinates, encode them."""
+    table = []
+    for code in range(fn.dom.size):
+        coords = []
+        for n in reversed(fn.dom.shape):
+            code, c = divmod(code, n)
+            coords.insert(0, c)
+        value = 0
+        for j, n in zip(fn.word, fn.cod.shape):
+            value = value * n + coords[j]
+        table.append(value)
+    return np.array(table, dtype=np.int64)
+
+
+WORD_CASES = [
+    ((), ()),                       # the empty shape
+    ((3, 2), (0, 1)),               # the identity
+    ((3, 1, 2), (0, 1, 2)),         # the identity with a size-1 factor
+    ((3, 2), ()),                   # the terminal map
+    ((2, 3, 2), (0, 0, 2)),         # a diagonal and a projection
+    ((2, 3), (1, 0, 1, 1)),         # a shuffle with repeats
+    ((1, 3, 1), (2, 1, 0, 1)),      # size-1 factors, read and repeated
+    ((2, 0, 3), (2, 0)),            # a size-0 factor left unread
+    ((0, 2), (1,)),                 # a size-0 factor first, unread
+    ((3, 4), (1,)),                 # the last factor alone
+    ((2, 3, 4), (0, 1)),            # a prefix: no division needed
+    ((2, 3, 4), (1, 2)),            # a suffix: no remainder needed
+]
+
+
+@pytest.mark.parametrize("shape, word", WORD_CASES)
+def test_word_table_is_its_pointwise_table(shape, word):
+    dom = FinSet(shape)
+    fn = reindex_fn(dom, FinSet(tuple(shape[j] for j in word)), word)
+    reference = _pointwise_table(fn)
+    assert np.array_equal(fn.table, reference)
+    assert fn.table.dtype == np.int64 and fn.table.shape == (dom.size,)
+    if dom.size > 1:
+        fresh = reindex_fn(dom, fn.cod, word)
+        positions = np.arange(dom.size - 1, -1, -2, dtype=np.int64)
+        assert np.array_equal(fresh.at(positions), reference[positions])
+        assert "table" not in vars(fresh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(word_fns(), word_shapes.map(lambda shape: identity_fn(FinSet(shape)))))
+def test_drawn_word_tables_are_their_pointwise_tables(fn):
+    assert np.array_equal(fn.table, _pointwise_table(fn))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_partial_evaluation_matches_the_table(seed):
+    # a word asked for fewer points than its domain has evaluates only
+    # those points, block by block: blocks that start at factor 0, end at
+    # the last factor, stand alone or repeat, against the whole table
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(1, 5, size=rng.integers(1, 6)))
+    k = len(shape)
+    kind = seed % 4
+    if kind == 0:
+        word = tuple(int(j) for j in rng.permutation(k))
+    elif kind == 1:
+        start = int(rng.integers(0, k))
+        word = tuple(range(start, int(rng.integers(start + 1, k + 1))))
+    else:
+        word = tuple(int(j) for j in rng.integers(0, k, size=rng.integers(0, 6)))
+    dom = FinSet(shape)
+    cod = FinSet(tuple(shape[j] for j in word))
+    fn = reindex_fn(dom, cod, word)
+    positions = rng.integers(0, dom.size, size=max(dom.size // 3, 1) if dom.size > 1 else 0)
+    values = fn.at(positions)
+    assert "table" not in vars(fn)
+    assert values.shape == positions.shape
+    reference = _pointwise_table(fn)
+    assert np.array_equal(values, reference[positions])
+    assert np.array_equal(reindex_fn(dom, cod, word).table[positions], values)
 
 
 @settings(max_examples=600, deadline=None)
@@ -592,6 +683,44 @@ def test_pullback_of_product_legs_matches_tables(factors, data):
     assert np.array_equal(p1.table, r1.table)
     assert np.array_equal(p2.table, r2.table)
     assert "table" not in vars(fn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_values_of_nested_products_match_their_tables(data):
+    target = FinSet(data.draw(word_shapes))
+    kinds = data.draw(st.sampled_from(PRODUCT_KINDS)).split(" x ")
+    fn = data.draw(products_into(target, kinds))
+    values = finset_module._values(fn)
+    assert "table" not in vars(fn)
+    assert not any("table" in vars(p) for p in fn.factors if p.factors is not None)
+    reference = _reference_table(fn)
+    assert np.array_equal(values, reference)
+    assert np.array_equal(fn.at(np.arange(fn.dom.size, dtype=np.int64)), reference)
+    assert np.array_equal(fn.table, reference)
+    assert finset_module._values(fn) is fn.table
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_pullback_of_a_permutation_against_a_product_matches_tables(data):
+    # f^-1 is linear in the coordinates, which split between the product's
+    # factors: on either side, the pairs are a grid sum of the factors'
+    # renamed values, and neither leg is tabulated
+    perm = data.draw(word_fns(permuting=True))
+    kinds = data.draw(st.sampled_from(PRODUCT_KINDS)).split(" x ")
+    prod = data.draw(products_into(perm.cod, kinds))
+    f, g = (perm, prod) if data.draw(st.booleans()) else (prod, perm)
+    apex, p1, p2 = pullback(f, g)
+    assert "table" not in vars(perm) and "table" not in vars(prod)
+    ref_apex, r1, r2 = pullback(_tabled(f), _tabled(g))
+    assert apex == ref_apex
+    assert np.array_equal(apex.members, ref_apex.members)
+    assert np.array_equal(p1.table, r1.table)
+    assert np.array_equal(p2.table, r2.table)
+    if f.dom.size * g.dom.size <= 400:
+        pairs = list(zip(p1.table.tolist(), p2.table.tolist()))
+        assert pairs == _brute_pullback(_tabled(f), _tabled(g))
 
 
 def test_full_product_apex_lists_every_pair_without_storing_them():

@@ -1,8 +1,8 @@
 """Source hygiene of src/spanv: no unused imports, no dead helpers, no
 object-dtype arrays, no dense Kronecker products or identities, no
 tabulated apex maps in pasting or the structures layer, no loop in the
-FinSet codec, no join that loops over values and no identity word
-rebuilt outside FinSet."""
+FinSet codec, no join that loops over values, no division in whole-domain
+evaluation and no identity word rebuilt outside FinSet."""
 
 import ast
 import re
@@ -177,12 +177,34 @@ def test_joins_loop_over_factors_never_over_values():
     # the values or the pairs
     factor_names = {"_runs", "word", "dom", "axes", "zip", "f", "g", "factors", "m"}
     functions = _functions("finset.py")
-    for name in ("_join", "_split_join", "_fibres"):
+    for name in ("_join", "_split_join", "_fibres", "_grid"):
         assert set(_loop_depths(functions[name])) <= {0, 1}, name
         iterated = [_used_names(node.iter) for node in ast.walk(functions[name])
                     if isinstance(node, (ast.For, ast.comprehension))]
         assert all(names <= factor_names for names in iterated), name
     assert 1 in _loop_depths(functions["_fibres"])
+
+
+def _divides(function):
+    """Whether a function divides, takes a remainder or calls a numpy
+    function that does."""
+    for node in ast.walk(function):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, (ast.FloorDiv, ast.Mod)):
+            return True
+    return bool(_used_names(function) & {"divmod", "remainder", "floor_divide", "fmod", "mod"})
+
+
+def test_whole_domain_evaluation_never_divides():
+    # a word is linear in its coordinates, so its whole table is a grid
+    # of coordinate steps, and a product's values are the grid of its
+    # factors' values: no point is decoded
+    functions = _functions("finset.py")
+    table = _functions("finset.py", "FinFn")["table"]
+    for name, function in [("FinFn.table", table), ("_values", functions["_values"]),
+                           ("_grid", functions["_grid"])]:
+        assert not _divides(function), name
+    assert _divides(functions["_fibres"]) and _divides(_functions("finset.py", "FinFn")["at"])
 
 
 def test_identity_words_are_built_only_by_finset():

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,9 +471,10 @@ def test_interchange_legs_are_never_tabulated(monkeypatch):
     # middle-four interchange (1 s 1) on A x A x A x A has n^8 apex
     # elements, while every composite it meets has at most n^7: its legs
     # are words that are never tabulated, and no function of n^8 points is
-    # evaluated or stored.
+    # evaluated or stored.  A word is evaluated on some points by _reindex
+    # and on a whole grid (its table, or a fibre's box) by _grid.
     words, tables, points = [], [], []
-    fn_init, reindex = FinFn.__init__, FinFn._reindex
+    fn_init, reindex, grid = FinFn.__init__, FinFn._reindex, finset_module._grid
 
     def record_fn(fn, dom, cod, table=None, word=None, factors=None):
         fn_init(fn, dom, cod, table, word, factors)
@@ -485,8 +487,14 @@ def test_interchange_legs_are_never_tabulated(monkeypatch):
         points.append(np.size(positions))
         return reindex(fn, positions)
 
+    def record_grid(dom, weights):
+        out = grid(dom, weights)
+        points.append(out.size)
+        return out
+
     monkeypatch.setattr(FinFn, "__init__", record_fn)
     monkeypatch.setattr(FinFn, "_reindex", record_reindex)
+    monkeypatch.setattr(finset_module, "_grid", record_grid)
     _, _, _, bim, anti, _ = groupoid_structures(codiscrete_groupoid(4))
     assert check_oplax_bimonoid(bim).ok
     assert check_oplax_hopf(bim, anti).ok
@@ -497,6 +505,32 @@ def test_interchange_legs_are_never_tabulated(monkeypatch):
     assert not any("table" in vars(fn) for fn in interchange)
     assert max(fn.dom.size for fn in tables) < big
     assert points and max(points) < big
+
+
+def test_interchange_against_a_product_builds_no_array_of_its_size(monkeypatch):
+    # On codiscrete n=7 the build pulls the interchange, a permuting word
+    # on 7^8 points, back along a product of two tables of 343 entries:
+    # its 117,649 pairs are a grid sum of the two tables' renamed values.
+    # No array of 7^8 entries, which takes at least 7^8 bytes, is built.
+    joins, pullback = [], cells_module.pullback
+
+    def record_pullback(f, g):
+        if not (f.permutes() and f.dom.size == 7 ** 8 and g.factors is not None):
+            return pullback(f, g)
+        tracemalloc.start()
+        try:
+            result = pullback(f, g)
+            joins.append((tracemalloc.get_traced_memory()[1], result[0].size))
+        finally:
+            tracemalloc.stop()
+        assert "table" not in vars(f) and "table" not in vars(g)
+        return result
+
+    monkeypatch.setattr(cells_module, "pullback", record_pullback)
+    monkeypatch.setattr(span_module, "pullback", record_pullback)
+    groupoid_structures(codiscrete_groupoid(7))
+    assert joins
+    assert all(size == 7 ** 6 and peak < 7 ** 8 for peak, size in joins)
 
 
 def test_a_word_leg_joins_through_its_fibres():
