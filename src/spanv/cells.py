@@ -139,6 +139,16 @@ class Column:
         return self is other or self.zip_with(other, eq).first_false() is None
 
 
+def first_wrong_end(backend, mors, doms, cods):
+    """The first i where mors[i] does not run doms[i] -> cods[i] (Columns),
+    as (i, "domain"), also when both ends are wrong, or (i, "codomain")."""
+    eq = pairwise(backend.eq_obj)
+    d, c = (mors.map(end).zip_with(want, eq).first_false()
+            for end, want in ((backend.dom, doms), (backend.cod, cods)))
+    bad = [(i, end) for i, end in ((d, "domain"), (c, "codomain")) if i is not None]
+    return min(bad, key=lambda b: b[0], default=None)
+
+
 class VFam:
     """A family of backend objects indexed by a finite set: a Column, a
     list with one object per base element, or None for all unit objects."""
@@ -194,12 +204,9 @@ class VCell1:
         if alphas.size != span.apex.size:
             raise ShapeMismatch("cell has %d components for an apex of %d elements"
                                 % (alphas.size, span.apex.size))
-        eq = pairwise(backend.eq_obj)
-        ends = (alphas.map(backend.dom).zip_with(dom.objs.along(span.f), eq),
-                alphas.map(backend.cod).zip_with(cod.objs.along(span.g), eq))
-        bad = [s for s in (end.first_false() for end in ends) if s is not None]
-        if bad:
-            raise ComponentShapeError("component %d has wrong boundary" % min(bad))
+        bad = first_wrong_end(backend, alphas, dom.objs.along(span.f), cod.objs.along(span.g))
+        if bad is not None:
+            raise ComponentShapeError("component %d has wrong boundary" % bad[0])
         self.backend = backend
         self.dom = dom
         self.cod = cod

@@ -15,6 +15,7 @@ from .cells import (
     Column,
     VCell1,
     VFam,
+    first_wrong_end,
     tensor_fams,
     try_make_2cell,
     unit_fam,
@@ -54,17 +55,17 @@ from .structures import (
 from .vbackend import FinSetBackend, MatBackend, TrivialBackend, pairwise, per_check
 
 # Every field of an enriched category, declared once: name: (number of
-# object indices of an entry, (dom, cod) of the entry at those indices from
-# the homs H, the object tensor t and the unit I, and the span of
-# _groupoid_spans that carries the entries over the squared index set, row-major)
+# object indices of an entry, (dom, cod) of the entries at index arrays as
+# Columns, from the homs H(x, y), the object tensor t and the unit I, and
+# the span of _groupoid_spans that carries them over X x X, row-major)
 FIELDS = {
-    "m": (3, lambda H, t, I, x, y, z: (t(H[x][y], H[y][z]), H[x][z]), "mlt"),
-    "u": (1, lambda H, t, I, x: (I, H[x][x]), "uni"),
-    "delta": (2, lambda H, t, I, x, y: (H[x][y], t(H[x][y], H[x][y])), "lcm"),
-    "eps": (2, lambda H, t, I, x, y: (H[x][y], I), "lcu"),
-    "s": (2, lambda H, t, I, x, y: (H[x][y], H[y][x]), "anti"),
-    "comlt": (3, lambda H, t, I, x, y, z: (H[x][z], t(H[x][y], H[y][z])), "colcm"),
-    "couni": (1, lambda H, t, I, x: (H[x][x], I), "colcu"),
+    "m": (3, lambda H, t, I, x, y, z: (t(H(x, y), H(y, z)), H(x, z)), "mlt"),
+    "u": (1, lambda H, t, I, x: (I, H(x, x)), "uni"),
+    "delta": (2, lambda H, t, I, x, y: (H(x, y), t(H(x, y), H(x, y))), "lcm"),
+    "eps": (2, lambda H, t, I, x, y: (H(x, y), I), "lcu"),
+    "s": (2, lambda H, t, I, x, y: (H(x, y), H(y, x)), "anti"),
+    "comlt": (3, lambda H, t, I, x, y, z: (H(x, z), t(H(x, y), H(y, z))), "colcm"),
+    "couni": (1, lambda H, t, I, x: (H(x, x), I), "colcu"),
 }
 
 
@@ -74,9 +75,9 @@ def _indices(n, arity):
 
 
 def _entries(table, n, arity, name):
-    """A nested table's entries with their indices, row-major.  Every
-    level above the entries must be a list or tuple of n items; a level
-    that is not fails with the field name and its index path."""
+    """A nested table's entries, row-major.  Every level above the
+    entries must be a list or tuple of n items; a level that is not fails
+    with the field name and its index path."""
     for idx in _indices(n, arity):
         entry = table
         for depth, i in enumerate(idx):
@@ -84,7 +85,7 @@ def _entries(table, n, arity, name):
                 raise ShapeMismatch("%s must list %d entries"
                                     % (name + "[%d]" * depth % idx[:depth], n))
             entry = entry[i]
-        yield idx, entry
+        yield entry
 
 
 def _nest(flat, n, arity):
@@ -102,10 +103,10 @@ def _tabulate(n, arity, entry):
 
 
 class _VCat:
-    """The homs and the declared fields of an enriched category; every
-    entry of every given field must have the ends FIELDS gives it, and is
-    stored as backend.mor of it.  columns holds each grid, row-major, as a
-    Column (the homs under "H"); the nested attributes view the same entries."""
+    """The homs and the declared fields of an enriched category.  columns
+    holds each grid, row-major, as a Column: the homs under "H", and each
+    field's entries as backend.mor of them, whose ends must be those FIELDS
+    gives, checked column-wise.  The nested attributes view the same entries."""
 
     fields = ()
     optional = ()
@@ -115,26 +116,25 @@ class _VCat:
             raise ShapeMismatch("the objects must be a one-axis FinSet, got %r" % (objects,))
         n = objects.size
         self.backend, self.objects, self.n = backend, objects, n
-        self.columns = {"H": Column.from_list([hom for _, hom in _entries(homs, n, 2, "homs")],
-                                              backend.obj_key)}
-        self.homs = _nest(self.columns["H"], n, 2)
+        H = Column.from_list(list(_entries(homs, n, 2, "homs")), backend.obj_key)
+        self.columns, self.homs = {"H": H}, _nest(H, n, 2)
+        ops = (lambda x, y: H.take(x * n + y),
+               lambda a, b: a.zip_with(b, pairwise(backend.tensor_obj), backend.obj_key))
         for name, table in zip(self.fields, tables):
             if table is None and name in self.optional:
                 setattr(self, name, None)
                 continue
             arity, ends, _ = FIELDS[name]
-            entries = []
-            for idx, mor in _entries(table, n, arity, name):
-                mor = backend.mor(mor)
-                dom, cod = ends(self.homs, backend.tensor_obj, backend.unit, *idx)
-                label = name + "[%d]" * arity % idx
-                if not backend.eq_obj(backend.dom(mor), dom):
-                    raise ShapeMismatch("%s has wrong domain" % label)
-                if not backend.eq_obj(backend.cod(mor), cod):
-                    raise ShapeMismatch("%s has wrong codomain" % label)
-                entries.append(mor)
-            self.columns[name] = Column.from_list(entries, backend.mor_key)
-            setattr(self, name, _nest(self.columns[name], n, arity))
+            mors = Column.from_list(list(map(backend.mor, _entries(table, n, arity, name))),
+                                    backend.mor_key)
+            idx = np.indices((n,) * arity).reshape(arity, -1)
+            bad = first_wrong_end(backend, mors, *ends(
+                *ops, Column([backend.unit], mors.size), *idx))
+            if bad is not None:
+                raise ShapeMismatch("%s has wrong %s" % (
+                    name + "[%d]" * arity % tuple(idx[:, bad[0]]), bad[1]))
+            self.columns[name] = mors
+            setattr(self, name, _nest(mors, n, arity))
 
     def __repr__(self):
         return "%s(%r, %d objects)" % (type(self).__name__, self.backend, self.n)
@@ -171,8 +171,7 @@ class VFunctorData:
                                 % type(obj_map).__name__)
         n = obj_map.dom.size
         self.obj_map = obj_map
-        self.components = _nest([mor for _, mor in _entries(components, n, 2, "components")],
-                                n, 2)
+        self.components = _nest(list(_entries(components, n, 2, "components")), n, 2)
 
 
 # the largest mixed-radix key of a tuple of entry codes
@@ -307,12 +306,13 @@ def _functor_components(ca, cb, fun):
         if end != v.objects:
             raise ShapeMismatch("the object map's %s %r is not %r" % (side, end, v.objects))
     backend, f0 = ca.backend, fun.obj_map.table
-    components = [backend.mor(f) for row in fun.components for f in row]
-    for (x, y), f in zip(_indices(ca.n, 2), components):
-        if not (backend.eq_obj(backend.dom(f), ca.homs[x][y])
-                and backend.eq_obj(backend.cod(f), cb.homs[f0[x]][f0[y]])):
-            raise ShapeMismatch("components[%d][%d] has wrong ends" % (x, y))
-    return Column.from_list(components, backend.mor_key)
+    components = Column.from_list([backend.mor(f) for row in fun.components for f in row],
+                                  backend.mor_key)
+    bad = first_wrong_end(backend, components, ca.columns["H"],
+                          cb.columns["H"].take((f0[:, None] * cb.n + f0).ravel()))
+    if bad is not None:
+        raise ShapeMismatch("components[%d][%d] has wrong ends" % divmod(bad[0], ca.n))
+    return components
 
 
 @per_check
@@ -444,9 +444,6 @@ class GroupoidData:
         if not np.array_equal(comp[pos(gh * n1 + k)], comp[pos(g * n1 + hk)]):
             raise NotAGroupoid("composition is not associative")
 
-    def hom(self, x, y):
-        return np.nonzero((self.src.table == x) & (self.tgt.table == y))[0]
-
     def __repr__(self):
         return "GroupoidData(%d objects, %d morphisms)" % (self.g0.size, self.g1.size)
 
@@ -489,34 +486,30 @@ def discrete_groupoid(n):
 
 def groupoid_to_hopfcat(G):
     """A groupoid as an enriched category over finite sets: homs are the
-    hom-sets, comultiplication is the diagonal, antipode the inversion."""
+    hom-sets, comultiplication is the diagonal, antipode the inversion.
+    Every table is read off the morphisms sorted by hom and the composable
+    pairs sorted by (x, y, z) and place in the hom; the composites fit
+    their homs by construction, so their range goes unchecked."""
     backend = FinSetBackend()
     t = backend.tensor_obj
-    n, n1 = G.g0.size, G.g1.size
-    mems = _tabulate(n, 2, G.hom)
-    homs = _tabulate(n, 2, lambda x, y: FinSet((len(mems[x][y]),)))
-    loc = np.zeros(n1, dtype=np.int64)
-    for _, mem in _entries(mems, n, 2, "mems"):
-        loc[mem] = np.arange(len(mem))
-    pos = G.pairs.position_of
-
-    def mult(x, y, z):
-        codes = (mems[x][y][:, None] * n1 + mems[y][z][None, :]).ravel()
-        return FinFn(t(homs[x][y], homs[y][z]), homs[x][z], loc[G.comp.table[pos(codes)]])
-
-    def diagonal(x, y):
-        d = np.arange(homs[x][y].size, dtype=np.int64)
-        return FinFn(homs[x][y], t(homs[x][y], homs[x][y]), d * d.size + d)
-
+    n = G.g0.size
+    hom = G.src.table * n + G.tgt.table
+    by_hom, sizes = np.argsort(hom, kind="stable"), np.bincount(hom, minlength=n * n)
+    loc = np.argsort(by_hom) - (np.cumsum(sizes) - sizes)[hom]
+    flat = [FinSet((int(k),)) for k in sizes]
+    homs = _nest(flat, n, 2)
+    g, h = G.p1.table, G.p2.table
+    comps = loc[G.comp.table[np.lexsort((loc[h], loc[g], hom[g] * n + G.tgt.table[h]))]]
+    cuts = np.cumsum(sizes.reshape(n, n, 1) * sizes.reshape(n, n)).tolist()
+    invs = np.split(loc[G.inv.table[by_hom]], np.cumsum(sizes)[:-1])
     return HopfVCat(
         backend, G.g0, homs,
-        _tabulate(n, 3, mult),
+        _nest([FinFn._of_table(t(homs[x][y], homs[y][z]), homs[x][z], comps[a:b])
+               for (x, y, z), a, b in zip(_indices(n, 3), [0] + cuts, cuts)], n, 3),
         _tabulate(n, 1, lambda x: FinFn(UNIT, homs[x][x], [loc[G.e.table[x]]])),
-        _tabulate(n, 2, diagonal),
-        _tabulate(n, 2, lambda x, y: FinFn(homs[x][y], UNIT,
-                                           np.zeros(homs[x][y].size, dtype=np.int64))),
-        _tabulate(n, 2, lambda x, y: FinFn(homs[x][y], homs[y][x],
-                                           loc[G.inv.table[mems[x][y]]])))
+        _nest([FinFn(H, t(H, H), np.arange(H.size) * (H.size + 1)) for H in flat], n, 2),
+        _nest([FinFn(H, UNIT, np.zeros(H.size, int)) for H in flat], n, 2),
+        _tabulate(n, 2, lambda x, y: FinFn(homs[x][y], homs[y][x], invs[x * n + y])))
 
 
 def _groupoid_spans(G):

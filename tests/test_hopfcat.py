@@ -13,7 +13,7 @@ import pytest
 from spanv import hopfcat, vbackend
 from spanv.cells import Column, InvalidCell
 from spanv.errors import NotAGroupoid, NotFirm, NotInvertible, NotOverX2, ShapeMismatch
-from spanv.finset import FinFn, FinSet, identity_fn
+from spanv.finset import UNIT, FinFn, FinSet, SubsetApex, identity_fn, pullback
 from spanv.hopfcat import (
     FIELDS,
     FrobVCat,
@@ -767,3 +767,280 @@ def test_a_functor_component_with_wrong_ends_is_named():
             check_frobenius_vfunctor(fc, fc, VFunctorData(identity_fn(fc.objects), bad))
     with pytest.raises(ShapeMismatch, match=r"^components\[0\]\[0\] has wrong ends$"):
         vfunctor_to_spanv(h, h, VFunctorData(identity_fn(h.objects), [[np.eye(3, dtype=int)]]))
+
+
+_WRONG_ENDS = """
+import numpy as np
+from spanv.finset import FinFn, FinSet
+from spanv.hopfcat import (FIELDS, codiscrete_groupoid, group_algebra_hopf, groupoid_to_hopfcat,
+                           mat_frobenius_example)
+
+
+def bent(mor, grow):
+    # mor with one more domain element or row (grow[0]) and codomain
+    # element or column (grow[1])
+    if isinstance(mor, FinFn):
+        dom, cod = (FinSet((end.size + 1,)) if g else end
+                    for end, g in zip((mor.dom, mor.cod), grow))
+        return FinFn(dom, cod, np.zeros(dom.size, dtype=np.int64))
+    return np.zeros(tuple(np.add(np.asarray(mor).shape, grow)), dtype=np.int64)
+
+
+def replaced(table, idx, entry):
+    if not idx:
+        return entry
+    return [replaced(t, idx[1:], entry) if i == idx[0] else t for i, t in enumerate(table)]
+
+
+# (row-major position, grown ends) of each bent entry; -1 is the last entry
+CASES = ([(-1, (1, 0))], [(-1, (0, 1))], [(-1, (1, 1))], [(-1, (1, 0)), (0, (0, 1))])
+for v in (group_algebra_hopf(3, 2), mat_frobenius_example(3, 2),
+          groupoid_to_hopfcat(codiscrete_groupoid(2))):
+    for name in v.fields:
+        arity = FIELDS[name][0]
+        for bends in CASES[:3 if v.n == 1 else 4]:
+            tables = {f: getattr(v, f) for f in v.fields}
+            for at, grow in bends:
+                idx = np.unravel_index(at % v.n ** arity, (v.n,) * arity)
+                entry = tables[name]
+                for i in idx:
+                    entry = entry[i]
+                tables[name] = replaced(tables[name], idx, bent(entry, grow))
+            try:
+                type(v)(v.backend, v.objects, v.homs, **tables)
+            except Exception as err:
+                print(type(err).__name__, err)
+"""
+
+
+def test_constructor_names_the_first_wrong_end_under_python_O():
+    # a wrong domain, a wrong codomain alone, both (the domain is named)
+    # and two bad entries (the row-major first is named), in every field
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, *flags, "-c", _WRONG_ENDS], capture_output=True,
+                           text=True, env=env, timeout=60) for flags in ([], ["-O"])]
+    want = []
+    for n, fields in ((1, HopfVCat.fields), (2, FrobVCat.fields), (2, HopfVCat.fields)):
+        for name in fields:
+            arity = FIELDS[name][0]
+            last = name + "[%d]" % (n - 1) * arity
+            want += ["ShapeMismatch %s has wrong %s" % (last, end)
+                     for end in ("domain", "codomain", "domain")]
+            if n > 1:
+                want.append("ShapeMismatch %s has wrong codomain" % (name + "[0]" * arity))
+    assert want[:4] == ["ShapeMismatch m[0][0][0] has wrong domain",
+                        "ShapeMismatch m[0][0][0] has wrong codomain",
+                        "ShapeMismatch m[0][0][0] has wrong domain",
+                        "ShapeMismatch u[0] has wrong domain"]
+    assert runs[0].stdout.splitlines() == want, runs[0].stderr
+    assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""
+
+
+# each field entry's (domain, codomain), read entry by entry from the
+# nested homs H, the object tensor t and the unit I
+_ENTRY_ENDS = {
+    "m": lambda H, t, I, x, y, z: (t(H[x][y], H[y][z]), H[x][z]),
+    "u": lambda H, t, I, x: (I, H[x][x]),
+    "delta": lambda H, t, I, x, y: (H[x][y], t(H[x][y], H[x][y])),
+    "eps": lambda H, t, I, x, y: (H[x][y], I),
+    "s": lambda H, t, I, x, y: (H[x][y], H[y][x]),
+    "comlt": lambda H, t, I, x, y, z: (H[x][z], t(H[x][y], H[y][z])),
+    "couni": lambda H, t, I, x: (H[x][x], I),
+}
+
+
+def _per_entry_field_ends(cls, backend, homs, tables):
+    """The reference ends check of a category's fields: a loop over every
+    entry, row-major, field by field; the error it raises, or None."""
+    n = len(homs)
+    for name, table in zip(cls.fields, tables):
+        if table is None:
+            continue
+        arity = FIELDS[name][0]
+        for idx in itertools.product(range(n), repeat=arity):
+            mor = table
+            for i in idx:
+                mor = mor[i]
+            mor = backend.mor(mor)
+            dom, cod = _ENTRY_ENDS[name](homs, backend.tensor_obj, backend.unit, *idx)
+            label = name + "[%d]" * arity % idx
+            if not backend.eq_obj(backend.dom(mor), dom):
+                return ShapeMismatch("%s has wrong domain" % label)
+            if not backend.eq_obj(backend.cod(mor), cod):
+                return ShapeMismatch("%s has wrong codomain" % label)
+    return None
+
+
+def _per_entry_component_ends(ca, cb, fun):
+    """The reference ends check of a functor's components."""
+    backend, f0 = ca.backend, fun.obj_map.table
+    for x, y in itertools.product(range(ca.n), repeat=2):
+        f = backend.mor(fun.components[x][y])
+        if not (backend.eq_obj(backend.dom(f), ca.homs[x][y])
+                and backend.eq_obj(backend.cod(f), cb.homs[f0[x]][f0[y]])):
+            return ShapeMismatch("components[%d][%d] has wrong ends" % (x, y))
+    return None
+
+
+def _bent(mor, rng):
+    """mor with a seeded choice of its ends grown by one."""
+    grow = rng.choice([(1, 0), (0, 1), (1, 1)])
+    if isinstance(mor, FinFn):
+        # a map out of a nonempty set needs a nonempty codomain
+        dom, cod = (FinSet((end.size + 1,)) if g or (i and mor.cod.size == 0) else end
+                    for i, (end, g) in enumerate(zip((mor.dom, mor.cod), grow)))
+        return FinFn(dom, cod, np.zeros(dom.size, dtype=np.int64))
+    return np.zeros(tuple(np.add(np.asarray(mor).shape, grow)), dtype=np.int64)
+
+
+def _seeded_entries(grid, n, arity, rng):
+    """grid with one or two seeded entries bent or taken from another place."""
+    grid = [list(map(list, row)) if arity == 3 else list(row) if arity == 2 else row
+            for row in grid]
+    flat = list(itertools.product(range(n), repeat=arity))
+    for idx in rng.sample(flat, min(len(flat), rng.choice([1, 2]))):
+        *outer, last = idx
+        row = grid
+        for i in outer:
+            row = row[i]
+        other = grid
+        for i in rng.choice(flat):
+            other = other[i]
+        row[last] = _bent(row[last], rng) if rng.random() < 0.7 else other
+    return grid
+
+
+def _error(make):
+    try:
+        make()
+    except ShapeMismatch as err:
+        return err
+    return None
+
+
+def test_column_ends_check_matches_a_per_entry_loop():
+    rng = random.Random(20)
+    cats = [group_algebra_hopf(3, 3), mat_frobenius_example(2, 3), mat_frobenius_example(3, 2),
+            groupoid_to_hopfcat(codiscrete_groupoid(3)),
+            groupoid_to_hopfcat(cyclic_group_groupoid(3)), groupoid_to_hopfcat(_union_groupoid())]
+    cases = []
+    for v in cats:
+        for name in v.fields:
+            for _ in range(8):
+                tables = [getattr(v, f) for f in v.fields]
+                i = v.fields.index(name)
+                tables[i] = _seeded_entries(tables[i], v.n, FIELDS[name][0], rng)
+                cases.append((
+                    lambda v=v, tables=tables: type(v)(v.backend, v.objects, v.homs, *tables),
+                    _per_entry_field_ends(type(v), v.backend, v.homs, tables)))
+        # one hom grown, so the homs are no longer symmetric
+        for x, y in itertools.permutations(range(v.n), 2):
+            homs = [list(row) for row in v.homs]
+            hom = homs[x][y]
+            homs[x][y] = FinSet((hom.size + 1,)) if isinstance(hom, FinSet) else hom + 1
+            tables = [getattr(v, f) for f in v.fields]
+            cases.append((lambda v=v, homs=homs, tables=tables: type(v)(
+                v.backend, v.objects, homs, *tables),
+                          _per_entry_field_ends(type(v), v.backend, homs, tables)))
+    fc, small = mat_frobenius_example(3, 3), mat_frobenius_example(3, 2)
+    union = groupoid_to_hopfcat(_union_groupoid())
+    functors = [(fc, fc, [0, 1, 2]), (small, fc, [0, 1]), (small, fc, [1, 0]),
+                (union, union, [0, 1, 2])]
+    for ca, cb, f0 in functors:
+        ident = [[ca.backend.id(ca.homs[x][y]) for y in range(ca.n)] for x in range(ca.n)]
+        for _ in range(12):
+            fun = VFunctorData(FinFn(ca.objects, cb.objects, f0),
+                               _seeded_entries(ident, ca.n, 2, rng))
+            cases.append((lambda ca=ca, cb=cb, fun=fun: hopfcat._functor_components(ca, cb, fun),
+                           _per_entry_component_ends(ca, cb, fun)))
+    wrong = 0
+    for make, want in cases:
+        got = _error(make)
+        assert (type(got), str(got)) == (type(want), str(want))
+        wrong += want is not None
+    assert (len(cases), wrong) == (292, 252)
+
+
+def _union_groupoid(seed=27):
+    """The disjoint union of (codiscrete 2) x Z/3 on objects 0 and 1 with
+    Z/2 on object 2: vertex groups of orders 3 and 2, four homs of three
+    members and four empty homs; the 14 morphisms are numbered in a seeded
+    order, so the members of each hom interleave with the others."""
+    mors = [(x, y, k, 3) for x in range(2) for y in range(2) for k in range(3)]
+    mors += [(2, 2, k, 2) for k in range(2)]
+    random.Random(seed).shuffle(mors)
+    code = {m: i for i, m in enumerate(mors)}
+    g0, g1 = FinSet((3,)), FinSet((len(mors),))
+    src, tgt = (FinFn(g1, g0, [m[end] for m in mors]) for end in (0, 1))
+    _, p1, p2 = pullback(tgt, src)
+    comp = [code[(f[0], g[1], (f[2] + g[2]) % f[3], f[3])]
+            for f, g in ((mors[i], mors[j]) for i, j in zip(p1.table, p2.table))]
+    e = FinFn(g0, g1, [code[(x, x, 0, 3 if x < 2 else 2)] for x in range(3)])
+    inv = FinFn(g1, g1, [code[(y, x, -k % p, p)] for x, y, k, p in mors])
+    return GroupoidData(g0, g1, src, tgt, comp, e, inv)
+
+
+def _per_entry_hopfcat(G):
+    """The reference groupoid build, entry by entry: each hom's members by
+    a search of the boundary tables, each composite by its pair's position."""
+    backend, n, n1 = FinSetBackend(), G.g0.size, G.g1.size
+    mems = [[np.nonzero((G.src.table == x) & (G.tgt.table == y))[0] for y in range(n)]
+            for x in range(n)]
+    homs = [[FinSet((len(mem),)) for mem in row] for row in mems]
+    loc = np.zeros(n1, dtype=np.int64)
+    for row in mems:
+        for mem in row:
+            loc[mem] = np.arange(len(mem))
+
+    def mult(x, y, z):
+        codes = (mems[x][y][:, None] * n1 + mems[y][z][None, :]).ravel()
+        return FinFn(backend.tensor_obj(homs[x][y], homs[y][z]), homs[x][z],
+                     loc[G.comp.table[G.pairs.position_of(codes)]])
+
+    def diagonal(x, y):
+        d = np.arange(homs[x][y].size, dtype=np.int64)
+        return FinFn(homs[x][y], backend.tensor_obj(homs[x][y], homs[x][y]), d * d.size + d)
+
+    return HopfVCat(
+        backend, G.g0, homs, hopfcat._tabulate(n, 3, mult),
+        hopfcat._tabulate(n, 1, lambda x: FinFn(UNIT, homs[x][x], [loc[G.e.table[x]]])),
+        hopfcat._tabulate(n, 2, diagonal),
+        hopfcat._tabulate(n, 2, lambda x, y: FinFn(homs[x][y], UNIT,
+                                                   np.zeros(homs[x][y].size, dtype=np.int64))),
+        hopfcat._tabulate(n, 2, lambda x, y: FinFn(homs[x][y], homs[y][x],
+                                                   loc[G.inv.table[mems[x][y]]])))
+
+
+def test_groupoid_build_matches_a_per_entry_build():
+    groupoids = [_union_groupoid()] + [make(n) for n in range(6) for make in (
+        codiscrete_groupoid, cyclic_group_groupoid, discrete_groupoid) if n or make is not
+        cyclic_group_groupoid]
+    for G in groupoids:
+        h = groupoid_to_hopfcat(G)
+        assert hopfcat_data_equal(h, _per_entry_hopfcat(G)), G
+        bim, anti = hopfcat_to_spanv(h)
+        assert check_hopf_vcat(h).ok and check_oplax_bimonoid(bim).ok, G
+        assert check_oplax_hopf(bim, anti).ok, G
+    union = groupoid_to_hopfcat(groupoids[0])
+    assert [[hom.size for hom in row] for row in union.homs] == [[3, 3, 0], [3, 3, 0], [0, 0, 2]]
+
+
+def test_groupoid_build_reads_the_tables_once(monkeypatch):
+    # each hom's members and every composite come off the groupoid's
+    # tables in one pass, with no search per entry, and the ends of the
+    # entries are checked once per distinct pair of objects
+    calls = []
+    eq_obj = FinSetBackend.eq_obj
+    monkeypatch.setattr(FinSetBackend, "eq_obj",
+                        lambda self, a, b: calls.append(1) or eq_obj(self, a, b))
+    counts = []
+    for n in (2, 6):
+        G = codiscrete_groupoid(n)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(SubsetApex, "position_of", None)
+            groupoid_to_hopfcat(G)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -214,3 +214,35 @@ def test_identity_words_are_built_only_by_finset():
     inside = {"finset.py:%d" % line for line in range(cls.lineno, cls.end_lineno + 1)}
     built = _lines_matching(r"range\(len\([\w.]*shape\)\)")
     assert built and set(built) <= inside
+
+
+def _names_in_loops(function):
+    """Every name read inside a loop body or a comprehension's element or
+    condition within a function."""
+    names = set()
+    for node in ast.walk(function):
+        if isinstance(node, (ast.For, ast.While)):
+            for statement in node.body + node.orelse:
+                names |= _used_names(statement)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            parts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            for part in parts + [cond for gen in node.generators for cond in gen.ifs]:
+                names |= _used_names(part)
+    return names
+
+
+def test_ends_are_checked_once_as_columns():
+    # a 1-cell's components, an enriched category's field entries and a
+    # functor's components meet their ends in one column check, never in a
+    # loop over entries
+    cells = _functions("cells.py")
+    checks = {"VCell1.__init__": _functions("cells.py", "VCell1")["__init__"],
+              "_VCat.__init__": _functions("hopfcat.py", "_VCat")["__init__"],
+              "_functor_components": _functions("hopfcat.py")["_functor_components"]}
+    for name, function in checks.items():
+        assert _loop_depths(function, "first_wrong_end"), name
+        assert not _names_in_loops(function) & {"eq_obj", "dom", "cod"}, name
+    callers = [line for line in _lines_matching(r"\bfirst_wrong_end\(")
+               if not line.startswith("cells.py:%d" % cells["first_wrong_end"].lineno)]
+    assert len(callers) == len(checks)
+    assert {"eq_obj", "dom", "cod"} <= _used_names(cells["first_wrong_end"])
