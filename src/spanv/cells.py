@@ -44,7 +44,9 @@ class Column:
     zip_with and outer call fn(xs, ys) once, on the lists of the first and
     second values of every occurring pair, so a backend's compose_many or
     tensor_many is one backend call per operation; map calls fn once per
-    stored value.  Then one numpy step maps the codes.
+    stored value.  Then one numpy step maps the codes.  The distinct pairs
+    ascend by pair code; when there are no more possible pairs than
+    entries they are numbered by marking, without a sort.
     """
 
     def __init__(self, values, size, codes=None, key=None):
@@ -123,7 +125,15 @@ class Column:
         if self.codes is None and other.codes is None:
             return Column(fn(self.values * len(other.values), other.values * len(self.values)),
                           size, key=key)
-        distinct, codes = np.unique(pair_codes(), return_inverse=True)
+        pairs, space = pair_codes(), len(self.values) * len(other.values)
+        if space <= size:
+            # a pair space no larger than the column is numbered by marking
+            # the pairs that occur, in the ascending order np.unique gives
+            seen = np.zeros(space, dtype=bool)
+            seen[pairs] = True
+            distinct, codes = np.flatnonzero(seen), (np.cumsum(seen) - 1)[pairs]
+        else:
+            distinct, codes = np.unique(pairs, return_inverse=True)
         left, right = np.divmod(distinct, len(other.values))
         values = fn([self.values[i] for i in left.tolist()],
                     [other.values[j] for j in right.tolist()])

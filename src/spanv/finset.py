@@ -495,7 +495,8 @@ def _split_join(f, g):
 def _join(values, g):
     """Every pair (k, b) with g(b) == values[k], ascending in k and then in
     b.  A product joins one factor at a time, on the split of each value,
-    and a word reads each fibre off a value: neither reads g's table."""
+    and a word reads each fibre off a value: neither reads g's table.  A
+    table that already ascends is searched in place, unsorted."""
     if g.factors is not None:
         ga, gb = g.factors
         k, b1 = _join(values // gb.cod.size, ga)
@@ -503,13 +504,14 @@ def _join(values, g):
         return k[k2], b1[k2] * gb.dom.size + b2
     if g.word is not None:
         return _fibres(values, g)
-    order = np.argsort(g.table, kind="stable")
-    gsorted = g.table[order]
+    table = g.table
+    order = np.argsort(table, kind="stable") if np.count_nonzero(table[1:] < table[:-1]) else None
+    gsorted = table if order is None else table[order]
     starts = np.searchsorted(gsorted, values, side="left")
     counts = np.searchsorted(gsorted, values, side="right") - starts
     k = np.repeat(np.arange(values.size, dtype=np.int64), counts)
-    offsets = np.arange(k.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    return k, order[starts[k] + offsets]
+    b = starts[k] + np.arange(k.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    return k, b if order is None else order[b]
 
 
 def _fibres(values, g):

@@ -128,6 +128,7 @@ def match_by_signature(cols1, cols2):
     side's elements.  Returns (table, None) matching equal signatures in
     ascending signature order, ties broken by position, or (None, info)
     where info holds the first signature whose multiplicities differ.
+    A side whose rows already ascend is read in place, unsorted.
     """
     n1 = len(cols1[0]) if cols1 else 0
     n2 = len(cols2[0]) if cols2 else 0
@@ -135,18 +136,39 @@ def match_by_signature(cols1, cols2):
         return None, ("size", n1, n2)
     if n1 == 0:
         return np.zeros(0, dtype=np.int64), None
-    order1 = np.lexsort(tuple(reversed(cols1)))
-    order2 = np.lexsort(tuple(reversed(cols2)))
+    # an order of None is the identity: the rows are their own sorted copy
+    order1, order2 = (None if _ascends(cols) else np.lexsort(tuple(reversed(cols)))
+                      for cols in (cols1, cols2))
     for c1, c2 in zip(cols1, cols2):
-        s1, s2 = c1[order1], c2[order2]
+        s1 = c1 if order1 is None else c1[order1]
+        s2 = c2 if order2 is None else c2[order2]
         if not np.array_equal(s1, s2):
             bad = int(np.nonzero(s1 != s2)[0][0])
-            sig1 = tuple(int(c[order1[bad]]) for c in cols1)
-            sig2 = tuple(int(c[order2[bad]]) for c in cols2)
+            sig1 = tuple(int(c[bad if order1 is None else order1[bad]]) for c in cols1)
+            sig2 = tuple(int(c[bad if order2 is None else order2[bad]]) for c in cols2)
             return None, ("signature", sig1, sig2)
-    table = np.empty(n1, dtype=np.int64)
-    table[order1] = order2
+    table = np.arange(n1, dtype=np.int64) if order2 is None else order2
+    if order1 is not None:
+        table, sorted_table = np.empty(n1, dtype=np.int64), table
+        table[order1] = sorted_table
     return table, None
+
+
+def _ascends(cols):
+    # whether the rows ascend, ties allowed, so that a stable lexsort
+    # leaves them in place: at each adjacent pair the first column that
+    # differs rises.  One comparison settles a strictly rising column;
+    # count_nonzero costs less than all() or any() on short rows.
+    tied = None
+    for c in cols:
+        lo, hi = (c[:-1], c[1:]) if tied is None else (c[tied], c[tied + 1])
+        rises = hi > lo
+        if np.count_nonzero(rises) == rises.size:
+            return True
+        if np.count_nonzero(hi < lo):
+            return False
+        tied = np.flatnonzero(~rises) if tied is None else tied[~rises]
+    return True
 
 
 def feet_pairs(s1, s2):

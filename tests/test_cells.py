@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spanv.cells import (
+    Column,
     InvalidCell,
     VCell1,
     VFam,
@@ -322,3 +323,60 @@ def test_pasting_keeps_word_and_product_maps_lazy():
     assert back.apex_map.factors is not None and "table" not in vars(back.apex_map)
     assert two_cells_equal(back, identity_2cell(t.src)) == (True, None)
     assert np.array_equal(back.u, np.arange(9))
+
+
+def _unique_pairs(a, b, fn, key, outer):
+    """The reference zip_with/outer: pairs numbered by np.unique, always."""
+    width = len(b.values)
+    dense_a = np.zeros(a.size, dtype=np.int64) if a.codes is None else a.codes
+    dense_b = np.zeros(b.size, dtype=np.int64) if b.codes is None else b.codes
+    size = a.size * b.size if outer else a.size
+    if a.codes is None and b.codes is None:
+        return Column(fn(a.values * width, b.values * len(a.values)), size, key=key)
+    pairs = (dense_a[:, None] * width + dense_b).ravel() if outer else dense_a * width + dense_b
+    distinct, codes = np.unique(pairs, return_inverse=True)
+    left, right = np.divmod(distinct, width)
+    values = fn([a.values[i] for i in left.tolist()], [b.values[j] for j in right.tolist()])
+    return Column(values, size, codes.reshape(-1), key)
+
+
+def _coded(rng, values, size):
+    return Column(list(values), size, rng.integers(0, len(values), size=size))
+
+
+def test_pair_numbering_matches_np_unique():
+    # a pair space no larger than the column is numbered by marking the
+    # pairs that occur: values, codes and fn's arguments are those of
+    # numbering by np.unique
+    rng = np.random.default_rng(21)
+    zips = [(_coded(rng, "ab", 6), _coded(rng, "xyz", 6)),     # space 6 = size
+            (_coded(rng, "ab", 5), _coded(rng, "xyz", 5)),     # space 6 > size
+            (_coded(rng, "ab", 7), _coded(rng, "xyz", 7)),
+            (_coded(rng, "abcd", 40), _coded(rng, "xyz", 40)),
+            (Column(list("ab"), 4, [1, 1, 1, 1]), Column(list("xy"), 4, [0, 0, 0, 0])),
+            (Column(["a"], 9), _coded(rng, "xyz", 9)),         # one constant side
+            (_coded(rng, "abc", 3), Column(["x"], 3)),
+            (Column(["a"], 5), Column(["x"], 5)),
+            (Column([], 0), Column([], 0))]
+    outers = [(_coded(rng, "ab", 2), _coded(rng, "xyz", 3)),
+              (_coded(rng, "ab", 3), _coded(rng, "xyz", 2)),
+              (_coded(rng, "abc", 4), _coded(rng, "xy", 5)),
+              (Column(["a"], 3), _coded(rng, "xy", 4)),
+              (_coded(rng, "ab", 3), Column([], 0)),
+              (Column([], 0), _coded(rng, "xy", 4))]
+    calls = []
+
+    def pair(xs, ys):
+        calls.append((list(xs), list(ys)))
+        return [x + y for x, y in zip(xs, ys)]
+
+    for (a, b), outer in [(case, False) for case in zips] + [(case, True) for case in outers]:
+        for key in (None, lambda v: v[0]):
+            want = _unique_pairs(a, b, pair, key, outer)
+            want_calls, calls[:] = calls[:], []
+            got = (a.outer if outer else a.zip_with)(b, pair, key)
+            assert calls == want_calls
+            assert (got.size, got.values) == (want.size, want.values)
+            assert (got.codes is None and want.codes is None) or (
+                got.codes.dtype == np.int64 and np.array_equal(got.codes, want.codes))
+            calls.clear()

@@ -288,6 +288,39 @@ def test_pullback_universal_property(na, nb, nc, seed):
     assert np.array_equal(p2.table[u], t2)
 
 
+def _argsort_join(values, table):
+    """The reference join of values into a table: the table sorted by a
+    stable argsort, always."""
+    order = np.argsort(table, kind="stable")
+    gsorted = table[order]
+    starts = np.searchsorted(gsorted, values, side="left")
+    counts = np.searchsorted(gsorted, values, side="right") - starts
+    k = np.repeat(np.arange(values.size, dtype=np.int64), counts)
+    offsets = np.arange(k.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    return k, order[starts[k] + offsets]
+
+
+def test_table_join_matches_the_argsort_join():
+    # a table that already ascends is searched in place: the pairs are
+    # those of sorting it first, in the same order
+    rng = np.random.default_rng(21)
+    tables = [[], [3], [0], [0, 1, 2, 5, 9], [0, 0, 1, 1, 1, 4, 9, 9], [2, 2, 2],
+              [5, 1, 4, 1, 0, 9], [0, 1, 3, 2], [1, 0]]
+    for n in (2, 7, 50):
+        tables += [np.sort(rng.integers(0, 10, size=n)), rng.integers(0, 10, size=n),
+                   np.sort(rng.choice(12, size=min(n, 12), replace=False))]
+    for table in tables:
+        table = np.asarray(table, dtype=np.int64)
+        g = FinFn(FinSet((table.size,)), FinSet((12,)), table)
+        # values missing from the table, repeated, and out of order
+        for values in (np.arange(12), rng.integers(0, 12, size=13), np.zeros(0, dtype=np.int64),
+                       np.array([11, 9, 9, 7, 0])):
+            k, b = finset_module._join(values, g)
+            want_k, want_b = _argsort_join(values, table)
+            assert k.dtype == b.dtype == np.int64
+            assert np.array_equal(k, want_k) and np.array_equal(b, want_b)
+
+
 def test_pullback_needs_shared_codomain():
     f = identity_fn(FinSet((2,)))
     g = identity_fn(FinSet((3,)))

@@ -1044,3 +1044,52 @@ def test_groupoid_build_reads_the_tables_once(monkeypatch):
             groupoid_to_hopfcat(G)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_groupoids_with_unequal_homs_pass_and_fail_by_both_routes():
+    # the homs of a discrete groupoid and of the union are not all equal,
+    # so the bridge's Columns carry codes; one moved antipode entry of the
+    # union fails the antipode laws by both routes and nothing else
+    for G in (discrete_groupoid(4), _union_groupoid()):
+        h = groupoid_to_hopfcat(G)
+        assert check_hopf_vcat(h).ok and _bridged_ok(h), G
+    union = groupoid_to_hopfcat(_union_groupoid())
+    s = union.s[0][1]
+    table = s.table.copy()
+    table[1] = (table[1] + 1) % s.cod.size
+    antipode = [list(row) for row in union.s]
+    antipode[0][1] = FinFn(s.dom, s.cod, table)
+    mutant = HopfVCat(union.backend, union.objects, union.homs, union.m, union.u, union.delta,
+                      union.eps, antipode)
+    assert _failures(check_hopf_vcat(mutant)) == {
+        "antipode-left": {"at": [0, 1], "diff": {"entry": [1], "this": 1, "other": 0}},
+        "antipode-right": {"at": [0, 1], "diff": {"entry": [1], "this": 0, "other": 1}}}
+    bim, anti = hopfcat_to_spanv(mutant)
+    assert check_oplax_bimonoid(bim).ok
+    [hopf] = [r for r in check_oplax_hopf(bim, anti).results if not r.ok]
+    assert (hopf.name, hopf.counterexample["invalid"]) == ("antipode-cells", "tau1")
+
+
+def test_small_pair_spaces_are_numbered_without_a_sort(monkeypatch):
+    # During the bridged discrete n=4 bimonoid check, Column._pairs never
+    # sorts a column whose pair space is no larger than the column: it
+    # marks the pairs that occur instead
+    spaces, sorted_spaces = [], []
+    pairs, unique = Column._pairs, np.unique
+
+    def record_pairs(self, other, size, fn, key, pair_codes):
+        spaces.append((len(self.values) * len(other.values), size,
+                       self.codes is not None or other.codes is not None))
+        return pairs(self, other, size, fn, key, pair_codes)
+
+    def record_unique(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "spanv.cells":
+            sorted_spaces.append(spaces[-1])
+        return unique(*args, **kwargs)
+
+    bim, _ = hopfcat_to_spanv(groupoid_to_hopfcat(discrete_groupoid(4)))
+    monkeypatch.setattr(Column, "_pairs", record_pairs)
+    monkeypatch.setattr(np, "unique", record_unique)
+    assert check_oplax_bimonoid(bim).ok
+    assert any(coded and space <= size for space, size, coded in spaces)
+    assert all(space > size for space, size, _ in sorted_spaces)

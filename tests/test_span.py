@@ -138,6 +138,69 @@ def test_match_by_signature():
     assert info[0] == "signature"
 
 
+def _lexsort_match(cols1, cols2):
+    """The reference match: both sides sorted by lexsort, always."""
+    n1 = len(cols1[0]) if cols1 else 0
+    n2 = len(cols2[0]) if cols2 else 0
+    if n1 != n2:
+        return None, ("size", n1, n2)
+    if n1 == 0:
+        return np.zeros(0, dtype=np.int64), None
+    order1 = np.lexsort(tuple(reversed(cols1)))
+    order2 = np.lexsort(tuple(reversed(cols2)))
+    for c1, c2 in zip(cols1, cols2):
+        s1, s2 = c1[order1], c2[order2]
+        if not np.array_equal(s1, s2):
+            bad = int(np.nonzero(s1 != s2)[0][0])
+            return None, ("signature", tuple(int(c[order1[bad]]) for c in cols1),
+                          tuple(int(c[order2[bad]]) for c in cols2))
+    table = np.empty(n1, dtype=np.int64)
+    table[order1] = order2
+    return table, None
+
+
+def _signature_cases(rng):
+    """Pairs of row lists: both, one or neither side ascending, with and
+    without ties in the first column, equal multisets or not."""
+    cases = [([], []), ([np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)])]
+    for width in (1, 2, 3):
+        for n in (1, 2, 3, 8, 40):
+            for high in (1, 2, 5, 3 * n):
+                rows = [rng.integers(0, high, size=n) for _ in range(width)]
+                if width > 1 and high > 2:
+                    # a first column that rises strictly over unsorted rows
+                    rows[0] = np.arange(n) * 2
+                ascending = [c[np.lexsort(tuple(reversed(rows)))] for c in rows]
+                perm = rng.permutation(n)
+                shuffled = [c[perm] for c in ascending]
+                bent = [c.copy() for c in shuffled]
+                bent[rng.integers(width)][rng.integers(n)] += 1
+                for a, b in ((ascending, [c.copy() for c in ascending]), (ascending, shuffled),
+                             (shuffled, ascending), (rows, shuffled), (shuffled, rows),
+                             (ascending, bent), (bent, ascending), (rows, bent),
+                             (ascending, [c[:-1] for c in ascending])):
+                    cases.append((a, b))
+    return cases
+
+
+def test_match_by_signature_matches_the_lexsort_match():
+    # rows that already ascend are read in place: the table and the
+    # mismatch info are those of sorting both sides
+    rng = np.random.default_rng(21)
+    cases = _signature_cases(rng)
+    kinds = set()
+    for cols1, cols2 in cases:
+        want_table, want_info = _lexsort_match(cols1, cols2)
+        table, info = match_by_signature(cols1, cols2)
+        assert info == want_info
+        kinds.add(None if info is None else info[0])
+        if want_table is None:
+            assert table is None
+        else:
+            assert table.dtype == np.int64 and np.array_equal(table, want_table)
+    assert kinds == {None, "size", "signature"}
+
+
 def test_spans_isomorphic_relabelled():
     rng = np.random.default_rng(4)
     s = _random_span(rng, 3, 6, 3)

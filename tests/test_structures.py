@@ -9,6 +9,7 @@ import pytest
 
 from spanv import cells as cells_module
 from spanv import finset as finset_module
+from spanv import pasting as pasting_module
 from spanv import span as span_module
 from spanv.cells import (
     InvalidCell,
@@ -505,6 +506,36 @@ def test_interchange_legs_are_never_tabulated(monkeypatch):
     assert not any("table" in vars(fn) for fn in interchange)
     assert max(fn.dom.size for fn in tables) < big
     assert points and max(points) < big
+
+
+def test_rows_and_tables_that_ascend_are_never_sorted(monkeypatch):
+    # Matching apex elements by signature and joining a table read rows
+    # and tables that already ascend in place.  A stable sort returns the
+    # identity order exactly when its input ascends, so no lexsort or
+    # argsort called from the span or finset layer during the trivial
+    # codiscrete n=5 bimonoid check may return it.
+    sorts, matched, joined = [], [], []
+
+    def recording(sort):
+        def recorded(*args, **kwargs):
+            order = sort(*args, **kwargs)
+            if sys._getframe(1).f_globals["__name__"] in ("spanv.span", "spanv.finset"):
+                sorts.append(np.array_equal(order, np.arange(order.size)))
+            return order
+        return recorded
+
+    def record(calls, fn):
+        return lambda *args: calls.append(1) or fn(*args)
+
+    for name in ("lexsort", "argsort"):
+        monkeypatch.setattr(np, name, recording(getattr(np, name)))
+    monkeypatch.setattr(pasting_module, "match_by_signature",
+                        record(matched, pasting_module.match_by_signature))
+    monkeypatch.setattr(finset_module, "_join", record(joined, finset_module._join))
+    _, _, _, bim, _, _ = groupoid_structures(codiscrete_groupoid(5))
+    assert check_oplax_bimonoid(bim).ok
+    assert matched and joined
+    assert not any(sorts)
 
 
 def test_interchange_against_a_product_builds_no_array_of_its_size(monkeypatch):
