@@ -64,7 +64,6 @@ from .structures import (
 from .vbackend import FinSetBackend, MatBackend, TrivialBackend
 
 SCHEMA_VERSION = 1
-KINDS = ("bimonoid", "hopf", "frobenius", "hopfcat", "frobcat", "module", "morphism")
 MAX_OBJECTS = 4
 MAX_DIM = 4
 MAX_PRIME = 97
@@ -278,24 +277,22 @@ def _monoid_from_json(backend, data):
                       _span_cell_from_json(_need(data, "uni"), unit_fam(backend), carrier))
 
 
-def _comonoid_from_json(carrier, data):
-    return ComonoidData(carrier,
-                        _span_cell_from_json(_need(data, "lcm"),
-                                             carrier, tensor_fams(carrier, carrier)),
-                        _span_cell_from_json(_need(data, "lcu"),
-                                             carrier, unit_fam(carrier.backend)))
+def _monoid_and_comonoid_from_json(backend, data):
+    monoid = _monoid_from_json(backend, data)
+    carrier = monoid.carrier
+    lcm = _span_cell_from_json(_need(data, "lcm"), carrier, tensor_fams(carrier, carrier))
+    lcu = _span_cell_from_json(_need(data, "lcu"), carrier, unit_fam(backend))
+    return monoid, ComonoidData(carrier, lcm, lcu)
 
 
 def _bimonoid_block_from_json(backend, data, with_antipode):
-    monoid = _monoid_from_json(backend, data)
-    carrier = monoid.carrier
-    comonoid = _comonoid_from_json(carrier, data)
+    monoid, comonoid = _monoid_and_comonoid_from_json(backend, data)
     bim = OplaxBimonoidData(monoid, comonoid, **_cells_from_json(
         _need(data, "cells"), structure_cell_boundaries(monoid, comonoid)))
     if not with_antipode:
         return bim, None
     anti = _need(data, "antipode")
-    s = _span_cell_from_json(_need(anti, "s"), carrier, carrier)
+    s = _span_cell_from_json(_need(anti, "s"), monoid.carrier, monoid.carrier)
     return bim, AntipodeData(s, **_cells_from_json(anti, antipode_boundaries(bim, s)))
 
 
@@ -333,6 +330,44 @@ def _vcat_from_json(cls, backend, data):
     return cls(backend, FinSet((n,)), homs, *tables)
 
 
+def _module_from_json(backend, data):
+    monoid = _monoid_from_json(backend, _need(data, "monoid"))
+    modblock = _need(data, "module")
+    mod_carrier = _fam_from_json(backend, _need(modblock, "carrier"))
+    rho = _span_cell_from_json(_need(modblock, "rho"),
+                               tensor_fams(mod_carrier, monoid.carrier), mod_carrier)
+    cells = _cells_from_json(modblock, module_boundaries(monoid, mod_carrier, rho))
+    return monoid, OplaxModuleData(mod_carrier, rho, **cells)
+
+
+def _morphism_from_json(backend, data):
+    bim_a, _ = _bimonoid_block_from_json(backend, _need(data, "source"), False)
+    bim_b, _ = _bimonoid_block_from_json(backend, _need(data, "target"), False)
+    f = _span_cell_from_json(_need(data, "f"), bim_a.monoid.carrier, bim_b.monoid.carrier)
+    cells = _cells_from_json(data, morphism_boundaries(bim_a, bim_b, f))
+    return bim_a, bim_b, OplaxMorphismData(f, **cells)
+
+
+# kind -> (load from the backend and the JSON object, check); each call looks
+# the checkers up as module globals, so wrappers set on this module see them
+_KINDS = {
+    "bimonoid": (lambda backend, data: _bimonoid_block_from_json(backend, data, False),
+                 lambda s: check_oplax_bimonoid(s[0])),
+    "hopf": (lambda backend, data: _bimonoid_block_from_json(backend, data, True),
+             lambda s: CheckReport(check_oplax_bimonoid(s[0]).results
+                                   + check_oplax_hopf(*s).results)),
+    "frobenius": (lambda backend, data: FrobeniusData(*_monoid_and_comonoid_from_json(
+        backend, data)), lambda s: check_frobenius(s)),
+    "hopfcat": (lambda backend, data: _vcat_from_json(HopfVCat, backend, data),
+                lambda s: (check_semi_hopf_vcat if s.s is None else check_hopf_vcat)(s)),
+    "frobcat": (lambda backend, data: _vcat_from_json(FrobVCat, backend, data),
+                lambda s: check_frobenius_vcat(s)),
+    "module": (_module_from_json, lambda s: CheckReport(check_strict_monoid(s[0]).results
+                                                        + check_oplax_module(*s).results)),
+    "morphism": (_morphism_from_json, lambda s: check_oplax_bimonoid_morphism(*s)),
+}
+
+
 def load_structure(data):
     """Parsed JSON -> (kind, checkable structure)."""
     if not isinstance(data, dict):
@@ -341,67 +376,20 @@ def load_structure(data):
     if version != SCHEMA_VERSION:
         raise SchemaError("unsupported schema_version %r" % (version,))
     kind = _need(data, "kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError("unknown kind %r" % (kind,))
     try:
-        backend = _backend_from_json(_need(data, "backend"))
-        if kind == "bimonoid":
-            return kind, _bimonoid_block_from_json(backend, data, False)
-        if kind == "hopf":
-            return kind, _bimonoid_block_from_json(backend, data, True)
-        if kind == "frobenius":
-            monoid = _monoid_from_json(backend, data)
-            return kind, FrobeniusData(monoid, _comonoid_from_json(monoid.carrier, data))
-        if kind == "hopfcat":
-            return kind, _vcat_from_json(HopfVCat, backend, data)
-        if kind == "frobcat":
-            return kind, _vcat_from_json(FrobVCat, backend, data)
-        if kind == "module":
-            monoid = _monoid_from_json(backend, _need(data, "monoid"))
-            modblock = _need(data, "module")
-            mod_carrier = _fam_from_json(backend, _need(modblock, "carrier"))
-            rho = _span_cell_from_json(_need(modblock, "rho"),
-                                       tensor_fams(mod_carrier, monoid.carrier), mod_carrier)
-            cells = _cells_from_json(modblock, module_boundaries(monoid, mod_carrier, rho))
-            return kind, (monoid, OplaxModuleData(mod_carrier, rho, **cells))
-        if kind == "morphism":
-            bim_a, _ = _bimonoid_block_from_json(backend, _need(data, "source"), False)
-            bim_b, _ = _bimonoid_block_from_json(backend, _need(data, "target"), False)
-            f = _span_cell_from_json(_need(data, "f"),
-                                     bim_a.monoid.carrier, bim_b.monoid.carrier)
-            cells = _cells_from_json(data, morphism_boundaries(bim_a, bim_b, f))
-            return kind, (bim_a, bim_b, OplaxMorphismData(f, **cells))
+        return kind, _KINDS[kind][0](_backend_from_json(_need(data, "backend")), data)
     except SchemaError:
         raise
     except (SpanVError, AssertionError, KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaError("invalid %s data: %s" % (kind, err))
     except MemoryError:
         raise SchemaError("structure too large to load")
-    raise AssertionError("unreachable")
 
 
 def run_checks(kind, structure):
-    if kind == "bimonoid":
-        return check_oplax_bimonoid(structure[0])
-    if kind == "hopf":
-        bim, anti = structure
-        return CheckReport(check_oplax_bimonoid(bim).results
-                           + check_oplax_hopf(bim, anti).results)
-    if kind == "frobenius":
-        return check_frobenius(structure)
-    if kind == "hopfcat":
-        if structure.s is not None:
-            return check_hopf_vcat(structure)
-        return check_semi_hopf_vcat(structure)
-    if kind == "frobcat":
-        return check_frobenius_vcat(structure)
-    if kind == "module":
-        monoid, mod = structure
-        return CheckReport(check_strict_monoid(monoid).results
-                           + check_oplax_module(monoid, mod).results)
-    if kind == "morphism":
-        return check_oplax_bimonoid_morphism(*structure)
-    raise AssertionError("unreachable")
+    return _KINDS[kind][1](structure)
 
 
 # ------------------------------------------------------------------- reports
@@ -486,24 +474,24 @@ def cmd_check(path, report_path=None, quiet=False):
 
 # --------------------------------------------------------------------- demos
 
+def _document(kind, backend, body):
+    """A structure file of the given kind: the header, then body's fields."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind,
+            "backend": _backend_to_json(backend), **body}
+
+
 def _demo_x2(size):
     if not 1 <= size <= MAX_OBJECTS:
         raise OutOfBounds("size must be between 1 and %d" % MAX_OBJECTS)
     _, _, _, bim, anti, _ = groupoid_structures(codiscrete_groupoid(size))
-    data = {"schema_version": SCHEMA_VERSION, "kind": "hopf",
-            "backend": _backend_to_json(TrivialBackend())}
-    data.update(_bimonoid_block_to_json(bim, anti))
-    return "x2-hopf.json", data
+    return "x2-hopf.json", _document("hopf", TrivialBackend(), _bimonoid_block_to_json(bim, anti))
 
 
 def _demo_groupoid(objects):
     if not 1 <= objects <= MAX_OBJECTS:
         raise OutOfBounds("objects must be between 1 and %d" % MAX_OBJECTS)
     h = groupoid_to_hopfcat(codiscrete_groupoid(objects))
-    data = {"schema_version": SCHEMA_VERSION, "kind": "hopfcat",
-            "backend": _backend_to_json(h.backend)}
-    data.update(_vcat_to_json(h))
-    return "groupoid-hopfcat.json", data
+    return "groupoid-hopfcat.json", _document("hopfcat", h.backend, _vcat_to_json(h))
 
 
 def _demo_group_hopf(p, group):
@@ -518,10 +506,7 @@ def _demo_group_hopf(p, group):
     if not 1 <= order <= MAX_DIM:
         raise OutOfBounds("group order must be between 1 and %d" % MAX_DIM)
     h = group_algebra_hopf(p, order)
-    data = {"schema_version": SCHEMA_VERSION, "kind": "hopfcat",
-            "backend": _backend_to_json(h.backend)}
-    data.update(_vcat_to_json(h))
-    return "group-hopf.json", data
+    return "group-hopf.json", _document("hopfcat", h.backend, _vcat_to_json(h))
 
 
 def _demo_mat(p, max_n):
@@ -530,10 +515,7 @@ def _demo_mat(p, max_n):
     if not 1 <= max_n <= MAX_DIM:
         raise OutOfBounds("max-n must be between 1 and %d" % MAX_DIM)
     fc = mat_frobenius_example(p, max_n)
-    data = {"schema_version": SCHEMA_VERSION, "kind": "frobcat",
-            "backend": _backend_to_json(fc.backend)}
-    data.update(_vcat_to_json(fc))
-    return "mat-frobenius.json", data
+    return "mat-frobenius.json", _document("frobcat", fc.backend, _vcat_to_json(fc))
 
 
 def cmd_demo(name, out_dir=".", **params):

@@ -97,16 +97,31 @@ def _nest(flat, n, arity):
     return rows
 
 
+def _row_major(entries):
+    """A list of row-major entries as a Column; the constructor merges equal ones."""
+    return Column(entries, len(entries), np.arange(len(entries)))
+
+
 def _tabulate(n, arity, entry):
-    """The nested table holding entry(*idx) at every index."""
-    return _nest([entry(*idx) for idx in _indices(n, arity)], n, arity)
+    """The row-major Column holding entry(*idx) at every index."""
+    return _row_major([entry(*idx) for idx in _indices(n, arity)])
+
+
+def _grid_column(grid, n, arity, name, convert, key):
+    """A grid, nested or a row-major Column, as a Column of convert's
+    results, one call per stored value, merged by key."""
+    if not isinstance(grid, Column):
+        grid = _row_major(list(_entries(grid, n, arity, name)))
+    elif grid.size != n ** arity:
+        raise ShapeMismatch("%s must hold %d entries, got %d" % (name, n ** arity, grid.size))
+    return Column(list(map(convert, grid.values)), grid.size, grid.codes, key)
 
 
 class _VCat:
-    """The homs and the declared fields of an enriched category.  columns
-    holds each grid, row-major, as a Column: the homs under "H", and each
-    field's entries as backend.mor of them, whose ends must be those FIELDS
-    gives, checked column-wise.  The nested attributes view the same entries."""
+    """The homs and the declared fields of an enriched category, each given
+    nested or as a row-major Column.  columns holds each grid as a Column:
+    the homs under "H", and each field's entries as backend.mor of them,
+    with the ends FIELDS gives, checked column-wise; nested attributes view them."""
 
     fields = ()
     optional = ()
@@ -116,7 +131,7 @@ class _VCat:
             raise ShapeMismatch("the objects must be a one-axis FinSet, got %r" % (objects,))
         n = objects.size
         self.backend, self.objects, self.n = backend, objects, n
-        H = Column.from_list(list(_entries(homs, n, 2, "homs")), backend.obj_key)
+        H = _grid_column(homs, n, 2, "homs", lambda a: a, backend.obj_key)
         self.columns, self.homs = {"H": H}, _nest(H, n, 2)
         ops = (lambda x, y: H.take(x * n + y),
                lambda a, b: a.zip_with(b, pairwise(backend.tensor_obj), backend.obj_key))
@@ -125,8 +140,7 @@ class _VCat:
                 setattr(self, name, None)
                 continue
             arity, ends, _ = FIELDS[name]
-            mors = Column.from_list(list(map(backend.mor, _entries(table, n, arity, name))),
-                                    backend.mor_key)
+            mors = _grid_column(table, n, arity, name, backend.mor, backend.mor_key)
             idx = np.indices((n,) * arity).reshape(arity, -1)
             bad = first_wrong_end(backend, mors, *ends(
                 *ops, Column([backend.unit], mors.size), *idx))
@@ -306,8 +320,7 @@ def _functor_components(ca, cb, fun):
         if end != v.objects:
             raise ShapeMismatch("the object map's %s %r is not %r" % (side, end, v.objects))
     backend, f0 = ca.backend, fun.obj_map.table
-    components = Column.from_list([backend.mor(f) for row in fun.components for f in row],
-                                  backend.mor_key)
+    components = _grid_column(fun.components, ca.n, 2, "components", backend.mor, backend.mor_key)
     bad = first_wrong_end(backend, components, ca.columns["H"],
                           cb.columns["H"].take((f0[:, None] * cb.n + f0).ravel()))
     if bad is not None:
@@ -348,7 +361,7 @@ def mat_frobenius_example(p, max_n):
     if max_n < 1:
         raise OutOfBounds("max_n must be at least 1, got %s" % (max_n,))
     size = [x + 1 for x in range(max_n)]
-    homs = _tabulate(max_n, 2, lambda x, y: size[x] * size[y])
+    homs = [[a * b for b in size] for a in size]
 
     def cell(x, y, i, j):
         return i * size[y] + j
@@ -497,18 +510,18 @@ def groupoid_to_hopfcat(G):
     by_hom, sizes = np.argsort(hom, kind="stable"), np.bincount(hom, minlength=n * n)
     loc = np.argsort(by_hom) - (np.cumsum(sizes) - sizes)[hom]
     flat = [FinSet((int(k),)) for k in sizes]
-    homs = _nest(flat, n, 2)
+    homs, H = _nest(flat, n, 2), Column.from_list(flat, backend.obj_key)
     g, h = G.p1.table, G.p2.table
     comps = loc[G.comp.table[np.lexsort((loc[h], loc[g], hom[g] * n + G.tgt.table[h]))]]
     cuts = np.cumsum(sizes.reshape(n, n, 1) * sizes.reshape(n, n)).tolist()
     invs = np.split(loc[G.inv.table[by_hom]], np.cumsum(sizes)[:-1])
     return HopfVCat(
-        backend, G.g0, homs,
-        _nest([FinFn._of_table(t(homs[x][y], homs[y][z]), homs[x][z], comps[a:b])
-               for (x, y, z), a, b in zip(_indices(n, 3), [0] + cuts, cuts)], n, 3),
+        backend, G.g0, H,
+        _row_major([FinFn._of_table(t(homs[x][y], homs[y][z]), homs[x][z], comps[a:b])
+                    for (x, y, z), a, b in zip(_indices(n, 3), [0] + cuts, cuts)]),
         _tabulate(n, 1, lambda x: FinFn(UNIT, homs[x][x], [loc[G.e.table[x]]])),
-        _nest([FinFn(H, t(H, H), np.arange(H.size) * (H.size + 1)) for H in flat], n, 2),
-        _nest([FinFn(H, UNIT, np.zeros(H.size, int)) for H in flat], n, 2),
+        H.map(lambda A: FinFn(A, t(A, A), np.arange(A.size) * (A.size + 1))),
+        H.map(lambda A: FinFn(A, UNIT, np.zeros(A.size, int))),
         _tabulate(n, 2, lambda x, y: FinFn(homs[x][y], homs[y][x], invs[x * n + y])))
 
 
@@ -629,10 +642,10 @@ def spanv_to_hopfcat(bim, antipode=None):
     cells = {"mlt": bim.monoid.mlt, "uni": bim.monoid.uni,
              "lcm": bim.comonoid.lcm, "lcu": bim.comonoid.lcu,
              "anti": None if antipode is None else antipode.s}
-    tables = [None if cells[span] is None else _nest(
-        _transport(cells[span], spans[span], "the %s span" % span), n, arity)
-        for arity, _, span in (FIELDS[name] for name in HopfVCat.fields)]
-    return HopfVCat(fam.backend, FinSet((n,)), _nest(fam.objs, n, 2), *tables)
+    tables = [None if cells[span] is None else
+              _transport(cells[span], spans[span], "the %s span" % span)
+              for _, _, span in (FIELDS[name] for name in HopfVCat.fields)]
+    return HopfVCat(fam.backend, FinSet((n,)), fam.objs, *tables)
 
 
 def vopcat_as_comonoid(fc):
@@ -669,42 +682,47 @@ def vfunctor_to_spanv(ha, hb, fun):
     return OplaxMorphismData(f, **_forced_cells(morphism_boundaries(bim_a, bim_b, f)))
 
 
-def _inverse_antipode(backend, homs, s, x, y):
-    """s[x][y]^-1: H[y][x] -> H[x][y], from backend operations alone.
+def _inverse_antipode(backend, s, t):
+    """s^-1 for s: A -> B and t: B -> A from backend operations alone; None if there is none.
 
-    With P = s[x][y] then s[y][x] and P^k the identity, the inverse is
-    s[y][x] then P^(k-1).  The powers of P live in a finite monoid, so a
-    repeated power before the identity shows that P is not invertible.
+    With P = s then t and P^k the identity, the inverse is t then P^(k-1).
+    The powers of P live in a finite monoid, so a repeated power before
+    the identity shows that P is not invertible.
     """
-    p = backend.compose(s[x][y], s[y][x])
-    ident = backend.id(homs[x][y])
+    p = backend.compose(s, t)
+    ident = backend.id(backend.dom(s))
     prev, power, seen = ident, p, set()
     while not backend.eq_mor(power, ident):
         key = backend.mor_key(power)
         if key in seen:
-            raise NotInvertible("antipode s[%d][%d] is not invertible" % (x, y))
+            return None
         seen.add(key)
         prev, power = power, backend.compose(power, p)
-    inverse = backend.compose(s[y][x], prev)
+    inverse = backend.compose(t, prev)
     # P^k = id gives a right inverse only; the other side can still fail
-    if not backend.eq_mor(backend.compose(inverse, s[x][y]), backend.id(homs[y][x])):
-        raise NotInvertible("antipode s[%d][%d] is not invertible" % (x, y))
+    if not backend.eq_mor(backend.compose(inverse, s), backend.id(backend.cod(s))):
+        return None
     return inverse
 
 
 def opposite_vcat(h):
     """Reverse all homs; composition braids before composing the other
     way around, and the antipode at (x, y) is the inverse of s[x][y].
-    Raises NotInvertible when some s[x][y] has no inverse."""
-    backend, n = h.backend, h.n
-    homs, delta, eps = ([[g[y][x] for y in range(n)] for x in range(n)]
-                        for g in (h.homs, h.delta, h.eps))
-    m = _tabulate(n, 3, lambda x, y, z: backend.compose(
-        backend.braiding(h.homs[y][x], h.homs[z][y]), h.m[z][y][x]))
-    s = None
-    if h.s is not None:
-        s = _tabulate(n, 2, lambda x, y: _inverse_antipode(backend, h.homs, h.s, x, y))
-    return HopfVCat(backend, h.objects, homs, m, list(h.u), delta, eps, s)
+    Raises NotInvertible naming the first s[x][y], row-major, with no inverse."""
+    backend, n, grids = h.backend, h.n, h.columns
+    compose, _, _, braid = _column_ops(backend)
+    x, y, z = np.indices((n,) * 3).reshape(3, -1)
+    swap, H = np.arange(n * n).reshape(n, n).T.ravel(), grids["H"]
+    # m[z][y][x] after the braiding of H[y][x] (x) H[z][y]
+    m = compose(braid(H.take(y * n + x), H.take(z * n + y)), grids["m"].take((z * n + y) * n + x))
+    s = grids.get("s")
+    if s is not None:
+        s = s.zip_with(s.take(swap), pairwise(lambda a, b: _inverse_antipode(backend, a, b)))
+        bad = s.map(lambda v: v is not None).first_false()
+        if bad is not None:
+            raise NotInvertible("antipode s[%d][%d] is not invertible" % divmod(bad, n))
+    return HopfVCat(backend, h.objects, H.take(swap), m, grids["u"],
+                    grids["delta"].take(swap), grids["eps"].take(swap), s)
 
 
 def hopfcat_data_equal(a, b):
@@ -712,6 +730,5 @@ def hopfcat_data_equal(a, b):
     if (type(a) is not type(b) or a.backend != b.backend or a.n != b.n
             or a.columns.keys() != b.columns.keys()):
         return False
-    keys = {name: a.backend.obj_key if name == "H" else a.backend.mor_key for name in a.columns}
-    return all(keys[name](p) == keys[name](q)
-               for name in a.columns for p, q in zip(a.columns[name], b.columns[name]))
+    return all(a.columns[k].all_equal(b.columns[k], pairwise(
+        a.backend.eq_obj if k == "H" else a.backend.eq_mor)) for k in a.columns)

@@ -76,6 +76,16 @@ def test_parse_and_schema_errors(tmp_path):
         assert main(["check", str(path)]) == 2
 
 
+def test_a_kind_that_is_not_a_name_exits_2_naming_it(tmp_path, capsys):
+    data = json.loads((FIXTURES / "x2-hopf.json").read_text())
+    for kind, shown in (([1], "[1]"), ({"a": 1}, "{'a': 1}"), (None, "None"), (2, "2")):
+        data["kind"] = kind
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "schema error: unknown kind %s\n" % shown
+
+
 def _env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -127,13 +137,11 @@ def _x2_with(tmp_path, name, mangle):
 
 def _bridged_hopf_file(tmp_path, name, mangle):
     """The FinSet-enriched codiscrete groupoid on 2 objects, bridged to a hopf file."""
-    from spanv.cli import _backend_to_json, _bimonoid_block_to_json
+    from spanv.cli import _bimonoid_block_to_json, _document
     from spanv.hopfcat import codiscrete_groupoid, groupoid_to_hopfcat, hopfcat_to_spanv
 
     bim, anti = hopfcat_to_spanv(groupoid_to_hopfcat(codiscrete_groupoid(2)))
-    data = {"schema_version": SCHEMA_VERSION, "kind": "hopf",
-            "backend": _backend_to_json(bim.monoid.carrier.backend)}
-    data.update(_bimonoid_block_to_json(bim, anti))
+    data = _document("hopf", bim.monoid.carrier.backend, _bimonoid_block_to_json(bim, anti))
     mangle(data)
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -451,8 +459,7 @@ def test_all_kinds_load_and_check(tmp_path):
 
 def _pair_module_and_morphism_files(tmp_path):
     """A regular module and an identity bimonoid morphism on pairs of 2."""
-    from spanv.cli import (_backend_to_json, _bimonoid_block_to_json, _fam_to_json,
-                           _span_cell_to_json)
+    from spanv.cli import _bimonoid_block_to_json, _document, _fam_to_json, _span_cell_to_json
     from spanv.hopfcat import codiscrete_groupoid, groupoid_structures
     from spanv.cells import identity_cell
     from spanv.pasting import canonical_cell_iso
@@ -462,31 +469,27 @@ def _pair_module_and_morphism_files(tmp_path):
     mon, _, _, bim, _, _ = groupoid_structures(codiscrete_groupoid(2))
     mod = regular_module(mon)
     module_file = tmp_path / "module.json"
-    module_file.write_text(json.dumps({
-        "schema_version": SCHEMA_VERSION, "kind": "module",
-        "backend": _backend_to_json(TrivialBackend()),
+    module_file.write_text(json.dumps(_document("module", TrivialBackend(), {
         "monoid": {"carrier": _fam_to_json(mon.carrier),
                    "mlt": _span_cell_to_json(mon.mlt),
                    "uni": _span_cell_to_json(mon.uni)},
         "module": {"carrier": _fam_to_json(mod.carrier),
                    "rho": _span_cell_to_json(mod.rho),
                    "xi": [int(v) for v in mod.xi.u],
-                   "xi0": [int(v) for v in mod.xi0.u]}}))
+                   "xi0": [int(v) for v in mod.xi0.u]}})))
 
     f = identity_cell(bim.monoid.carrier)
     bounds = morphism_boundaries(bim, bim, f)
     cells = {name: canonical_cell_iso(*pair) for name, pair in bounds.items()}
     morphism_file = tmp_path / "morphism.json"
-    morphism_file.write_text(json.dumps({
-        "schema_version": SCHEMA_VERSION, "kind": "morphism",
-        "backend": _backend_to_json(TrivialBackend()),
+    morphism_file.write_text(json.dumps(_document("morphism", TrivialBackend(), {
         "source": _bimonoid_block_to_json(bim),
         "target": _bimonoid_block_to_json(bim),
         "f": _span_cell_to_json(f),
         "phi": [int(v) for v in cells["phi"].u],
         "phi0": [int(v) for v in cells["phi0"].u],
         "psi": [int(v) for v in cells["psi"].u],
-        "psi0": [int(v) for v in cells["psi0"].u]}))
+        "psi0": [int(v) for v in cells["psi0"].u]})))
     return module_file, morphism_file
 
 
@@ -539,13 +542,11 @@ def test_invalid_cells_fail_exactly_the_axioms_that_use_them(tmp_path):
 
 def test_bridged_hopf_structure_survives_the_file_format():
     # the loader and the bridge build each generator on the same boundary
-    from spanv.cli import _backend_to_json, _bimonoid_block_to_json
+    from spanv.cli import _bimonoid_block_to_json, _document
     from spanv.hopfcat import group_algebra_hopf, hopfcat_to_spanv
 
     bim, anti = hopfcat_to_spanv(group_algebra_hopf(3, 2))
-    data = {"schema_version": SCHEMA_VERSION, "kind": "hopf",
-            "backend": _backend_to_json(bim.monoid.carrier.backend)}
-    data.update(_bimonoid_block_to_json(bim, anti))
+    data = _document("hopf", bim.monoid.carrier.backend, _bimonoid_block_to_json(bim, anti))
     kind, structure = load_structure(json.loads(json.dumps(data)))
     loaded = run_checks(kind, structure).results
     bridged = run_checks("hopf", (bim, anti)).results
@@ -586,7 +587,7 @@ def _finset_frobcat(n):
 
 
 def test_enriched_category_files_round_trip():
-    from spanv.cli import _backend_to_json, _vcat_to_json
+    from spanv.cli import _document, _vcat_to_json
     from spanv.finset import FinSet
     from spanv.hopfcat import (FrobVCat, HopfVCat, codiscrete_groupoid, cyclic_group_groupoid,
                                group_algebra_hopf, groupoid_to_hopfcat, hopfcat_data_equal,
@@ -603,9 +604,7 @@ def test_enriched_category_files_round_trip():
                     ("hopfcat", cyclic), ("hopfcat", zp), ("hopfcat", without_s(zp)),
                     ("frobcat", _finset_frobcat(2)), ("frobcat", mat_frobenius_example(3, 2)),
                     ("frobcat", FrobVCat(MatBackend(prime=3), FinSet((0,)), [], [], [], [], []))):
-        data = {"schema_version": SCHEMA_VERSION, "kind": kind,
-                "backend": _backend_to_json(v.backend)}
-        data.update(_vcat_to_json(v))
+        data = _document(kind, v.backend, _vcat_to_json(v))
         loaded_kind, loaded = load_structure(json.loads(json.dumps(data)))
         assert loaded_kind == kind
         assert hopfcat_data_equal(loaded, v), (kind, v)

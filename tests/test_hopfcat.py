@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -982,6 +983,13 @@ def _union_groupoid(seed=27):
     return GroupoidData(g0, g1, src, tgt, comp, e, inv)
 
 
+def _nested(n, arity, entry):
+    """The nested table holding entry(*idx) at every index."""
+    if arity == 0:
+        return entry()
+    return [_nested(n, arity - 1, lambda *idx, i=i: entry(i, *idx)) for i in range(n)]
+
+
 def _per_entry_hopfcat(G):
     """The reference groupoid build, entry by entry: each hom's members by
     a search of the boundary tables, each composite by its pair's position."""
@@ -1004,13 +1012,13 @@ def _per_entry_hopfcat(G):
         return FinFn(homs[x][y], backend.tensor_obj(homs[x][y], homs[x][y]), d * d.size + d)
 
     return HopfVCat(
-        backend, G.g0, homs, hopfcat._tabulate(n, 3, mult),
-        hopfcat._tabulate(n, 1, lambda x: FinFn(UNIT, homs[x][x], [loc[G.e.table[x]]])),
-        hopfcat._tabulate(n, 2, diagonal),
-        hopfcat._tabulate(n, 2, lambda x, y: FinFn(homs[x][y], UNIT,
-                                                   np.zeros(homs[x][y].size, dtype=np.int64))),
-        hopfcat._tabulate(n, 2, lambda x, y: FinFn(homs[x][y], homs[y][x],
-                                                   loc[G.inv.table[mems[x][y]]])))
+        backend, G.g0, homs, _nested(n, 3, mult),
+        _nested(n, 1, lambda x: FinFn(UNIT, homs[x][x], [loc[G.e.table[x]]])),
+        _nested(n, 2, diagonal),
+        _nested(n, 2, lambda x, y: FinFn(homs[x][y], UNIT,
+                                         np.zeros(homs[x][y].size, dtype=np.int64))),
+        _nested(n, 2, lambda x, y: FinFn(homs[x][y], homs[y][x],
+                                         loc[G.inv.table[mems[x][y]]])))
 
 
 def test_groupoid_build_matches_a_per_entry_build():
@@ -1093,3 +1101,335 @@ def test_small_pair_spaces_are_numbered_without_a_sort(monkeypatch):
     assert check_oplax_bimonoid(bim).ok
     assert any(coded and space <= size for space, size, coded in spaces)
     assert all(space > size for space, size, _ in sorted_spaces)
+
+
+# The earlier per-entry opposite and data equality, kept as oracles for
+# the Column forms: opposite_vcat takes and composes whole Columns, and
+# hopfcat_data_equal compares them once per distinct pair of values.
+
+def _per_entry_inverse_antipode(backend, homs, s, x, y):
+    p = backend.compose(s[x][y], s[y][x])
+    ident = backend.id(homs[x][y])
+    prev, power, seen = ident, p, set()
+    while not backend.eq_mor(power, ident):
+        key = backend.mor_key(power)
+        if key in seen:
+            raise NotInvertible("antipode s[%d][%d] is not invertible" % (x, y))
+        seen.add(key)
+        prev, power = power, backend.compose(power, p)
+    inverse = backend.compose(s[y][x], prev)
+    if not backend.eq_mor(backend.compose(inverse, s[x][y]), backend.id(homs[y][x])):
+        raise NotInvertible("antipode s[%d][%d] is not invertible" % (x, y))
+    return inverse
+
+
+def _per_entry_opposite(h):
+    backend, n = h.backend, h.n
+    homs, delta, eps = ([[g[y][x] for y in range(n)] for x in range(n)]
+                        for g in (h.homs, h.delta, h.eps))
+    m = _nested(n, 3, lambda x, y, z: backend.compose(
+        backend.braiding(h.homs[y][x], h.homs[z][y]), h.m[z][y][x]))
+    s = None
+    if h.s is not None:
+        s = _nested(n, 2, lambda x, y: _per_entry_inverse_antipode(backend, h.homs, h.s, x, y))
+    return HopfVCat(backend, h.objects, homs, m, list(h.u), delta, eps, s)
+
+
+def _per_entry_data_equal(a, b):
+    if (type(a) is not type(b) or a.backend != b.backend or a.n != b.n
+            or a.columns.keys() != b.columns.keys()):
+        return False
+    keys = {name: a.backend.obj_key if name == "H" else a.backend.mor_key for name in a.columns}
+    return all(keys[name](p) == keys[name](q)
+               for name in a.columns for p, q in zip(a.columns[name], b.columns[name]))
+
+
+def _opposite_or_message(opposite, h):
+    try:
+        return opposite(h)
+    except NotInvertible as err:
+        return str(err)
+
+
+def _reports(h, bridged=True):
+    """The direct report and, when asked, the bridged bimonoid and hopf
+    reports, as dicts."""
+    out = [r.as_dict() for r in (check_hopf_vcat if h.s is not None
+                                 else check_semi_hopf_vcat)(h).results]
+    if bridged:
+        bim, anti = hopfcat_to_spanv(h)
+        results = check_oplax_bimonoid(bim).results
+        if anti is not None:
+            results += check_oplax_hopf(bim, anti).results
+        out += [r.as_dict() for r in results]
+    return out
+
+
+def _with_antipode(h, moves):
+    """h with the antipode entries at the given (x, y) replaced."""
+    s = [list(row) for row in h.s]
+    for (x, y), mor in moves.items():
+        s[x][y] = mor
+    return HopfVCat(h.backend, h.objects, h.homs, h.m, h.u, h.delta, h.eps, s)
+
+
+def _singular(mor):
+    """A matrix with mor's shape whose last column is zero."""
+    a = np.array(mor)
+    a[:, -1] = 0
+    return a
+
+
+def _not_injective(f):
+    return FinFn(f.dom, f.cod, np.zeros(f.dom.size, dtype=np.int64))
+
+
+def _random_vcat(backend, homs, rng):
+    """Every entry a seeded morphism with the right ends, and the antipode
+    entry at (x, y) mostly a bijection when H[x][y] and H[y][x] match.
+    It satisfies no law: opposite_vcat reads the data alone."""
+    n, t, unit = len(homs), backend.tensor_obj, backend.unit
+
+    def mor(name, *idx):
+        dom, cod = _ENTRY_ENDS[name](homs, t, unit, *idx)
+        if isinstance(backend, FinSetBackend):
+            if name == "s" and dom == cod and rng.random() < 0.7:
+                return FinFn(dom, cod, rng.sample(range(dom.size), dom.size))
+            return FinFn(dom, cod, [rng.randrange(cod.size) for _ in range(dom.size)])
+        if name == "s" and dom == cod and rng.random() < 0.7:
+            return np.eye(dom, dtype=np.int64)[rng.sample(range(dom), dom)] * rng.choice([1, 2])
+        return np.array([[rng.randrange(3) for _ in range(cod)] for _ in range(dom)])
+
+    return HopfVCat(backend, FinSet((n,)), homs, *(
+        _nested(n, FIELDS[name][0], lambda *idx, name=name: mor(name, *idx))
+        for name in HopfVCat.fields))
+
+
+def test_opposite_matches_a_per_entry_opposite():
+    sweedler, backend = _sweedler(3), MatBackend(prime=3)
+    constant = _on_every_hom(sweedler, 3)
+    union = groupoid_to_hopfcat(_union_groupoid())
+    named = [sweedler, constant, _on_every_hom(_sweedler(5), 2), group_algebra_hopf(3, 4),
+             union, HopfVCat(union.backend, union.objects, union.homs, union.m, union.u,
+                             union.delta, union.eps)]
+    named += [groupoid_to_hopfcat(make(n)) for make in (
+        codiscrete_groupoid, cyclic_group_groupoid, discrete_groupoid) for n in range(4)
+        if n or make is not cyclic_group_groupoid]
+    # antipodes whose first singular entry, row-major, is not at (0, 0)
+    singular = {
+        "antipode s[1][2] is not invertible": _with_antipode(
+            constant, {(1, 2): _singular(constant.s[1][2]), (2, 2): _singular(constant.s[2][2])}),
+        "antipode s[0][2] is not invertible": _with_antipode(
+            constant, {(2, 0): _singular(constant.s[2][0])}),
+        "antipode s[2][2] is not invertible": _with_antipode(
+            union, {(2, 2): _not_injective(union.s[2][2])}),
+        "antipode s[0][1] is not invertible": _with_antipode(
+            union, {(1, 0): _not_injective(union.s[1][0])}),
+    }
+    for h in named:
+        got, want = opposite_vcat(h), _per_entry_opposite(h)
+        assert hopfcat_data_equal(got, want) and _per_entry_data_equal(got, want), h
+        assert _reports(got) == _reports(want), h
+        assert _per_entry_data_equal(opposite_vcat(got), h), h
+    for message, h in singular.items():
+        assert _opposite_or_message(_per_entry_opposite, h) == message
+        with pytest.raises(NotInvertible, match=r"^%s$" % re.escape(message)):
+            opposite_vcat(h)
+    # seeded data with no laws: opposite and refusal agree entry by entry
+    rng, outcomes = random.Random(22), []
+    for _ in range(60):
+        n = rng.choice([1, 2, 3])
+        sizes = [[rng.choice([1, 2, 3]) for _ in range(n)] for _ in range(n)]
+        for x, y in itertools.combinations(range(n), 2):
+            if rng.random() < 0.7:
+                sizes[y][x] = sizes[x][y]
+        if rng.random() < 0.5:
+            h = _random_vcat(FinSetBackend(), [[FinSet((k,)) for k in row] for row in sizes], rng)
+        else:
+            h = _random_vcat(backend, [[min(k, 2) for k in row] for row in sizes], rng)
+        got, want = (_opposite_or_message(op, h) for op in (opposite_vcat, _per_entry_opposite))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert hopfcat_data_equal(got, want) and _per_entry_data_equal(got, want)
+            assert _reports(got, bridged=False) == _reports(want, bridged=False)
+        outcomes.append(want if isinstance(want, str) else "inverted")
+    assert (len(outcomes), outcomes.count("inverted")) == (60, 34)
+    assert any(s not in ("inverted", "antipode s[0][0] is not invertible") for s in outcomes)
+
+
+def test_data_equality_matches_a_per_entry_comparison():
+    rng = random.Random(23)
+    cats = [group_algebra_hopf(3, 3), mat_frobenius_example(3, 2), _sweedler(3),
+            groupoid_to_hopfcat(_union_groupoid()), groupoid_to_hopfcat(cyclic_group_groupoid(3))]
+    pairs = [(a, b) for a in cats for b in cats]
+    pairs += [(v, w) for v in cats for w in [*_mutants(v, rng), _rebuilt(v)]]
+    verdicts = [hopfcat_data_equal(a, b) for a, b in pairs]
+    assert verdicts == [_per_entry_data_equal(a, b) for a, b in pairs]
+    assert (len(pairs), sum(verdicts)) == (63, 10)
+
+
+def _rebuilt(v):
+    """v built again from its nested views, every entry a new object."""
+    if isinstance(v.backend, MatBackend):
+        def copy(e):
+            return np.array(v.backend.mor(e))
+    else:
+        def copy(e):
+            return FinFn(e.dom, e.cod, e.table.copy())
+
+    def grid(g, arity):
+        return copy(g) if arity == 0 else [grid(e, arity - 1) for e in g]
+
+    return type(v)(v.backend, v.objects, v.homs, *(
+        None if getattr(v, f) is None else grid(getattr(v, f), FIELDS[f][0]) for f in v.fields))
+
+
+def _flat_column(grid, arity):
+    """A nested grid's entries as an unmerged row-major Column."""
+    for _ in range(arity - 1):
+        grid = [entry for row in grid for entry in row]
+    return Column(list(grid), len(grid), np.arange(len(grid)))
+
+
+def test_column_built_categories_match_nested_built_ones(monkeypatch):
+    cats = [group_algebra_hopf(3, 4), _sweedler(3), _on_every_hom(_sweedler(3), 3),
+            mat_frobenius_example(3, 3), mat_frobenius_example(2, 1),
+            groupoid_to_hopfcat(_union_groupoid()), groupoid_to_hopfcat(discrete_groupoid(3)),
+            groupoid_to_hopfcat(codiscrete_groupoid(0))]
+    g = group_algebra_hopf(3, 4)
+    cats.append(HopfVCat(g.backend, g.objects, g.homs, g.m, g.u, g.delta, g.eps))
+    conversions = []
+    mor = MatBackend.mor
+    monkeypatch.setattr(MatBackend, "mor", lambda self, data, *args: conversions.append(
+        not isinstance(data, NonzeroMatrix)) or mor(self, data, *args))
+    for v in cats:
+        kind, grids = type(v), [getattr(v, f) for f in v.fields]
+        nested = kind(v.backend, v.objects, v.homs, *grids)
+        stored = kind(v.backend, v.objects, v.columns["H"], *map(v.columns.get, v.fields))
+        # dense entries, one per stored value of each field: each is converted once
+        dense = {f: c.map(np.asarray) if isinstance(v.backend, MatBackend) and f != "H" else c
+                 for f, c in v.columns.items()}
+        conversions.clear()
+        raw = kind(v.backend, v.objects, dense["H"], *map(dense.get, v.fields))
+        if isinstance(v.backend, MatBackend):
+            assert sum(conversions) == sum(len(c.values) for f, c in dense.items() if f != "H")
+        # unmerged Columns for every other field, nested grids for the rest
+        mixed = kind(v.backend, v.objects, _flat_column(v.homs, 2), *(
+            _flat_column(g, FIELDS[f][0]) if i % 2 == 0 and g is not None else g
+            for i, (f, g) in enumerate(zip(v.fields, grids))))
+        for w in (stored, raw, mixed):
+            assert hopfcat_data_equal(w, nested) and _per_entry_data_equal(w, nested), v
+            assert {f: len(c.values) for f, c in w.columns.items()} == {
+                f: len(c.values) for f, c in nested.columns.items()}, v
+            assert all(isinstance(x, NonzeroMatrix) for f, c in w.columns.items() if f != "H"
+                       for x in c.values) or not isinstance(v.backend, MatBackend)
+            assert w.homs == nested.homs and [getattr(w, f) is None for f in v.fields] == [
+                g is None for g in grids]
+            check = check_frobenius_vcat if kind is FrobVCat else (
+                check_hopf_vcat if v.s is not None else check_semi_hopf_vcat)
+            assert [r.as_dict() for r in check(w).results] == [
+                r.as_dict() for r in check(nested).results], v
+
+
+def test_column_fields_name_the_same_wrong_end_as_nested_ones():
+    rng = random.Random(21)
+    cats = [group_algebra_hopf(3, 2), mat_frobenius_example(2, 3),
+            groupoid_to_hopfcat(codiscrete_groupoid(3)), groupoid_to_hopfcat(_union_groupoid())]
+    wrong = 0
+    for v in cats:
+        for name in v.fields:
+            arity = FIELDS[name][0]
+            for _ in range(6):
+                tables = [getattr(v, f) for f in v.fields]
+                i = v.fields.index(name)
+                tables[i] = _seeded_entries(tables[i], v.n, arity, rng)
+                want = _error(lambda: type(v)(v.backend, v.objects, v.homs, *tables))
+                tables[i] = _flat_column(tables[i], arity)
+                got = _error(lambda: type(v)(v.backend, v.objects, v.columns["H"], *tables))
+                assert (type(got), str(got)) == (type(want), str(want))
+                wrong += want is not None
+    assert wrong == 99
+
+
+_WRONG_LENGTH = """
+from spanv.cells import Column
+from spanv.hopfcat import (FrobVCat, HopfVCat, codiscrete_groupoid, group_algebra_hopf,
+                           groupoid_to_hopfcat, mat_frobenius_example, opposite_vcat)
+h = groupoid_to_hopfcat(codiscrete_groupoid(2))
+fc = mat_frobenius_example(3, 2)
+g = group_algebra_hopf(3, 2)
+H, m, s = h.columns["H"], h.columns["m"], h.columns["s"]
+for make in (lambda: HopfVCat(h.backend, h.objects, H.take([0, 1, 2]), h.m, h.u, h.delta, h.eps),
+             lambda: HopfVCat(h.backend, h.objects, Column([], 0), h.m, h.u, h.delta, h.eps),
+             lambda: HopfVCat(h.backend, h.objects, H, m.take([0] * 9), h.u, h.delta, h.eps),
+             lambda: HopfVCat(h.backend, h.objects, H, m, h.u, h.delta, h.eps, s.take([1])),
+             lambda: FrobVCat(fc.backend, fc.objects, fc.homs, fc.m,
+                              fc.columns["u"].take([0, 1, 0]), fc.comlt, fc.couni),
+             # the fields are read in order, nested or not
+             lambda: HopfVCat(h.backend, h.objects, [], m.take([0]), h.u, h.delta, h.eps),
+             lambda: HopfVCat(h.backend, h.objects, H, m.take([0]), [], h.delta, h.eps),
+             lambda: HopfVCat(h.backend, h.objects, H, h.m, s, h.delta, h.eps),
+             # and the refusal of a singular antipode is unchanged
+             lambda: opposite_vcat(HopfVCat(g.backend, g.objects, g.homs, g.m, g.u, g.delta,
+                                            g.eps, [[[[0, 0], [0, 1]]]]))):
+    try:
+        make()
+    except Exception as err:
+        print(type(err).__name__, err)
+"""
+
+
+def test_a_column_of_the_wrong_length_is_refused_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, *flags, "-c", _WRONG_LENGTH], capture_output=True,
+                           text=True, env=env, timeout=60) for flags in ([], ["-O"])]
+    assert runs[0].stdout.splitlines() == [
+        "ShapeMismatch homs must hold 4 entries, got 3",
+        "ShapeMismatch homs must hold 4 entries, got 0",
+        "ShapeMismatch m must hold 8 entries, got 9",
+        "ShapeMismatch s must hold 4 entries, got 1",
+        "ShapeMismatch u must hold 2 entries, got 3",
+        "ShapeMismatch homs must list 2 entries",
+        "ShapeMismatch m must hold 8 entries, got 1",
+        "ShapeMismatch u must hold 2 entries, got 4",
+        "NotInvertible antipode s[0][0] is not invertible",
+    ], runs[0].stderr
+    assert runs[1].stdout == runs[0].stdout and runs[1].stderr == runs[0].stderr == ""
+
+
+def test_builders_never_walk_a_nested_grid(monkeypatch):
+    # groupoid_to_hopfcat, spanv_to_hopfcat and opposite_vcat hand the
+    # constructor row-major Columns, so no nested grid is walked
+    cats = [groupoid_to_hopfcat(_union_groupoid()), _on_every_hom(_sweedler(3), 3)]
+    # homs that are not symmetric, so a transposed grid has wrong ends
+    lopsided = _random_vcat(FinSetBackend(), [[FinSet((k,)) for k in row]
+                                              for row in ((1, 2), (3, 2))], random.Random(5))
+    bridged = [hopfcat_to_spanv(v) for v in cats + [lopsided]]
+    monkeypatch.setattr(hopfcat, "_entries", lambda *args: pytest.fail("walked a nested grid"))
+    for G in (_union_groupoid(), codiscrete_groupoid(4), discrete_groupoid(3),
+              cyclic_group_groupoid(4), discrete_groupoid(0)):
+        assert check_hopf_vcat(groupoid_to_hopfcat(G)).ok
+    for v, (bim, anti) in zip(cats + [lopsided], bridged):
+        assert hopfcat_data_equal(spanv_to_hopfcat(bim, anti), v)
+    for v in cats:
+        assert hopfcat_data_equal(opposite_vcat(opposite_vcat(v)), v)
+
+
+def test_opposite_cost_does_not_grow_with_the_objects(monkeypatch):
+    # every entry of the codiscrete category on Sweedler's algebra is
+    # equal, so its opposite composes and inverts one distinct pair of
+    # entries however many objects there are
+    pairs = []
+    compose_many = MatBackend.compose_many
+    monkeypatch.setattr(MatBackend, "compose_many", lambda self, fs, gs: pairs.append(
+        len(fs)) or compose_many(self, fs, gs))
+    counts = []
+    for n in (2, 6):
+        h = _on_every_hom(_sweedler(3), n)
+        pairs.clear()
+        opposite_vcat(h)
+        counts.append(sum(pairs))
+    assert counts[0] == counts[1] > 0

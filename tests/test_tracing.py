@@ -53,3 +53,30 @@ def test_tracer_installs_counts_and_restores():
     assert functions["structures.check_oplax_bimonoid"]["calls"] == 1
     after = _bindings()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_the_tracer_sees_every_checker_that_run_checks_calls():
+    # run_checks reaches each checker through the cli module's globals, so
+    # the tracer's wrappers count one call per structure checked
+    x2 = json.loads((ROOT / "fixtures" / "x2-hopf.json").read_text())
+    mat = json.loads((ROOT / "fixtures" / "mat-frobenius.json").read_text())
+    _, groupoid = spanv.cli._demo_groupoid(2)
+    files = [x2, dict(x2, kind="bimonoid"), dict(x2, kind="frobenius"), groupoid,
+             dict(groupoid, s=None), mat]
+    structures = [spanv.cli.load_structure(data) for data in files]
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        for kind, structure in structures:
+            spanv.cli.run_checks(kind, structure)
+    finally:
+        tracer.remove()
+    calls = {key: rec["calls"] for key, rec in tracer.summary()["functions"].items()}
+    assert {key: calls[key] for key in (
+        "cli.run_checks", "structures.check_oplax_bimonoid", "structures.check_oplax_hopf",
+        "structures.check_frobenius", "hopfcat.check_hopf_vcat", "hopfcat.check_semi_hopf_vcat",
+        "hopfcat.check_frobenius_vcat")} == {
+        "cli.run_checks": 6, "structures.check_oplax_bimonoid": 2,
+        "structures.check_oplax_hopf": 1, "structures.check_frobenius": 1,
+        "hopfcat.check_hopf_vcat": 1, "hopfcat.check_semi_hopf_vcat": 2,
+        "hopfcat.check_frobenius_vcat": 1}
