@@ -183,9 +183,6 @@ class SubsetApex:
             start, width = start + width, 2 * width
         return True
 
-    def __ne__(self, other):
-        return not self == other
-
     def __hash__(self):
         return hash((self.shape, self.size))
 
@@ -354,9 +351,6 @@ class FinFn:
     def __eq__(self, other):
         return (isinstance(other, FinFn) and self.dom == other.dom
                 and self.cod == other.cod and self.same_values(other))
-
-    def __ne__(self, other):
-        return not self == other
 
     def __repr__(self):
         return "FinFn(%r -> %r)" % (self.dom, self.cod)

@@ -36,6 +36,7 @@ from .finset import (
     identity_fn,
     pullback,
     reindex_fn,
+    tensor_fn,
     terminal_fn,
 )
 from .span import Span, feet_pairs, spans_isomorphic
@@ -55,9 +56,10 @@ from .structures import (
 from .vbackend import FinSetBackend, MatBackend, TrivialBackend, pairwise, per_check
 
 # Every field of an enriched category, declared once: name: (number of
-# object indices of an entry, (dom, cod) of the entries at index arrays as
-# Columns, from the homs H(x, y), the object tensor t and the unit I, and
-# the span of _groupoid_spans that carries them over X x X, row-major)
+# object indices of an entry, (dom, cod) of the entries at index axes as
+# Columns, from H(x, y), the homs read along the word (x, y) of an entry's
+# index tuple, the object tensor t and the unit I, and the span of
+# _groupoid_spans that carries them over X x X, row-major)
 FIELDS = {
     "m": (3, lambda H, t, I, x, y, z: (t(H(x, y), H(y, z)), H(x, z)), "mlt"),
     "u": (1, lambda H, t, I, x: (I, H(x, x)), "uni"),
@@ -117,6 +119,21 @@ def _grid_column(grid, n, arity, name, convert, key):
     return Column(list(map(convert, grid.values)), grid.size, grid.codes, key)
 
 
+def _grid_at(grid, tuples, word):
+    """A row-major grid over the objects, read at the positions word of
+    every index tuple in tuples: the grid along that reindexing word."""
+    return grid.along(reindex_fn(tuples, FinSet(tuples.shape[:1] * len(word)), word))
+
+
+def _power(fn, k):
+    """fn tensored with itself, k factors, between row-major tuples."""
+    power = fn
+    for _ in range(k - 1):
+        power = tensor_fn(FinSet(power.dom.shape + fn.dom.shape),
+                          FinSet(power.cod.shape + fn.cod.shape), power, fn)
+    return power
+
+
 class _VCat:
     """The homs and the declared fields of an enriched category, each given
     nested or as a row-major Column.  columns holds each grid as a Column:
@@ -133,20 +150,20 @@ class _VCat:
         self.backend, self.objects, self.n = backend, objects, n
         H = _grid_column(homs, n, 2, "homs", lambda a: a, backend.obj_key)
         self.columns, self.homs = {"H": H}, _nest(H, n, 2)
-        ops = (lambda x, y: H.take(x * n + y),
-               lambda a, b: a.zip_with(b, pairwise(backend.tensor_obj), backend.obj_key))
         for name, table in zip(self.fields, tables):
             if table is None and name in self.optional:
                 setattr(self, name, None)
                 continue
             arity, ends, _ = FIELDS[name]
             mors = _grid_column(table, n, arity, name, backend.mor, backend.mor_key)
-            idx = np.indices((n,) * arity).reshape(arity, -1)
+            tuples = FinSet((n,) * arity)
             bad = first_wrong_end(backend, mors, *ends(
-                *ops, Column([backend.unit], mors.size), *idx))
+                lambda *word: _grid_at(H, tuples, word),
+                lambda a, b: a.zip_with(b, pairwise(backend.tensor_obj), backend.obj_key),
+                Column([backend.unit], mors.size), *tuples.axes))
             if bad is not None:
                 raise ShapeMismatch("%s has wrong %s" % (
-                    name + "[%d]" * arity % tuple(idx[:, bad[0]]), bad[1]))
+                    name + "[%d]" * arity % tuple(tuples.decode(bad[0])), bad[1]))
             self.columns[name] = mors
             setattr(self, name, _nest(mors, n, arity))
 
@@ -188,43 +205,27 @@ class VFunctorData:
         self.components = _nest(list(_entries(components, n, 2, "components")), n, 2)
 
 
-# the largest mixed-radix key of a tuple of entry codes
-_KEY_LIMIT = 2**62
-
-
 def _run_laws(backend, n, grids, rows):
     """One result per (name, arity, reads, law) row.  reads lists the
     entries a law reads at an index tuple, each a grid's name and the
     positions of its indices: "m023 H01" is m[x][z][w] and H[x][y] at
-    (x, y, z, w), and "I" is the unit object.  law maps them to two
-    morphisms that must be equal, and runs once, on Columns over the
-    distinct tuples of entry codes, each at its first tuple row-major; so
+    (x, y, z, w), and "I" is the unit object.  Each read is its grid along
+    that reindexing word of the tuples, row-major.  law maps them to two
+    morphisms that must be equal, and runs once, on these Columns, whose
+    every operation calls the backend once per distinct pair of values; so
     its first false entry is the first failing tuple, where a failure
     records the first entry that differs."""
     grids = dict(grids, I=Column([backend.unit], 1))
     results = []
     for name, arity, reads, law in rows:
-        digits = np.indices((n,) * arity).reshape(arity, -1)
-        key, span, picks = np.zeros(digits.shape[1], dtype=np.int64), 1, []
+        tuples, columns = FinSet((n,) * arity), []
         for read in reads.split():
             grid = read.rstrip("0123456789")
-            column, pattern = grids[grid], [int(i) for i in read[len(grid):]]
-            values, codes = column.values, column.codes
-            if codes is not None:  # a column of one value leaves the key as it is
-                codes = codes[np.ravel_multi_index(tuple(digits[pattern]), (n,) * len(pattern))]
-                if span * len(values) > _KEY_LIMIT:
-                    _, key = np.unique(key, return_inverse=True)
-                    span = int(key.max()) + 1
-                key, span = key * len(values) + codes, span * len(values)
-            picks.append((values, codes))
-        first = np.zeros(key.size, dtype=bool)
-        first[np.unique(key, return_index=True)[1] if span > 1 else slice(1)] = True
-        tuples = np.flatnonzero(first)
-        lhs, rhs = law(*(Column(values, tuples.size, None if codes is None else codes[tuples])
-                         for values, codes in picks))
+            columns.append(_grid_at(grids[grid], tuples, [int(i) for i in read[len(grid):]]))
+        lhs, rhs = law(*columns)
         bad = lhs.zip_with(rhs, pairwise(backend.eq_mor)).first_false()
         results.append(AxiomResult(name, True) if bad is None else AxiomResult(name, False, {
-            "at": digits[:, tuples[bad]].tolist(),
+            "at": tuples.decode(bad).tolist(),
             "diff": backend.first_difference(lhs[bad], rhs[bad])}))
     return results
 
@@ -319,12 +320,13 @@ def _functor_components(ca, cb, fun):
     for side, end, v in (("domain", fun.obj_map.dom, ca), ("codomain", fun.obj_map.cod, cb)):
         if end != v.objects:
             raise ShapeMismatch("the object map's %s %r is not %r" % (side, end, v.objects))
-    backend, f0 = ca.backend, fun.obj_map.table
+    backend = ca.backend
     components = _grid_column(fun.components, ca.n, 2, "components", backend.mor, backend.mor_key)
     bad = first_wrong_end(backend, components, ca.columns["H"],
-                          cb.columns["H"].take((f0[:, None] * cb.n + f0).ravel()))
+                          cb.columns["H"].along(_power(fun.obj_map, 2)))
     if bad is not None:
-        raise ShapeMismatch("components[%d][%d] has wrong ends" % divmod(bad[0], ca.n))
+        raise ShapeMismatch("components[%d][%d] has wrong ends"
+                            % tuple(FinSet((ca.n, ca.n)).decode(bad[0])))
     return components
 
 
@@ -332,14 +334,12 @@ def _functor_components(ca, cb, fun):
 def check_frobenius_vfunctor(ca, cb, fun):
     """The four squares: composition, identities, cocomposition and
     coidentities all commute with the components.  The grids "b..." are
-    those of cb at the objects the object map sends the indices to."""
+    those of cb along the tensor powers of the object map."""
     backend = ca.backend
     c, t, _, _ = _column_ops(backend)
     grids = dict(ca.columns, F=_functor_components(ca, cb, fun))
     for name in ("m", "u", "comlt", "couni"):
-        arity = FIELDS[name][0]
-        at = fun.obj_map.table[np.indices((ca.n,) * arity).reshape(arity, -1)]
-        grids["b" + name] = cb.columns[name].take(np.ravel_multi_index(tuple(at), (cb.n,) * arity))
+        grids["b" + name] = cb.columns[name].along(_power(fun.obj_map, FIELDS[name][0]))
     return CheckReport(_run_laws(backend, ca.n, grids, [
         ("functor-mult", 3, "m012 F02 F01 F12 bm012", lambda m012, F02, F01, F12, bm012: (
             c(m012, F02), c(t(F01, F12), bm012))),
@@ -469,8 +469,7 @@ def codiscrete_groupoid(n):
     src = reindex_fn(g1, g0, (0,))
     tgt = reindex_fn(g1, g0, (1,))
     e = diagonal_fn(g0)
-    codes = np.arange(g1.size, dtype=np.int64)
-    inv = FinFn(g1, g1, (codes % n) * n + codes // n)
+    inv = reindex_fn(g1, g1, (1, 0))
     pairs, _, _ = pullback(tgt, src)
     coords = pairs.decode(np.arange(pairs.size))
     comp_table = coords[:, 0] * n + coords[:, 3]
@@ -671,13 +670,8 @@ def vfunctor_to_spanv(ha, hb, fun):
     components = _functor_components(ha, hb, fun)
     bim_a, _ = hopfcat_to_spanv(ha)
     bim_b, _ = hopfcat_to_spanv(hb)
-    na, nb = ha.n, hb.n
-    base_a, base_b = FinSet((na, na)), FinSet((nb, nb))
-    f0 = fun.obj_map.table
-    codes = np.arange(base_a.size, dtype=np.int64)
-    table = f0[codes // na] * nb + f0[codes % na]
-    fspan = Span(base_a, base_a, base_b, identity_fn(base_a),
-                 FinFn(base_a, base_b, table))
+    f0 = _power(fun.obj_map, 2)
+    fspan = Span(f0.dom, f0.dom, f0.cod, identity_fn(f0.dom), f0)
     f = VCell1(bim_a.monoid.carrier, bim_b.monoid.carrier, fspan, components)
     return OplaxMorphismData(f, **_forced_cells(morphism_boundaries(bim_a, bim_b, f)))
 
@@ -711,18 +705,19 @@ def opposite_vcat(h):
     Raises NotInvertible naming the first s[x][y], row-major, with no inverse."""
     backend, n, grids = h.backend, h.n, h.columns
     compose, _, _, braid = _column_ops(backend)
-    x, y, z = np.indices((n,) * 3).reshape(3, -1)
-    swap, H = np.arange(n * n).reshape(n, n).T.ravel(), grids["H"]
+    pairs, triples, H = FinSet((n, n)), FinSet((n,) * 3), grids["H"]
+    swap = reindex_fn(pairs, pairs, (1, 0))
     # m[z][y][x] after the braiding of H[y][x] (x) H[z][y]
-    m = compose(braid(H.take(y * n + x), H.take(z * n + y)), grids["m"].take((z * n + y) * n + x))
+    m = compose(braid(_grid_at(H, triples, (1, 0)), _grid_at(H, triples, (2, 1))),
+                _grid_at(grids["m"], triples, (2, 1, 0)))
     s = grids.get("s")
     if s is not None:
-        s = s.zip_with(s.take(swap), pairwise(lambda a, b: _inverse_antipode(backend, a, b)))
+        s = s.zip_with(s.along(swap), pairwise(lambda a, b: _inverse_antipode(backend, a, b)))
         bad = s.map(lambda v: v is not None).first_false()
         if bad is not None:
-            raise NotInvertible("antipode s[%d][%d] is not invertible" % divmod(bad, n))
-    return HopfVCat(backend, h.objects, H.take(swap), m, grids["u"],
-                    grids["delta"].take(swap), grids["eps"].take(swap), s)
+            raise NotInvertible("antipode s[%d][%d] is not invertible" % tuple(pairs.decode(bad)))
+    return HopfVCat(backend, h.objects, H.along(swap), m, grids["u"],
+                    grids["delta"].along(swap), grids["eps"].along(swap), s)
 
 
 def hopfcat_data_equal(a, b):

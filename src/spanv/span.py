@@ -54,9 +54,6 @@ class Span:
             and self.g.same_values(other.g)
         )
 
-    def __ne__(self, other):
-        return not self == other
-
     def __repr__(self):
         return "Span(%r <- %r -> %r)" % (self.left, self.apex, self.right)
 

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -667,12 +668,9 @@ def test_distinct_tuple_runner_matches_a_per_tuple_loop(monkeypatch):
     for check, v in checks:
         got = [r.as_dict() for r in check(v).results]
         with monkeypatch.context() as patch:
-            # keys this small are renumbered after almost every read
-            patch.setattr(hopfcat, "_KEY_LIMIT", 8)
-            renumbered = [r.as_dict() for r in check(v).results]
             patch.setattr(hopfcat, "_run_laws", _per_tuple_laws)
             want = [r.as_dict() for r in check(v).results]
-        assert got == renumbered == want
+        assert got == want
         failed += any(r["status"] == "fail" for r in got)
         # a first failure past the first tuple tests the row-major order
         later += any(r["status"] == "fail" and any(r["counterexample"]["at"]) for r in got)
@@ -692,6 +690,95 @@ def test_direct_check_cost_does_not_grow_with_the_objects(monkeypatch):
         assert check_hopf_vcat(groupoid_to_hopfcat(codiscrete_groupoid(n))).ok
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_a_direct_check_of_constant_grids_stores_no_index_tuples():
+    # every grid of a codiscrete category holds one value, and a constant
+    # Column never reads the word it is read along, so the laws store no
+    # index tuple and no code per tuple however many objects there are
+    h = groupoid_to_hopfcat(codiscrete_groupoid(16))
+    assert check_hopf_vcat(h).ok
+    tracemalloc.start()
+    try:
+        check_hopf_vcat(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def _tabulated_power(fn, k):
+    """The k-th tensor power of an object map as a table, by the index
+    formulas the functor checks once wrote out."""
+    f0, na, nb = fn.table, fn.dom.size, fn.cod.size
+    if k == 2:
+        codes = np.arange(na * na, dtype=np.int64)
+        table = f0[codes // na] * nb + f0[codes % na]
+        assert np.array_equal(table, (f0[:, None] * nb + f0).ravel())
+    else:
+        at = f0[np.indices((na,) * k).reshape(k, -1)]
+        table = np.ravel_multi_index(tuple(at), (nb,) * k)
+    return FinFn(FinSet((na,) * k), FinSet((nb,) * k), table)
+
+
+def _functor_report(check):
+    try:
+        return [r.as_dict() for r in check().results]
+    except ShapeMismatch as err:
+        return str(err)
+
+
+def test_object_map_powers_match_the_index_formulas(monkeypatch):
+    # object maps that are neither injective nor onto, between object
+    # sets of different sizes, give the same tables, verdicts and
+    # counterexamples as the tabulated formulas
+    maps = [(3, 2, [0, 1, 1]), (3, 2, [1, 1, 0]), (2, 3, [2, 2]), (2, 3, [1, 0]),
+            (3, 3, [2, 2, 0]), (3, 3, [0, 1, 2]), (1, 3, [2])]
+    for na, nb, f0 in maps:
+        fn = FinFn(FinSet((na,)), FinSet((nb,)), f0)
+        for k in (1, 2, 3):
+            assert np.array_equal(hopfcat._power(fn, k).table, _tabulated_power(fn, k).table)
+    rng = random.Random(23)
+    checks = []
+    for p in (2, 3):
+        cats = {3: mat_frobenius_example(p, 3), 2: mat_frobenius_example(p, 2)}
+        for na, nb, f0 in maps[:-1]:
+            ca, cb = cats[na], cats[nb]
+            for noise in (0.0, 0.2, 0.5):
+                comps = [[np.array([[rng.randrange(p) if rng.random() < noise else int(i == j)
+                                     for j in range(cb.homs[f0[x]][f0[y]])]
+                                    for i in range(ca.homs[x][y])], dtype=np.int64)
+                          for y in range(na)] for x in range(na)]
+                fun = VFunctorData(FinFn(ca.objects, cb.objects, f0), comps)
+                checks.append(lambda ca=ca, cb=cb, fun=fun: check_frobenius_vfunctor(ca, cb, fun))
+            fun = VFunctorData(FinFn(ca.objects, cb.objects, f0),
+                               [[ca.backend.id(ca.homs[x][y]) for y in range(na)]
+                                for x in range(na)])
+            checks.append(lambda ca=ca, cb=cb, fun=fun: check_frobenius_vfunctor(ca, cb, fun))
+    groupoids = [(codiscrete_groupoid(3), codiscrete_groupoid(2), [0, 1, 1]),
+                 (discrete_groupoid(3), codiscrete_groupoid(2), [1, 1, 0]),
+                 (codiscrete_groupoid(2), codiscrete_groupoid(3), [2, 2]),
+                 (codiscrete_groupoid(3), discrete_groupoid(3), [2, 2, 2]),
+                 (_union_groupoid(), _union_groupoid(), [2, 2, 2])]
+    for ga, gb, f0 in groupoids:
+        ha, hb = groupoid_to_hopfcat(ga), groupoid_to_hopfcat(gb)
+        fun = VFunctorData(FinFn(ha.objects, hb.objects, f0), [
+            [FinFn(ha.homs[x][y], hb.homs[f0[x]][f0[y]], np.zeros(ha.homs[x][y].size, int))
+             for y in range(ha.n)] for x in range(ha.n)])
+        bims = [hopfcat_to_spanv(h)[0] for h in (ha, hb)]
+        checks.append(lambda ha=ha, hb=hb, fun=fun, bims=bims: check_oplax_bimonoid_morphism(
+            *bims, vfunctor_to_spanv(ha, hb, fun)))
+    reports = []
+    for check in checks:
+        got = _functor_report(check)
+        with monkeypatch.context() as patch:
+            patch.setattr(hopfcat, "_power", _tabulated_power)
+            assert _functor_report(check) == got
+        reports.append(got)
+    refused = sum(isinstance(r, str) for r in reports)
+    failed = sum(not isinstance(r, str) and any(x["status"] == "fail" for x in r)
+                 for r in reports)
+    assert (len(checks), refused, failed) == (53, 10, 34)
 
 
 def _z3_antipode_mutant():

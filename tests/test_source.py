@@ -2,7 +2,8 @@
 object-dtype arrays, no dense Kronecker products or identities, no
 tabulated apex maps in pasting or the structures layer, no loop in the
 FinSet codec, no join that loops over values, no division in whole-domain
-evaluation and no identity word rebuilt outside FinSet."""
+evaluation, no identity word rebuilt outside FinSet and no enriched grid
+read by index arithmetic of hopfcat's own."""
 
 import ast
 import re
@@ -110,8 +111,8 @@ def test_every_public_name_is_referenced():
 
 
 def test_no_direct_checker_loops_over_index_tuples():
-    # a direct law is decided once per distinct tuple of the entries it
-    # reads (hopfcat._run_laws), never by a loop over every index tuple
+    # a direct law runs once, on Columns over every index tuple at once
+    # (hopfcat._run_laws), never in a Python loop over the tuples
     tree = ast.parse((SRC / "hopfcat.py").read_text())
     checkers = {node.name: _used_names(node) for node in tree.body
                 if isinstance(node, ast.FunctionDef)
@@ -159,9 +160,26 @@ def test_column_operations_make_one_call_per_operation():
 
 
 def test_direct_laws_run_once_per_row():
-    # each law runs once, on columns over its distinct tuples: the only
-    # loop around the call is the one over the rows
+    # each law runs once, on its grids read along words over every index
+    # tuple, whose operations call the backend once per distinct pair of
+    # values: the only loop around the call is the one over the rows
     assert _loop_depths(_functions("hopfcat.py")["_run_laws"], "law") == [1]
+
+
+def test_grids_are_read_along_words_and_powers():
+    # only finset decides where an index tuple sits in a row-major grid:
+    # hopfcat reads an enriched category's grids at rearranged or mapped
+    # indices as Column.along a reindexing word or a power of the object
+    # map, and names an entry by FinSet.decode
+    functions = _functions("hopfcat.py")
+    readers = {name: functions[name] for name in (
+        "_run_laws", "_functor_components", "check_frobenius_vfunctor", "vfunctor_to_spanv",
+        "opposite_vcat")}
+    readers["_VCat.__init__"] = _functions("hopfcat.py", "_VCat")["__init__"]
+    for name, function in readers.items():
+        assert not _used_names(function) & {
+            "indices", "ravel_multi_index", "unique", "take", "divmod"}, name
+        assert _used_names(function) & {"along", "_grid_at", "_power"}, name
 
 
 def test_finset_codec_has_no_loop():
