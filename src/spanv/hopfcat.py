@@ -356,7 +356,8 @@ def mat_frobenius_example(p, max_n):
     Object x stands for size x+1; the hom at (x, y) is the space of
     (x+1) by (y+1) matrices with basis cells e[i][j], composition is
     matrix product on basis cells, cocomposition sums over a middle
-    index and the coidentity reads off the trace.
+    index and the coidentity reads off the trace: the cocategory is the
+    transpose of the category.
     """
     if max_n < 1:
         raise OutOfBounds("max_n must be at least 1, got %s" % (max_n,))
@@ -372,22 +373,14 @@ def mat_frobenius_example(p, max_n):
             mm[cell(x, y, i, j) * homs[y][z] + cell(y, z, j, w), cell(x, z, i, w)] = 1
         return mm
 
-    def cocomp(x, y, z):
-        dd = np.zeros((homs[x][z], homs[x][y] * homs[y][z]), dtype=np.int64)
-        for i, j, t in itertools.product(range(size[x]), range(size[z]), range(size[y])):
-            dd[cell(x, z, i, j), cell(x, y, i, t) * homs[y][z] + cell(y, z, t, j)] = 1
-        return dd
-
     def trace(x):
-        tr = np.zeros(homs[x][x], dtype=np.int64)
-        tr[[cell(x, x, i, i) for i in range(size[x])]] = 1
+        tr = np.zeros((1, homs[x][x]), dtype=np.int64)
+        tr[0, [cell(x, x, i, i) for i in range(size[x])]] = 1
         return tr
 
+    m, u = _tabulate(max_n, 3, mult), _tabulate(max_n, 1, trace)
     return FrobVCat(MatBackend(prime=p), FinSet((max_n,)), homs,
-                    _tabulate(max_n, 3, mult),
-                    _tabulate(max_n, 1, lambda x: trace(x).reshape(1, -1)),
-                    _tabulate(max_n, 3, cocomp),
-                    _tabulate(max_n, 1, lambda x: trace(x).reshape(-1, 1)))
+                    m, u, m.map(np.transpose), u.map(np.transpose))
 
 
 def group_algebra_hopf(p, order):
@@ -470,10 +463,9 @@ def codiscrete_groupoid(n):
     tgt = reindex_fn(g1, g0, (1,))
     e = diagonal_fn(g0)
     inv = reindex_fn(g1, g1, (1, 0))
-    pairs, _, _ = pullback(tgt, src)
-    coords = pairs.decode(np.arange(pairs.size))
-    comp_table = coords[:, 0] * n + coords[:, 3]
-    return GroupoidData(g0, g1, src, tgt, comp_table, e, inv)
+    # the composable pairs ((x, y), (y, z)) ascend as (x, y, z) row-major
+    comp = reindex_fn(FinSet((n,) * 3), g1, (0, 2))
+    return GroupoidData(g0, g1, src, tgt, comp.table, e, inv)
 
 
 def cyclic_group_groupoid(k):

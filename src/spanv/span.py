@@ -125,7 +125,7 @@ def match_by_signature(cols1, cols2):
     side's elements.  Returns (table, None) matching equal signatures in
     ascending signature order, ties broken by position, or (None, info)
     where info holds the first signature whose multiplicities differ.
-    A side whose rows already ascend is read in place, unsorted.
+    A side whose first column rises strictly is read in place, unsorted.
     """
     n1 = len(cols1[0]) if cols1 else 0
     n2 = len(cols2[0]) if cols2 else 0
@@ -152,20 +152,11 @@ def match_by_signature(cols1, cols2):
 
 
 def _ascends(cols):
-    # whether the rows ascend, ties allowed, so that a stable lexsort
-    # leaves them in place: at each adjacent pair the first column that
-    # differs rises.  One comparison settles a strictly rising column;
-    # count_nonzero costs less than all() or any() on short rows.
-    tied = None
-    for c in cols:
-        lo, hi = (c[:-1], c[1:]) if tied is None else (c[tied], c[tied + 1])
-        rises = hi > lo
-        if np.count_nonzero(rises) == rises.size:
-            return True
-        if np.count_nonzero(hi < lo):
-            return False
-        tied = np.flatnonzero(~rises) if tied is None else tied[~rises]
-    return True
+    # rows whose first column rises strictly are already in lexsort
+    # order; rows with a tie there are sorted.  count_nonzero costs less
+    # than all() on short rows.
+    first = cols[0]
+    return np.count_nonzero(first[1:] > first[:-1]) == first.size - 1
 
 
 def feet_pairs(s1, s2):

@@ -78,6 +78,30 @@ def test_codiscrete_groupoid_tables():
         assert tuple(g.g1.decode([g.inv.table[m]])[0]) == (b, a)
 
 
+def test_codiscrete_composition_matches_the_pullback_decode():
+    # the composition table is read along the word (x, y, z) -> (x, z);
+    # the oracle decodes each composable pair of a pullback instead
+    for n in range(7):
+        g = codiscrete_groupoid(n)
+        pairs, _, _ = pullback(g.tgt, g.src)
+        coords = pairs.decode(np.arange(pairs.size))
+        assert np.array_equal(g.comp.table, coords[:, 0] * n + coords[:, 3])
+
+
+def test_mat_frobenius_cocategory_matches_the_middle_index_sum():
+    # comlt and couni are the transposes of m and u; the oracle builds
+    # the cocomposition as a sum over a middle index instead
+    for p, max_n in ((3, 3), (2, 4), (5, 2)):
+        fc = mat_frobenius_example(p, max_n)
+        for x, y, z in itertools.product(range(max_n), repeat=3):
+            dd = np.zeros((fc.homs[x][z], fc.homs[x][y] * fc.homs[y][z]), dtype=np.int64)
+            for i, j, t in itertools.product(range(x + 1), range(z + 1), range(y + 1)):
+                dd[i * (z + 1) + j, (i * (y + 1) + t) * fc.homs[y][z] + t * (z + 1) + j] = 1
+            assert np.array_equal(fc.comlt[x][y][z], dd)
+        for x in range(max_n):
+            assert np.array_equal(fc.couni[x], np.eye(x + 1, dtype=np.int64).reshape(-1, 1))
+
+
 def test_cyclic_groupoid_is_the_group():
     g = cyclic_group_groupoid(3)
     assert g.g0.size == 1 and g.g1.size == 3
