@@ -31,6 +31,7 @@ from .hopfcat import (
     FIELDS,
     FrobVCat,
     HopfVCat,
+    _nest,
     check_frobenius_vcat,
     check_hopf_vcat,
     check_semi_hopf_vcat,
@@ -309,12 +310,11 @@ def _grid(data, n, depth, loader, field, path=()):
 
 
 def _vcat_to_json(v):
-    backend, n = v.backend, v.n
-    out = {"objects": n, "homs": _grid(v.homs, n, 2, lambda o: _obj_to_json(backend, o), "homs")}
+    backend, n, grids = v.backend, v.n, v.columns
+    out = {"objects": n, "homs": _nest(grids["H"].map(lambda o: _obj_to_json(backend, o)), n, 2)}
     for name in v.fields:
-        table = getattr(v, name)
-        out[name] = None if table is None else _grid(
-            table, n, FIELDS[name][0], lambda f: _mor_to_json(backend, f), name)
+        out[name] = None if name not in grids else _nest(
+            grids[name].map(lambda f: _mor_to_json(backend, f)), n, FIELDS[name][0])
     return out
 
 

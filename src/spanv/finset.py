@@ -55,7 +55,13 @@ class FinSet:
         try:
             return _INTERNED[shape]
         except (KeyError, TypeError):
-            shape = tuple(int(n) for n in shape)
+            given = tuple(shape)
+        try:
+            shape = tuple(int(n) for n in given)
+        except (TypeError, ValueError, OverflowError):
+            shape = None
+        if shape != given:  # 2.5 or "3" would pass int() as another size
+            raise ShapeMismatch("shape %r has a factor that is not a whole number" % (given,))
         if shape in _INTERNED:
             return _INTERNED[shape]
         if any(n < 0 for n in shape):

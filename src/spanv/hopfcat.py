@@ -27,6 +27,7 @@ from .errors import (
     OutOfBounds,
     SchemaError,
     ShapeMismatch,
+    UnsupportedBackend,
 )
 from .finset import (
     UNIT,
@@ -53,7 +54,7 @@ from .structures import (
     morphism_boundaries,
     structure_cell_boundaries,
 )
-from .vbackend import FinSetBackend, MatBackend, TrivialBackend, pairwise, per_check
+from .vbackend import FinSetBackend, MatBackend, TrivialBackend, _one_per_row, pairwise, per_check
 
 # Every field of an enriched category, declared once: name: (number of
 # object indices of an entry, (dom, cod) of the entries at index axes as
@@ -361,6 +362,8 @@ def mat_frobenius_example(p, max_n):
     """
     if max_n < 1:
         raise OutOfBounds("max_n must be at least 1, got %s" % (max_n,))
+    objects = FinSet((max_n,))
+    max_n = objects.size
     size = [x + 1 for x in range(max_n)]
     homs = [[a * b for b in size] for a in size]
 
@@ -379,31 +382,18 @@ def mat_frobenius_example(p, max_n):
         return tr
 
     m, u = _tabulate(max_n, 3, mult), _tabulate(max_n, 1, trace)
-    return FrobVCat(MatBackend(prime=p), FinSet((max_n,)), homs,
+    return FrobVCat(MatBackend(prime=p), objects, homs,
                     m, u, m.map(np.transpose), u.map(np.transpose))
 
 
 def group_algebra_hopf(p, order):
     """The group algebra of a cyclic group over Z/p as a one-object
-    instance: basis the group elements, grouplike comultiplication,
-    antipode by inversion."""
+    instance: the linearisation of the group, so its basis is the group
+    elements, its comultiplication grouplike and its antipode inversion."""
     backend = MatBackend(prime=p)
-    k = int(order)
-    if k < 1:
+    if order < 1:
         raise OutOfBounds("group order must be at least 1, got %s" % (order,))
-    g = np.arange(k)
-    pairs = np.arange(k * k)
-    mm = np.zeros((k * k, k), dtype=np.int64)
-    mm[pairs, (pairs // k + pairs % k) % k] = 1
-    uu = np.zeros((1, k), dtype=np.int64)
-    uu[0, 0] = 1
-    dd = np.zeros((k, k * k), dtype=np.int64)
-    dd[g, g * k + g] = 1
-    ee = np.ones((k, 1), dtype=np.int64)
-    ss = np.zeros((k, k), dtype=np.int64)
-    ss[g, (-g) % k] = 1
-    return HopfVCat(backend, FinSet((1,)), [[k]], [[[mm]]], [uu],
-                    [[dd]], [[ee]], [[ss]])
+    return linearise(groupoid_to_hopfcat(cyclic_group_groupoid(order)), backend)
 
 
 class GroupoidData:
@@ -470,8 +460,8 @@ def codiscrete_groupoid(n):
 
 def cyclic_group_groupoid(k):
     """The cyclic group of order k as a one-object groupoid."""
-    g0 = FinSet((1,))
-    g1 = FinSet((k,))
+    g0, g1 = FinSet((1,)), FinSet((k,))
+    k = g1.size
     zeros = FinFn(g1, g0, np.zeros(k, dtype=np.int64))
     e = FinFn(g0, g1, np.zeros(1, dtype=np.int64))
     inv = FinFn(g1, g1, (-np.arange(k)) % k)
@@ -514,6 +504,17 @@ def groupoid_to_hopfcat(G):
         H.map(lambda A: FinFn(A, t(A, A), np.arange(A.size) * (A.size + 1))),
         H.map(lambda A: FinFn(A, UNIT, np.zeros(A.size, int))),
         _tabulate(n, 2, lambda x, y: FinFn(homs[x][y], homs[y][x], invs[x * n + y])))
+
+
+def linearise(v, backend):
+    """The change of base of a category over finite sets to matrices: a hom
+    set goes to its size, a function f: A -> B to the 0/1 matrix with a 1 at
+    (a, f(a)), once per distinct value.  It is faithful and strong monoidal."""
+    if not (isinstance(v.backend, FinSetBackend) and isinstance(backend, MatBackend)):
+        raise UnsupportedBackend("linearise takes finite sets to matrices")
+    return type(v)(backend, v.objects, v.columns["H"].map(lambda A: A.size), *[
+        None if g is None else g.map(lambda f: _one_per_row(f.table, f.cod.size))
+        for g in map(v.columns.get, v.fields)])
 
 
 def _groupoid_spans(G):

@@ -319,7 +319,8 @@ def test_mangled_fixtures_behave_the_same_under_python_O(text):
 
 
 def test_reports_match_goldens(tmp_path):
-    for stem in ("x2-hopf", "mat-frobenius", "corrupted-theta0"):
+    for stem in ("x2-hopf", "mat-frobenius", "corrupted-theta0", "group-hopf",
+                 "groupoid-hopfcat"):
         report_path = tmp_path / ("%s-report.json" % stem)
         main(["check", str(FIXTURES / ("%s.json" % stem)),
               "--quiet", "--report", str(report_path)])
@@ -435,7 +436,9 @@ def test_demo_fixture_files_are_in_sync(tmp_path):
     # the shipped fixtures are exactly what the demos generate today
     cmd_demo("x2", out_dir=str(tmp_path))
     cmd_demo("mat", out_dir=str(tmp_path))
-    for stem in ("x2-hopf", "mat-frobenius"):
+    cmd_demo("group-hopf", out_dir=str(tmp_path), p=3, group="z4")
+    cmd_demo("groupoid", out_dir=str(tmp_path), objects=3)
+    for stem in ("x2-hopf", "mat-frobenius", "group-hopf", "groupoid-hopfcat"):
         assert ((tmp_path / ("%s.json" % stem)).read_bytes()
                 == (FIXTURES / ("%s.json" % stem)).read_bytes()), stem
 

@@ -14,8 +14,10 @@ import pytest
 
 from spanv import hopfcat, vbackend
 from spanv.cells import Column, InvalidCell
-from spanv.errors import NotAGroupoid, NotFirm, NotInvertible, NotOverX2, ShapeMismatch
-from spanv.finset import UNIT, FinFn, FinSet, SubsetApex, identity_fn, pullback
+from spanv.errors import (NotAGroupoid, NotFirm, NotInvertible, NotOverX2, ShapeMismatch,
+                          UnsupportedBackend)
+from spanv.finset import (UNIT, FinFn, FinSet, SubsetApex, diagonal_fn, identity_fn, pullback,
+                          terminal_fn)
 from spanv.hopfcat import (
     FIELDS,
     FrobVCat,
@@ -35,6 +37,7 @@ from spanv.hopfcat import (
     groupoid_to_hopfcat,
     hopfcat_data_equal,
     hopfcat_to_spanv,
+    linearise,
     mat_frobenius_example,
     opposite_vcat,
     spanv_to_hopfcat,
@@ -501,13 +504,17 @@ _BAD_ARGUMENTS = """
 import numpy as np
 from spanv.cells import VFam
 from spanv.finset import FinSet, identity_fn
-from spanv.hopfcat import (FrobVCat, HopfVCat, VFunctorData, group_algebra_hopf,
-                           mat_frobenius_example)
+from spanv.hopfcat import (FrobVCat, HopfVCat, VFunctorData, codiscrete_groupoid,
+                           cyclic_group_groupoid, group_algebra_hopf, mat_frobenius_example)
 from spanv.vbackend import FinSetBackend
 h = group_algebra_hopf(3, 2)
 fc = mat_frobenius_example(2, 2)
 for make in (lambda: group_algebra_hopf(3, 0), lambda: group_algebra_hopf(3, -2),
              lambda: mat_frobenius_example(3, 0),
+             # sizes that are not whole numbers
+             lambda: group_algebra_hopf(3, 2.5), lambda: mat_frobenius_example(3, 2.5),
+             lambda: codiscrete_groupoid(2.5), lambda: cyclic_group_groupoid(2.5),
+             lambda: FinSet((2, "3")),
              lambda: HopfVCat(FinSetBackend(), FinSet((2, 2)), [], [], [], [], []),
              lambda: VFunctorData(np.arange(2), []),
              lambda: VFam(FinSetBackend(), 3),
@@ -539,6 +546,8 @@ def test_bad_constructor_arguments_raise_typed_errors_under_python_O():
         "OutOfBounds group order must be at least 1, got 0",
         "OutOfBounds group order must be at least 1, got -2",
         "OutOfBounds max_n must be at least 1, got 0",
+        *["ShapeMismatch shape (2.5,) has a factor that is not a whole number"] * 4,
+        "ShapeMismatch shape (2, '3') has a factor that is not a whole number",
         "ShapeMismatch the objects must be a one-axis FinSet, got FinSet(2, 2)",
         "ShapeMismatch the object map must be a FinFn, got ndarray",
         "ShapeMismatch a family's base must be a FinSet, got int",
@@ -647,7 +656,7 @@ def _mutants(v, rng):
     """v with one entry of one field moved: the first, the last and a
     seeded entry of every field."""
     n = v.n
-    for name in v.fields:
+    for name in (f for f in v.fields if f in v.columns):
         arity = FIELDS[name][0]
         seeded = tuple(rng.randrange(n) for _ in range(arity))
         for idx in sorted({(0,) * arity, (n - 1,) * arity, seeded}):
@@ -1295,7 +1304,7 @@ def _not_injective(f):
     return FinFn(f.dom, f.cod, np.zeros(f.dom.size, dtype=np.int64))
 
 
-def _random_vcat(backend, homs, rng):
+def _random_vcat(backend, homs, rng, kind=HopfVCat):
     """Every entry a seeded morphism with the right ends, and the antipode
     entry at (x, y) mostly a bijection when H[x][y] and H[y][x] match.
     It satisfies no law: opposite_vcat reads the data alone."""
@@ -1311,9 +1320,9 @@ def _random_vcat(backend, homs, rng):
             return np.eye(dom, dtype=np.int64)[rng.sample(range(dom), dom)] * rng.choice([1, 2])
         return np.array([[rng.randrange(3) for _ in range(cod)] for _ in range(dom)])
 
-    return HopfVCat(backend, FinSet((n,)), homs, *(
+    return kind(backend, FinSet((n,)), homs, *(
         _nested(n, FIELDS[name][0], lambda *idx, name=name: mor(name, *idx))
-        for name in HopfVCat.fields))
+        for name in kind.fields))
 
 
 def test_opposite_matches_a_per_entry_opposite():
@@ -1544,3 +1553,136 @@ def test_opposite_cost_does_not_grow_with_the_objects(monkeypatch):
         opposite_vcat(h)
         counts.append(sum(pairs))
     assert counts[0] == counts[1] > 0
+
+
+def _hand_built_group_algebra(p, order):
+    """The group algebra of Z/order over Z/p with its five structure maps
+    written out as dense matrices: the reference for its linearised build."""
+    k = int(order)
+    g, pairs = np.arange(k), np.arange(k * k)
+    mm = np.zeros((k * k, k), dtype=np.int64)
+    mm[pairs, (pairs // k + pairs % k) % k] = 1
+    uu = np.zeros((1, k), dtype=np.int64)
+    uu[0, 0] = 1
+    dd = np.zeros((k, k * k), dtype=np.int64)
+    dd[g, g * k + g] = 1
+    ss = np.zeros((k, k), dtype=np.int64)
+    ss[g, (-g) % k] = 1
+    return HopfVCat(MatBackend(prime=p), FinSet((1,)), [[k]], [[[mm]]], [uu], [[dd]],
+                    [[np.ones((k, 1), dtype=np.int64)]], [[ss]])
+
+
+def _column_keys(v):
+    """Each grid's size, codes and value keys."""
+    return {name: (c.size, None if c.codes is None else c.codes.tolist(),
+                   [(v.backend.obj_key if name == "H" else v.backend.mor_key)(x) for x in c.values])
+            for name, c in v.columns.items()}
+
+
+def test_group_algebra_is_the_linearised_cyclic_groupoid():
+    for p in (2, 3, 5, 7):
+        for k in range(1, 9):
+            h, want = group_algebra_hopf(p, k), _hand_built_group_algebra(p, k)
+            assert _column_keys(h) == _column_keys(want), (p, k)
+            assert _reports(h, bridged=False) == _reports(want, bridged=False), (p, k)
+
+
+def _linearised_diff(diff):
+    """A first difference of two functions as that of their 0/1 matrices:
+    the first row that differs, at the smaller of its two columns."""
+    (w,), f, g = diff["entry"], diff["this"], diff["other"]
+    return {"entry": [w, min(f, g)], "this": int(f < g), "other": int(g < f)}
+
+
+def _groupoid_families(sizes, *more):
+    """The codiscrete, discrete and cyclic groupoids of the given sizes, the
+    union groupoid and more, each over finite sets, with their mutants."""
+    rng = random.Random(25)
+    cats = [groupoid_to_hopfcat(make(n)) for make in (
+        codiscrete_groupoid, discrete_groupoid, cyclic_group_groupoid) for n in sizes]
+    cats += [groupoid_to_hopfcat(_union_groupoid()), *more]
+    return [w for v in cats for w in [v, *_mutants(v, rng)]]
+
+
+def _action_category():
+    """Z/2 on object 0 acting on the three arrows 0 -> 1 by swapping the
+    first two, with the identity alone on object 1 and no arrow 1 -> 0:
+    a category that is no groupoid, its homs of sizes 2, 3, 0 and 1, with
+    the diagonal comonoid on each hom, so semi-Hopf over finite sets."""
+    backend, t = FinSetBackend(), FinSetBackend().tensor_obj
+    homs = [[FinSet((2,)), FinSet((3,))], [FinSet((0,)), UNIT]]
+    tables = {(0, 0, 0): [0, 1, 1, 0], (0, 0, 1): [0, 1, 2, 1, 0, 2], (0, 1, 1): [0, 1, 2],
+              (1, 1, 1): [0]}
+    return HopfVCat(
+        backend, FinSet((2,)), homs,
+        _nested(2, 3, lambda x, y, z: FinFn(t(homs[x][y], homs[y][z]), homs[x][z],
+                                            tables.get((x, y, z), []))),
+        _nested(2, 1, lambda x: FinFn(UNIT, homs[x][x], [0])),
+        _nested(2, 2, lambda x, y: diagonal_fn(homs[x][y])),
+        _nested(2, 2, lambda x, y: terminal_fn(homs[x][y])))
+
+
+def test_linearise_keeps_every_direct_verdict():
+    # linearisation is faithful and strong monoidal, so a category over
+    # finite sets and its linearisation over any matrix backend fail the
+    # same laws at the same index tuple, at the matching matrix entry
+    cats = _groupoid_families(range(1, 5), _action_category())
+    frob_homs = [[FinSet((k,)) for k in row] for row in ((1, 2), (2, 1))]
+    cats += [_random_vcat(FinSetBackend(), frob_homs, random.Random(seed), FrobVCat)
+             for seed in range(3)]
+    # homs of unequal sizes, so the braiding meets unequal factors
+    cats += [_random_vcat(FinSetBackend(), [[FinSet((k,)) for k in row]
+                                            for row in ((1, 2), (3, 2))], random.Random(seed))
+             for seed in range(3)]
+    cats.append(_random_vcat(FinSetBackend(), [[UNIT] * 2] * 2, random.Random(0), FrobVCat))
+    failing = 0
+    for v in cats:
+        check = check_frobenius_vcat if isinstance(v, FrobVCat) else (
+            check_hopf_vcat if v.s is not None else check_semi_hopf_vcat)
+        want = [(r.name, r.ok, r.counterexample and r.counterexample["at"],
+                 r.counterexample and _linearised_diff(r.counterexample["diff"]))
+                for r in check(v).results]
+        failing += not all(ok for _, ok, _, _ in want)
+        for backend in (MatBackend(prime=2), MatBackend(prime=3), MatBackend(boolean=True)):
+            got = [(r.name, r.ok, r.counterexample and r.counterexample["at"],
+                    r.counterexample and r.counterexample["diff"])
+                   for r in check(linearise(v, backend)).results]
+            assert got == want, (v, backend)
+    assert (len(cats), failing) == (45, 30)
+
+
+def test_linearise_keeps_every_bridged_report():
+    # the span route reports the same failures of a category over finite
+    # sets and of its linearisation, also with empty homs and many objects
+    def span_reports(v):
+        bim, anti = hopfcat_to_spanv(v)
+        return [r.as_dict() for r in check_oplax_bimonoid(bim).results + (
+            [] if anti is None else check_oplax_hopf(bim, anti).results)]
+
+    cats = _groupoid_families(range(1, 4), _action_category())
+    failing = 0
+    for v in cats:
+        want = span_reports(v)
+        failing += any(r["status"] == "fail" for r in want)
+        assert span_reports(linearise(v, MatBackend(prime=3))) == want, v
+    assert (len(cats), failing) == (31, 20)
+
+
+def test_linearise_runs_from_finite_sets_to_matrices():
+    g = groupoid_to_hopfcat(cyclic_group_groupoid(3))
+    h = linearise(g, MatBackend(prime=5))
+    assert h.homs == [[3]] and np.array_equal(h.s[0][0], [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    for v, backend in ((g, FinSetBackend()), (h, MatBackend(prime=3))):
+        with pytest.raises(UnsupportedBackend, match="finite sets to matrices"):
+            linearise(v, backend)
+
+
+def test_sizes_are_whole_numbers():
+    # an integral float names the same set, and an order that is one
+    # still builds the group algebra
+    assert FinSet((2.0, 3)) is FinSet((2, 3))
+    assert hopfcat_data_equal(group_algebra_hopf(3, 2.0), group_algebra_hopf(3, 2))
+    assert hopfcat_data_equal(mat_frobenius_example(3, 2.0), mat_frobenius_example(3, 2))
+    for shape in ((1, float("nan")), (float("inf"),), (None,)):
+        with pytest.raises(ShapeMismatch, match="not a whole number"):
+            FinSet(shape)
