@@ -46,6 +46,22 @@ _MAX_SIZE = 2 ** 62
 _INTERNED = {}
 
 
+def _whole_shape(shape):
+    """shape as a tuple of ints; ShapeMismatch naming it unless it is a
+    sequence of whole numbers (2.5 or "3" would pass int() as another size)."""
+    given = ints = None
+    try:
+        given = tuple(shape)
+        ints = tuple(int(n) for n in given)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if given is None:
+        raise ShapeMismatch("shape %r is not a sequence of sizes" % (shape,))
+    if ints != given:
+        raise ShapeMismatch("shape %r has a factor that is not a whole number" % (given,))
+    return ints
+
+
 class FinSet:
     """A finite set presented as a product of atomic factors, one per shape."""
 
@@ -55,13 +71,8 @@ class FinSet:
         try:
             return _INTERNED[shape]
         except (KeyError, TypeError):
-            given = tuple(shape)
-        try:
-            shape = tuple(int(n) for n in given)
-        except (TypeError, ValueError, OverflowError):
-            shape = None
-        if shape != given:  # 2.5 or "3" would pass int() as another size
-            raise ShapeMismatch("shape %r has a factor that is not a whole number" % (given,))
+            pass
+        shape = _whole_shape(shape)
         if shape in _INTERNED:
             return _INTERNED[shape]
         if any(n < 0 for n in shape):

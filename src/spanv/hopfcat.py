@@ -33,6 +33,7 @@ from .finset import (
     UNIT,
     FinFn,
     FinSet,
+    _whole_shape,
     diagonal_fn,
     identity_fn,
     pullback,
@@ -360,10 +361,10 @@ def mat_frobenius_example(p, max_n):
     index and the coidentity reads off the trace: the cocategory is the
     transpose of the category.
     """
+    max_n, = _whole_shape((max_n,))
     if max_n < 1:
         raise OutOfBounds("max_n must be at least 1, got %s" % (max_n,))
     objects = FinSet((max_n,))
-    max_n = objects.size
     size = [x + 1 for x in range(max_n)]
     homs = [[a * b for b in size] for a in size]
 
@@ -391,6 +392,7 @@ def group_algebra_hopf(p, order):
     instance: the linearisation of the group, so its basis is the group
     elements, its comultiplication grouplike and its antipode inversion."""
     backend = MatBackend(prime=p)
+    order, = _whole_shape((order,))
     if order < 1:
         raise OutOfBounds("group order must be at least 1, got %s" % (order,))
     return linearise(groupoid_to_hopfcat(cyclic_group_groupoid(order)), backend)
@@ -399,46 +401,39 @@ def group_algebra_hopf(p, order):
 class GroupoidData:
     """A finite groupoid: objects, morphisms, boundaries, a composition
     table over the composable-pair subset, identities and inverses.
-    The groupoid laws are checked on construction."""
+    Construction checks the boundaries, then the laws by check_hopf_vcat
+    (its cat-unit, antipode and cat-assoc rows, the comonoids diagonal);
+    the library's groupoids are groupoids by construction and skip both."""
 
     def __init__(self, g0, g1, src, tgt, comp_table, e, inv):
+        self._fill(g0, g1, src, tgt, comp_table, e, inv)
+        src, tgt, e, inv, comp = (f.table for f in (src, tgt, e, inv, self.comp))
+        ids = np.arange(g0.size)
+        if not (np.array_equal(src[e], ids) and np.array_equal(tgt[e], ids)):
+            raise NotAGroupoid("identities have wrong boundaries")
+        if not np.array_equal(src[comp], src[self.p1.table]):
+            raise NotAGroupoid("composite changes the source")
+        if not np.array_equal(tgt[comp], tgt[self.p2.table]):
+            raise NotAGroupoid("composite changes the target")
+        if not (np.array_equal(src[inv], tgt) and np.array_equal(tgt[inv], src)):
+            raise NotAGroupoid("inverse has wrong boundaries")
+        # groupoid_to_hopfcat relies on the boundaries above, not on the laws
+        for r in check_hopf_vcat(groupoid_to_hopfcat(self)).results:
+            if not r.ok:
+                raise NotAGroupoid("%s fails at %s: %r" % (
+                    r.name, r.counterexample["at"], r.counterexample["diff"]))
+
+    @classmethod
+    def _of_tables(cls, *tables):
+        # a groupoid by construction, so it skips every check
+        G = cls.__new__(cls)
+        G._fill(*tables)
+        return G
+
+    def _fill(self, g0, g1, src, tgt, comp_table, e, inv):
         self.g0, self.g1, self.src, self.tgt, self.e, self.inv = g0, g1, src, tgt, e, inv
         self.pairs, self.p1, self.p2 = pullback(tgt, src)
         self.comp = FinFn(self.pairs, g1, comp_table)
-        self._validate()
-
-    def _validate(self):
-        n0, n1 = self.g0.size, self.g1.size
-        src, tgt, e, inv = self.src.table, self.tgt.table, self.e.table, self.inv.table
-        comp = self.comp.table
-        ids = np.arange(n0)
-        if not (np.array_equal(src[e], ids) and np.array_equal(tgt[e], ids)):
-            raise NotAGroupoid("identities have wrong boundaries")
-        left, right = self.p1.table, self.p2.table
-        if not np.array_equal(src[comp], src[left]):
-            raise NotAGroupoid("composite changes the source")
-        if not np.array_equal(tgt[comp], tgt[right]):
-            raise NotAGroupoid("composite changes the target")
-        allg = np.arange(n1)
-        pos = self.pairs.position_of
-        if not np.array_equal(comp[pos(e[src] * n1 + allg)], allg):
-            raise NotAGroupoid("left identity law fails")
-        if not np.array_equal(comp[pos(allg * n1 + e[tgt])], allg):
-            raise NotAGroupoid("right identity law fails")
-        if not (np.array_equal(src[inv], tgt) and np.array_equal(tgt[inv], src)):
-            raise NotAGroupoid("inverse has wrong boundaries")
-        if not np.array_equal(comp[pos(allg * n1 + inv)], e[src]):
-            raise NotAGroupoid("an inverse fails on the right")
-        if not np.array_equal(comp[pos(inv * n1 + allg)], e[tgt]):
-            raise NotAGroupoid("an inverse fails on the left")
-        # associativity over all composable triples
-        mid_tgt = FinFn(self.pairs, self.g0, tgt[right])
-        triples, q1, q2 = pullback(mid_tgt, self.src)
-        g, h, k = left[q1.table], right[q1.table], q2.table
-        gh = comp[q1.table]
-        hk = comp[pos(h * n1 + k)]
-        if not np.array_equal(comp[pos(gh * n1 + k)], comp[pos(g * n1 + hk)]):
-            raise NotAGroupoid("composition is not associative")
 
     def __repr__(self):
         return "GroupoidData(%d objects, %d morphisms)" % (self.g0.size, self.g1.size)
@@ -455,7 +450,7 @@ def codiscrete_groupoid(n):
     inv = reindex_fn(g1, g1, (1, 0))
     # the composable pairs ((x, y), (y, z)) ascend as (x, y, z) row-major
     comp = reindex_fn(FinSet((n,) * 3), g1, (0, 2))
-    return GroupoidData(g0, g1, src, tgt, comp.table, e, inv)
+    return GroupoidData._of_tables(g0, g1, src, tgt, comp.table, e, inv)
 
 
 def cyclic_group_groupoid(k):
@@ -467,15 +462,15 @@ def cyclic_group_groupoid(k):
     inv = FinFn(g1, g1, (-np.arange(k)) % k)
     codes = np.arange(k * k, dtype=np.int64)
     comp_table = (codes // k + codes % k) % k
-    return GroupoidData(g0, g1, zeros, zeros, comp_table, e, inv)
+    return GroupoidData._of_tables(g0, g1, zeros, zeros, comp_table, e, inv)
 
 
 def discrete_groupoid(n):
     """Only identity morphisms."""
     g0 = FinSet((n,))
     ident = identity_fn(g0)
-    return GroupoidData(g0, g0, ident, ident, np.arange(n, dtype=np.int64),
-                        ident, ident)
+    return GroupoidData._of_tables(g0, g0, ident, ident, np.arange(n, dtype=np.int64),
+                                   ident, ident)
 
 
 def groupoid_to_hopfcat(G):

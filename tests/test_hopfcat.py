@@ -122,23 +122,37 @@ def test_discrete_groupoid_has_only_identities():
 
 
 def test_groupoid_validation_rejects_bad_tables():
-    from spanv.finset import FinFn
-
     g = codiscrete_groupoid(2)
     wrong_e = g.e.table.copy()
     wrong_e[0] = 1  # identity of object 0 must start at 0
-    with pytest.raises(NotAGroupoid):
+    with pytest.raises(NotAGroupoid, match="^identities have wrong boundaries$"):
         GroupoidData(g.g0, g.g1, g.src, g.tgt, g.comp.table,
                      FinFn(g.g0, g.g1, wrong_e), g.inv)
     wrong_inv = g.inv.table.copy()
     wrong_inv[1] = 1  # (0,1) inverted must be (1,0)
-    with pytest.raises(NotAGroupoid):
+    with pytest.raises(NotAGroupoid, match="^inverse has wrong boundaries$"):
         GroupoidData(g.g0, g.g1, g.src, g.tgt, g.comp.table, g.e,
                      FinFn(g.g1, g.g1, wrong_inv))
     wrong_comp = g.comp.table.copy()
     wrong_comp[0] = (wrong_comp[0] + 1) % 4
-    with pytest.raises(NotAGroupoid):
+    with pytest.raises(NotAGroupoid, match="^composite changes the target$"):
         GroupoidData(g.g0, g.g1, g.src, g.tgt, wrong_comp, g.e, g.inv)
+    wrong_comp = g.comp.table.copy()
+    wrong_comp[0] = 2  # (0,0)(0,0) must stay at object 0
+    with pytest.raises(NotAGroupoid, match="^composite changes the source$"):
+        GroupoidData(g.g0, g.g1, g.src, g.tgt, wrong_comp, g.e, g.inv)
+    # the laws: their check_hopf_vcat row, its at and its diff
+    c = cyclic_group_groupoid(4)
+    laws = [(FinFn(c.g0, c.g1, [2]), c.inv, c.comp.table,
+             "cat-unit-left fails at [0, 0]: {'entry': [0], 'this': 2, 'other': 0}"),
+            (c.e, FinFn(c.g1, c.g1, [0, 3, 1, 2]), c.comp.table,
+             "antipode-left fails at [0, 0]: {'entry': [2], 'this': 3, 'other': 0}"),
+            (c.e, c.inv, np.where(np.arange(16) == 5, 3, c.comp.table),
+             "cat-assoc fails at [0, 0, 0, 0]: {'entry': [22], 'this': 1, 'other': 0}")]
+    for e, inv, comp, message in laws:
+        with pytest.raises(NotAGroupoid) as err:
+            GroupoidData(c.g0, c.g1, c.src, c.tgt, comp, e, inv)
+        assert str(err.value) == message
 
 
 def test_group_algebra_tables_frozen():
@@ -507,14 +521,27 @@ from spanv.finset import FinSet, identity_fn
 from spanv.hopfcat import (FrobVCat, HopfVCat, VFunctorData, codiscrete_groupoid,
                            cyclic_group_groupoid, group_algebra_hopf, mat_frobenius_example)
 from spanv.vbackend import FinSetBackend
+from spanv.finset import FinFn
+from spanv.hopfcat import GroupoidData
 h = group_algebra_hopf(3, 2)
 fc = mat_frobenius_example(2, 2)
+c = cyclic_group_groupoid(3)
 for make in (lambda: group_algebra_hopf(3, 0), lambda: group_algebra_hopf(3, -2),
              lambda: mat_frobenius_example(3, 0),
              # sizes that are not whole numbers
              lambda: group_algebra_hopf(3, 2.5), lambda: mat_frobenius_example(3, 2.5),
              lambda: codiscrete_groupoid(2.5), lambda: cyclic_group_groupoid(2.5),
              lambda: FinSet((2, "3")),
+             # sizes that are not numbers, and shapes that are not sequences
+             lambda: group_algebra_hopf(3, "3"), lambda: mat_frobenius_example(3, "3"),
+             lambda: FinSet(3), lambda: FinSet(None),
+             # Z/3 with a wrong identity, inverse or composite: one law each
+             lambda: GroupoidData(c.g0, c.g1, c.src, c.tgt, c.comp.table,
+                                  FinFn(c.g0, c.g1, [1]), c.inv),
+             lambda: GroupoidData(c.g0, c.g1, c.src, c.tgt, c.comp.table, c.e,
+                                  FinFn(c.g1, c.g1, [0, 1, 2])),
+             lambda: GroupoidData(c.g0, c.g1, c.src, c.tgt, [0, 1, 2, 1, 2, 0, 2, 0, 0], c.e,
+                                  c.inv),
              lambda: HopfVCat(FinSetBackend(), FinSet((2, 2)), [], [], [], [], []),
              lambda: VFunctorData(np.arange(2), []),
              lambda: VFam(FinSetBackend(), 3),
@@ -548,6 +575,12 @@ def test_bad_constructor_arguments_raise_typed_errors_under_python_O():
         "OutOfBounds max_n must be at least 1, got 0",
         *["ShapeMismatch shape (2.5,) has a factor that is not a whole number"] * 4,
         "ShapeMismatch shape (2, '3') has a factor that is not a whole number",
+        *["ShapeMismatch shape ('3',) has a factor that is not a whole number"] * 2,
+        "ShapeMismatch shape 3 is not a sequence of sizes",
+        "ShapeMismatch shape None is not a sequence of sizes",
+        "NotAGroupoid cat-unit-left fails at [0, 0]: {'entry': [0], 'this': 1, 'other': 0}",
+        "NotAGroupoid antipode-left fails at [0, 0]: {'entry': [1], 'this': 2, 'other': 0}",
+        "NotAGroupoid cat-assoc fails at [0, 0, 0, 0]: {'entry': [14], 'this': 0, 'other': 1}",
         "ShapeMismatch the objects must be a one-axis FinSet, got FinSet(2, 2)",
         "ShapeMismatch the object map must be a FinFn, got ndarray",
         "ShapeMismatch a family's base must be a FinSet, got int",
@@ -1101,6 +1134,125 @@ def _union_groupoid(seed=27):
     e = FinFn(g0, g1, [code[(x, x, 0, 3 if x < 2 else 2)] for x in range(3)])
     inv = FinFn(g1, g1, [code[(y, x, -k % p, p)] for x, y, k, p in mors])
     return GroupoidData(g0, g1, src, tgt, comp, e, inv)
+
+
+def _hand_written_laws(G):
+    """The groupoid checks as GroupoidData once wrote them out: the
+    boundaries, both identity laws and both inverse laws by position
+    lookups, and associativity over a pullback of every composable triple."""
+    n0, n1 = G.g0.size, G.g1.size
+    src, tgt, e, inv = G.src.table, G.tgt.table, G.e.table, G.inv.table
+    comp = G.comp.table
+    ids = np.arange(n0)
+    if not (np.array_equal(src[e], ids) and np.array_equal(tgt[e], ids)):
+        raise NotAGroupoid("identities have wrong boundaries")
+    left, right = G.p1.table, G.p2.table
+    if not np.array_equal(src[comp], src[left]):
+        raise NotAGroupoid("composite changes the source")
+    if not np.array_equal(tgt[comp], tgt[right]):
+        raise NotAGroupoid("composite changes the target")
+    allg = np.arange(n1)
+    pos = G.pairs.position_of
+    if not np.array_equal(comp[pos(e[src] * n1 + allg)], allg):
+        raise NotAGroupoid("left identity law fails")
+    if not np.array_equal(comp[pos(allg * n1 + e[tgt])], allg):
+        raise NotAGroupoid("right identity law fails")
+    if not (np.array_equal(src[inv], tgt) and np.array_equal(tgt[inv], src)):
+        raise NotAGroupoid("inverse has wrong boundaries")
+    if not np.array_equal(comp[pos(allg * n1 + inv)], e[src]):
+        raise NotAGroupoid("an inverse fails on the right")
+    if not np.array_equal(comp[pos(inv * n1 + allg)], e[tgt]):
+        raise NotAGroupoid("an inverse fails on the left")
+    mid_tgt = FinFn(G.pairs, G.g0, tgt[right])
+    triples, q1, q2 = pullback(mid_tgt, G.src)
+    g, h, k = left[q1.table], right[q1.table], q2.table
+    gh = comp[q1.table]
+    hk = comp[pos(h * n1 + k)]
+    if not np.array_equal(comp[pos(gh * n1 + k)], comp[pos(g * n1 + hk)]):
+        raise NotAGroupoid("composition is not associative")
+
+
+_BOUNDARY_MESSAGES = ["identities have wrong boundaries", "composite changes the source",
+                      "composite changes the target", "inverse has wrong boundaries"]
+
+
+def _refusal(make, *fields):
+    """The NotAGroupoid message make raises on the fields, or None."""
+    try:
+        make(*fields)
+    except NotAGroupoid as err:
+        return str(err)
+    return None
+
+
+def test_library_groupoids_pass_the_public_constructor():
+    # the library's constructors skip the checks; every groupoid they
+    # build passes them, and the hand-written laws
+    groupoids = [make(n) for n in range(8) for make in (codiscrete_groupoid, discrete_groupoid)]
+    groupoids += [cyclic_group_groupoid(k) for k in range(1, 13)] + [_union_groupoid()]
+    for G in groupoids:
+        fields = G.g0, G.g1, G.src, G.tgt, G.comp.table, G.e, G.inv
+        assert _refusal(GroupoidData, *fields) is None, G
+        _hand_written_laws(G)
+
+
+def _relabelled(G, rng):
+    """G's boundaries, and its composition, identity and inverse tables,
+    with its morphisms renumbered by a seeded permutation: the same
+    groupoid, its homs' members interleaved anew."""
+    n1 = G.g1.size
+    sigma = np.array(rng.sample(range(n1), n1), dtype=np.int64)
+    back = np.argsort(sigma)
+    src, tgt = (FinFn(G.g1, G.g0, end.table[back]) for end in (G.src, G.tgt))
+    _, p1, p2 = pullback(tgt, src)
+    comp = sigma[G.comp.table[G.pairs.position_of(back[p1.table] * n1 + back[p2.table])]]
+    return src, tgt, [comp, sigma[G.e.table], sigma[G.inv.table[back]]]
+
+
+def test_groupoid_laws_refuse_what_the_hand_written_laws_refuse():
+    # a renumbered groupoid passes, and each of its single-entry mutants
+    # of the composition, identities or inverses is refused by the
+    # constructor exactly when the hand-written laws refuse it, always
+    # with NotAGroupoid, and with the same message when the hand-written
+    # checks stop at a boundary
+    rng = random.Random(26)
+    families = [codiscrete_groupoid(2), codiscrete_groupoid(3), cyclic_group_groupoid(3),
+                cyclic_group_groupoid(4), discrete_groupoid(3), _union_groupoid()]
+    hand_written = lambda *fields: _hand_written_laws(GroupoidData._of_tables(*fields))
+    seen = set()
+    for _ in range(300):
+        G = rng.choice(families)
+        src, tgt, tables = _relabelled(G, rng)
+
+        def verdicts():
+            fields = (G.g0, G.g1, src, tgt, tables[0], FinFn(G.g0, G.g1, tables[1]),
+                      FinFn(G.g1, G.g1, tables[2]))
+            return [_refusal(make, *fields) for make in (hand_written, GroupoidData)]
+
+        assert verdicts() == [None, None]
+        table = rng.choice(tables)
+        i = rng.randrange(table.size)
+        table[i] = (table[i] + rng.randrange(1, G.g1.size)) % G.g1.size
+        want, got = verdicts()
+        assert (want is None) == (got is None), (G, tables, want, got)
+        assert want not in _BOUNDARY_MESSAGES or got == want, (G, tables, want, got)
+        seen.add(got and got.split(" fails")[0])
+    # every single-entry mutant of a groupoid is refused
+    assert seen == {*_BOUNDARY_MESSAGES, "cat-assoc", "cat-unit-left", "antipode-left"}
+
+
+def test_library_groupoids_are_built_without_a_law_check():
+    # the triple pullback of the hand-written associativity check took
+    # 99 MB at codiscrete n=32 and 197 MB at Z/128
+    for make, size in ((codiscrete_groupoid, 32), (cyclic_group_groupoid, 128)):
+        make(size)
+        tracemalloc.start()
+        try:
+            make(size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (make.__name__, peak)
 
 
 def _nested(n, arity, entry):

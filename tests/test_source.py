@@ -2,8 +2,9 @@
 object-dtype arrays, no dense Kronecker products or identities, no
 tabulated apex maps in pasting or the structures layer, no loop in the
 FinSet codec, no join that loops over values, no division in whole-domain
-evaluation, no identity word rebuilt outside FinSet and no enriched grid
-read by index arithmetic of hopfcat's own."""
+evaluation, no identity word rebuilt outside FinSet, no enriched grid
+read by index arithmetic of hopfcat's own and no groupoid law written
+outside hopfcat's law rows."""
 
 import ast
 import re
@@ -264,3 +265,25 @@ def test_ends_are_checked_once_as_columns():
                if not line.startswith("cells.py:%d" % cells["first_wrong_end"].lineno)]
     assert len(callers) == len(checks)
     assert {"eq_obj", "dom", "cod"} <= _used_names(cells["first_wrong_end"])
+
+
+def _called_names(tree):
+    """The name of every function or method a tree calls, once per call."""
+    return [getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def test_groupoid_laws_are_written_only_as_law_rows():
+    # GroupoidData checks its boundaries and decides the laws with
+    # check_hopf_vcat: one pullback, for its composable pairs, and no
+    # position lookup, so no composable triple is formed outside hopfcat's
+    # law rows
+    tree = ast.parse((SRC / "hopfcat.py").read_text())
+    groupoid = next(node for node in tree.body if getattr(node, "name", None) == "GroupoidData")
+    called = _called_names(groupoid)
+    assert called.count("pullback") == 1 and "check_hopf_vcat" in called
+    assert "position_of" not in _used_names(groupoid)
+    # the unchecked path builds only the library's own groupoids
+    callers = {node.name for tree in _modules().values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and "_of_tables" in _called_names(node)}
+    assert callers == {"codiscrete_groupoid", "cyclic_group_groupoid", "discrete_groupoid"}
