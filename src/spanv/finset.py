@@ -21,7 +21,10 @@ no table of the word.  A product keeps its two factors: its values are
 the grid of theirs, it is composed and compared factor by factor, and a
 pullback along it joins one factor at a time, or renames each factor's
 values through a permutation.  The product of an apex with any set is a
-``SubsetApex`` that lists every pair without storing the list.
+``SubsetApex`` that lists every pair without storing the list.  A map
+into a one-element set is the constant 0: ``compose_fn`` gives it a
+read-only zero-stride view of one shared zero as its table, which stores
+nothing per point.
 """
 
 import math
@@ -44,6 +47,15 @@ _MAX_SIZE = 2 ** 62
 
 # the one FinSet of each shape, kept for the life of the process
 _INTERNED = {}
+
+# the one zero that every table into a one-element set reads
+_ZERO = np.zeros(1, dtype=np.int64)
+_ZERO.flags.writeable = False
+
+
+def _constant(n):
+    # n zeros at stride 0: read-only, since they are all the one _ZERO
+    return np.ndarray((n,), np.int64, _ZERO, strides=(0,))
 
 
 def _whole_shape(shape):
@@ -229,7 +241,10 @@ def _product_pair(a, b):
 class FinFn:
     """A function between finite sets: a table of codomain positions, a
     reindexing word between FinSets, or the tensor product of two factor
-    functions.  A word's or a product's table is built when first read."""
+    functions.  A word's or a product's table is built when first read.
+    A map into a one-element set that ``compose_fn`` tabulates keeps a
+    zero-stride table: every read sees zeros, and a write raises
+    ValueError."""
 
     def __init__(self, dom, cod, table=None, word=None, factors=None):
         self.dom = dom
@@ -406,6 +421,9 @@ def compose_fn(f, g):
     if (f.factors is not None and g.factors is not None
             and all(p.cod == q.dom for p, q in zip(f.factors, g.factors))):
         return FinFn(f.dom, g.cod, factors=[compose_fn(p, q) for p, q in zip(f.factors, g.factors)])
+    if g.cod.size == 1:
+        # the constant 0, which reads neither f nor g
+        return FinFn._of_table(f.dom, g.cod, _constant(f.dom.size))
     return FinFn._of_table(f.dom, g.cod, g.at(f.table))
 
 

@@ -27,7 +27,9 @@ from .base import (
 class _Parts:
     """Shared ingredients for the axiom rows of one bimonoid.  The
     mixing tail and the sharing head are built on first read, since
-    structure_cell_boundaries reads only the tail."""
+    structure_cell_boundaries reads only the tail, and live until the
+    last row that reads them: that row builds its faces through
+    ``last_read``, which frees the composite before they are pasted."""
 
     def __init__(self, monoid, comonoid):
         self.m = monoid.mlt
@@ -55,6 +57,11 @@ class _Parts:
     def share(self):
         """(d x d) then (1 s 1), the sharing head used on the other side."""
         return compose_chain(tensor_chain(self.d, self.d), self._mid)
+
+    def last_read(self, name, faces):
+        """faces, with the shared composite name freed: no later row reads it."""
+        vars(self).pop(name, None)
+        return faces
 
 
 def structure_cell_boundaries(monoid, comonoid):
@@ -92,10 +99,10 @@ def check_oplax_bimonoid(bim):
             [framed(th, pre=tensor_chain(p.j, p.one)),
              framed(tensor_2chain(th0, p.id2one2), pre=p.d, post=p.mix)],
             [identity_2cell(p.d)])),
-        ("ax2b", ("theta", "theta0"), lambda: (
+        ("ax2b", ("theta", "theta0"), lambda: p.last_read("mix", (
             [framed(th, pre=tensor_chain(p.one, p.j)),
              framed(tensor_2chain(p.id2one2, th0), pre=p.d, post=p.mix)],
-            [identity_2cell(p.d)])),
+            [identity_2cell(p.d)]))),
         ("ax3", ("chi",), lambda: (
             [framed(ch, pre=tensor_chain(p.m, p.one)),
              framed(tensor_2chain(ch, p.id2one), post=p.e)],
@@ -124,10 +131,10 @@ def check_oplax_bimonoid(bim):
         ("ax8", ("theta0", "chi0"), lambda: (
             [framed(th0, post=tensor_chain(p.one, p.e)), tensor_2chain(p.id2j, ch0)],
             [p.id2j])),
-        ("ax9", ("theta", "chi"), lambda: (
+        ("ax9", ("theta", "chi"), lambda: p.last_read("share", (
             [framed(th, post=tensor_chain(p.e, p.one)),
              framed(tensor_2chain(ch, p.id2m), pre=p.share)],
-            [p.id2m])),
+            [p.id2m]))),
         ("ax10", ("theta0", "chi0"), lambda: (
             [framed(th0, post=tensor_chain(p.e, p.one)), tensor_2chain(ch0, p.id2j)],
             [p.id2j])),

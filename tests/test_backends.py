@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanv.errors import InvalidBackend, OutOfBounds, ShapeMismatch, UnsupportedBackend
-from spanv.finset import FinFn, FinSet
+from spanv.finset import FinFn, FinSet, reindex_fn, tensor_fn
 from spanv.vbackend import (
     FinSetBackend,
     MatBackend,
@@ -327,3 +327,56 @@ def test_a_batch_too_large_for_int64_positions_is_refused():
     assert be.compose(zero(2**31, 1), zero(1, 2**31)).shape == (2**31, 2**31)
     with pytest.raises(OutOfBounds):
         be.compose_many([zero(2**31, 1)] * 2, [zero(1, 2**31), zero(1, 2**31 + 1)])
+
+
+def _mat_values(rng, be, modulus):
+    """A random matrix, its dense copy, a zero matrix of the other shape
+    and every single-entry mutant."""
+    rows, cols = rng.integers(0, 4, size=2)
+    dense = rng.integers(0, modulus, size=(rows, cols))
+    values = [be.mor(dense), dense, be.mor(np.zeros((cols, rows), dtype=np.int64))]
+    for i, j in itertools.product(range(rows), range(cols)):
+        mutant = dense.copy()
+        mutant[i, j] = (mutant[i, j] + 1) % modulus
+        values.append(be.mor(mutant))
+    return values
+
+
+def _finset_values(rng):
+    """A random function as a table, the same function as a word and as a
+    product where it is one, its table on a domain of another shape of the
+    same size, and every single-entry mutant."""
+    shape = tuple(int(n) for n in rng.integers(1, 4, size=2))
+    dom, flat = FinSet(shape), FinSet((shape[0] * shape[1],))
+    table = rng.integers(0, 3, size=dom.size)
+    values = [FinFn(dom, FinSet((3,)), table), FinFn(flat, FinSet((3,)), table),
+              reindex_fn(dom, FinSet(shape[::-1]), (1, 0)),
+              FinFn(dom, FinSet(shape[::-1]), reindex_fn(dom, FinSet(shape[::-1]), (1, 0)).table),
+              tensor_fn(dom, FinSet((3, 3)), *(FinFn(FinSet((n,)), FinSet((3,)),
+                                                     rng.integers(0, 3, size=n)) for n in shape))]
+    values.append(FinFn(dom, FinSet((3, 3)), values[-1].table))
+    for k in range(dom.size):
+        mutant = table.copy()
+        mutant[k] = (mutant[k] + 1) % 3
+        values.append(FinFn(dom, FinSet((3,)), mutant))
+    return values
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_keys_are_equal_exactly_when_values_are(seed):
+    # Columns merge values by keys, so in every backend two morphisms (or
+    # objects) have equal keys exactly when eq_mor (or eq_obj) holds: over
+    # random values, other forms of the same value and single-entry mutants
+    rng = np.random.default_rng(seed)
+    p = [2, 3, 5][seed % 3]
+    cases = [(TrivialBackend(), [(), ()], [(), ()])]
+    for be, modulus in ((MatBackend(prime=p), p), (MatBackend(boolean=True), 2)):
+        cases.append((be, _mat_values(rng, be, modulus), [0, 1, 2, np.int64(2), 3]))
+    shape = tuple(int(n) for n in rng.integers(1, 4, size=2))
+    objects = [FinSet(shape), FinSet((shape[0] * shape[1],)), FinSet(shape[::-1]),
+               FinSet((shape[0] + 1, shape[1])), FinSet((shape[0], shape[1] + 1))]
+    cases.append((FinSetBackend(), _finset_values(rng), objects))
+    for be, mors, objs in cases:
+        for eq, key, values in ((be.eq_mor, be.mor_key, mors), (be.eq_obj, be.obj_key, objs)):
+            for a, b in itertools.product(values, repeat=2):
+                assert bool(eq(a, b)) == (key(a) == key(b)), (be, a, b)

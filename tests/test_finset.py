@@ -6,6 +6,7 @@ import math
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -754,6 +755,103 @@ def test_pullback_of_a_permutation_against_a_product_matches_tables(data):
     if f.dom.size * g.dom.size <= 400:
         pairs = list(zip(p1.table.tolist(), p2.table.tolist()))
         assert pairs == _brute_pullback(_tabled(f), _tabled(g))
+
+
+ONE_ELEMENT_SHAPES = [(), (1,), (1, 1)]
+
+
+@st.composite
+def constant_fns(draw, target):
+    """A composite into the one-element set target, whose table is the
+    zero-stride constant: a table, a product or a word, then a table into
+    target, or a table then a word; no word is the identity, which
+    compose_fn absorbs."""
+    kind = draw(st.sampled_from(["table", "product", "word", "table then word"]))
+    if kind == "table then word":
+        last = draw(any_words_into(target).filter(lambda w: w.word != w.dom.axes))
+        return compose_fn(draw(table_fns(last.dom)), last)
+    first = {"table": lambda: draw(table_fns(FinSet((3,)))),
+             "product": lambda: _product_of(draw(product_factors())),
+             "word": lambda: draw(word_fns().filter(lambda w: w.word != w.dom.axes))}[kind]()
+    return compose_fn(first, FinFn(first.cod, target, np.zeros(first.cod.size, dtype=np.int64)))
+
+
+@st.composite
+def legs_into(draw, target):
+    """Any leg form into target: a table, a word, a permutation, a product
+    or another computed constant."""
+    kind = draw(st.sampled_from(["table", "word", "words_into", "permutation", "constant",
+                                 *PRODUCT_KINDS]))
+    if kind == "table":
+        return draw(table_fns(target))
+    if kind == "word":
+        return draw(any_words_into(target))
+    if kind in ("words_into", "permutation"):
+        return draw(words_into(target, project=kind == "words_into"))
+    if kind == "constant":
+        return draw(constant_fns(target))
+    return draw(products_into(target, kind.split(" x ")))
+
+
+def _same_pullback(got, want):
+    (apex, p1, p2), (ref_apex, r1, r2) = got, want
+    assert apex == ref_apex and np.array_equal(apex.members, ref_apex.members)
+    assert np.array_equal(p1.table, r1.table) and np.array_equal(p2.table, r2.table)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_constant_tables_behave_as_their_tabulated_copies(data):
+    # compose_fn gives a map into a one-element set a read-only zero-stride
+    # table; it and a copy holding np.zeros(n) agree under every reader
+    target = FinSet(data.draw(st.sampled_from(ONE_ELEMENT_SHAPES)))
+    const = data.draw(constant_fns(target))
+    table = const.table
+    assert table.shape == (const.dom.size,) and table.strides == (0,)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[...] = 0
+    copy = FinFn(const.dom, const.cod, np.zeros(const.dom.size, dtype=np.int64))
+    positions = _positions(data, const.dom.size)
+    assert np.array_equal(const.at(positions), copy.at(positions))
+    assert const.first_difference(copy) is None and copy.first_difference(const) is None
+    assert const.same_values(copy) and copy.same_values(const) and const == copy
+    assert const.is_injective() == copy.is_injective() == (const.dom.size <= 1)
+    leg = data.draw(legs_into(target))
+    _same_pullback(pullback(const, leg), pullback(copy, leg))
+    _same_pullback(pullback(leg, const), pullback(leg, copy))
+    before = data.draw(st.one_of(table_fns(const.dom), words_into(const.dom))
+                       if isinstance(const.dom, FinSet) else table_fns(const.dom))
+    after = FinFn(target, FinSet((2,)), [data.draw(st.integers(0, 1))])
+    for got, want in ((compose_fn(before, const), compose_fn(before, copy)),
+                      (compose_fn(const, after), compose_fn(copy, after))):
+        assert (got.dom, got.cod) == (want.dom, want.cod)
+        assert np.array_equal(got.table, want.table) and got == want
+    other = data.draw(st.one_of(table_fns(FinSet((2,))), word_fns()))
+    for a, b in ((const, other), (other, const)):
+        a_copy, b_copy = (copy, b) if a is const else (a, copy)
+        got = tensor_fn(product([a.dom, b.dom]), product([a.cod, b.cod]), a, b)
+        want = tensor_fn(got.dom, got.cod, a_copy, b_copy)
+        positions = _positions(data, got.dom.size)
+        assert np.array_equal(got.at(positions), want.at(positions))
+        assert got.same_values(want) and np.array_equal(got.table, want.table)
+
+
+def test_a_terminal_composite_allocates_no_table():
+    # composing a 10^5-point table with the terminal word reads neither
+    # side: the composite's table is the shared zero at stride 0
+    n = 10 ** 5
+    f = FinFn(FinSet((n,)), FinSet((7,)), np.arange(n, dtype=np.int64) % 7)
+    end = terminal_fn(FinSet((7,)))
+    tracemalloc.start()
+    try:
+        composite = compose_fn(f, end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
+    assert "table" not in vars(end) and composite.table.strides == (0,)
+    assert np.array_equal(composite.table, np.zeros(n))
 
 
 def test_full_product_apex_lists_every_pair_without_storing_them():
