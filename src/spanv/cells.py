@@ -12,6 +12,16 @@ so a whiskered tensor reads the map only at the points of the
 composite.  ``make_2cell`` checks a product map against product legs
 factor by factor, with the same verdict and counterexample as on the
 tabulated map.
+
+A cell is checked once, where it enters: by the public ``VCell1``
+constructor and by ``make_2cell`` (so ``try_make_2cell``).  Composites,
+tensors, braidings and identities of 1-cells are built by the private
+``VCell1._of`` without a check.  A checked 2-cell is marked ``_checked``
+(only ``VCell2._of`` sets it): identities, canonical isos and found
+2-cells are marked, and a composite, tensor, inverse or pasting of marked
+2-cells is marked without a check.  One built from an unmarked
+``VCell2`` is checked by ``make_2cell`` or, for a vertical composite or
+a pasting, left unmarked.
 """
 
 from functools import cached_property
@@ -200,7 +210,9 @@ def tensor_fams(a, b):
 
 class VCell1:
     """A span with a backend morphism over every apex element: a Column,
-    a list, or None for the identity on the unit object everywhere."""
+    a list, or None for the identity on the unit object everywhere.  The
+    constructor checks the span's feet against the families, the number
+    of components and every component's ends."""
 
     def __init__(self, dom, cod, span, alphas):
         backend = dom.backend
@@ -224,6 +236,16 @@ class VCell1:
         self.alphas = alphas
         self._is_id = None
 
+    @classmethod
+    def _of(cls, dom, cod, span, alphas):
+        # a composite, tensor, braiding or identity of checked cells fits
+        # its families by construction, so it skips every check
+        cell = cls.__new__(cls)
+        cell.backend, cell.dom, cell.cod, cell.span, cell.alphas = (
+            dom.backend, dom, cod, span, alphas)
+        cell._is_id = None
+        return cell
+
     def __repr__(self):
         return "VCell1(%r => %r, apex %r)" % (self.dom.base, self.cod.base, self.span.apex)
 
@@ -241,7 +263,7 @@ def cells_equal(a, b):
 
 
 def identity_cell(fam):
-    cell = VCell1(fam, fam, identity_span(fam.base), fam.objs.map(fam.backend.id))
+    cell = VCell1._of(fam, fam, identity_span(fam.base), fam.objs.map(fam.backend.id))
     cell._is_id = True
     return cell
 
@@ -272,7 +294,7 @@ def compose_cells(a, b):
     backend = a.backend
     alphas = a.alphas.take(p1.table).zip_with(
         b.alphas.take(p2.table), backend.compose_many, backend.mor_key)
-    return VCell1(a.dom, b.cod, span, alphas)
+    return VCell1._of(a.dom, b.cod, span, alphas)
 
 
 def tensor_cells(a, b):
@@ -284,7 +306,7 @@ def tensor_cells(a, b):
     span = tensor_spans(a.span, b.span)
     backend = a.backend
     alphas = a.alphas.outer(b.alphas, backend.tensor_many, backend.mor_key)
-    return VCell1(tensor_fams(a.dom, b.dom), tensor_fams(a.cod, b.cod), span, alphas)
+    return VCell1._of(tensor_fams(a.dom, b.dom), tensor_fams(a.cod, b.cod), span, alphas)
 
 
 def braiding_cell(a, b):
@@ -292,17 +314,29 @@ def braiding_cell(a, b):
     backend = a.backend
     span = braiding_span(a.base, b.base)
     alphas = a.objs.outer(b.objs, pairwise(backend.braiding), backend.mor_key)
-    return VCell1(tensor_fams(a, b), tensor_fams(b, a), span, alphas)
+    return VCell1._of(tensor_fams(a, b), tensor_fams(b, a), span, alphas)
 
 
 class VCell2:
     """A map of enriched spans: an apex map that preserves legs and
-    components, a FinFn or a table; its table u is built on first read."""
+    components, a FinFn or a table; its table u is built on first read.
+    The constructor checks nothing and leaves the cell unmarked:
+    make_2cell checks one."""
+
+    _checked = False
 
     def __init__(self, src, tgt, u):
         self.src = src
         self.tgt = tgt
         self.apex_map = u if isinstance(u, FinFn) else FinFn(src.span.apex, tgt.span.apex, u)
+
+    @classmethod
+    def _of(cls, src, tgt, u):
+        # checked by make_2cell or a 2-cell by construction: marked, so
+        # what is built from marked cells alone needs no check
+        cell = cls(src, tgt, u)
+        cell._checked = True
+        return cell
 
     @cached_property
     def u(self):
@@ -328,7 +362,8 @@ class InvalidCell:
 
 def make_2cell(src, tgt, u):
     """The 2-cell src => tgt with apex map u, a table or a FinFn, after
-    checking both leg triangles and every component."""
+    checking both leg triangles and every component; it is marked, so
+    cells derived from it alone are built without a check."""
     if not fams_equal(src.dom, tgt.dom) or not fams_equal(src.cod, tgt.cod):
         raise BoundaryMismatch("source and target do not share boundaries")
     if not isinstance(u, FinFn):
@@ -351,7 +386,7 @@ def make_2cell(src, tgt, u):
         err = FactorizationViolation("component disagrees at apex element %d" % s)
         err.element = tuple(src.span.apex.decode(np.array([s]))[0].tolist())
         raise err
-    return VCell2(src, tgt, u)
+    return VCell2._of(src, tgt, u)
 
 
 def try_make_2cell(src, tgt, u):
@@ -363,14 +398,15 @@ def try_make_2cell(src, tgt, u):
 
 
 def identity_2cell(cell):
-    return VCell2(cell, cell, identity_fn(cell.span.apex))
+    return VCell2._of(cell, cell, identity_fn(cell.span.apex))
 
 
 def vcompose_2cells(x, y):
-    """First x, then y, down the page."""
+    """First x, then y, down the page; unmarked unless both are marked."""
     if not cells_equal(x.tgt, y.src):
         raise BoundaryMismatch("middle boundaries differ")
-    return VCell2(x.src, y.tgt, compose_fn(x.apex_map, y.apex_map))
+    make = VCell2._of if x._checked and y._checked else VCell2
+    return make(x.src, y.tgt, compose_fn(x.apex_map, y.apex_map))
 
 
 def _pair_positions(comp, left, right):
@@ -393,23 +429,27 @@ def _pair_encode(comp, left, right, lpos, rpos):
 
 
 def hcompose_2cells(x, y):
-    """Compose side by side along the shared middle family."""
+    """Compose side by side along the shared middle family; checked
+    unless both are marked."""
     src = compose_cells(x.src, y.src)
     tgt = compose_cells(x.tgt, y.tgt)
     lpos, rpos = _pair_positions(src, x.src, y.src)
     u = _pair_encode(tgt, x.tgt, y.tgt, x.apex_map.at(lpos), y.apex_map.at(rpos))
-    return make_2cell(src, tgt, u)
+    return (VCell2._of if x._checked and y._checked else make_2cell)(src, tgt, u)
 
 
 def tensor_2cells(x, y):
-    """Side-by-side tensor; its apex map keeps the two factor maps."""
+    """Side-by-side tensor; its apex map keeps the two factor maps.
+    Checked unless both are marked."""
     src = tensor_cells(x.src, y.src)
     tgt = tensor_cells(x.tgt, y.tgt)
-    return make_2cell(src, tgt, tensor_fn(src.span.apex, tgt.span.apex, x.apex_map, y.apex_map))
+    u = tensor_fn(src.span.apex, tgt.span.apex, x.apex_map, y.apex_map)
+    return (VCell2._of if x._checked and y._checked else make_2cell)(src, tgt, u)
 
 
 def invert_2cell(two):
-    """The inverse 2-cell when the apex map is a bijection, else None."""
+    """The inverse 2-cell when the apex map is a bijection, else None;
+    checked unless two is marked."""
     n = two.src.span.apex.size
     if two.tgt.span.apex.size != n:
         return None
@@ -417,4 +457,4 @@ def invert_2cell(two):
         return None
     inv = np.empty(n, dtype=np.int64)
     inv[two.u] = np.arange(n, dtype=np.int64)
-    return make_2cell(two.tgt, two.src, inv)
+    return (VCell2._of if two._checked else make_2cell)(two.tgt, two.src, inv)

@@ -7,13 +7,18 @@ component morphism.  Ties are broken by ascending apex code on both
 sides, which keeps the choice deterministic.  paste() stacks a list of
 2-cells vertically, bridging every pair of adjacent boundaries, and
 composes their apex maps as FinFns, so a word or product map stays lazy.
+
+A canonical iso or a found 2-cell matches legs and component keys, and
+keys are equal exactly when the morphisms are, so each is a 2-cell by
+construction and is marked checked without ``make_2cell``.  A pasting of
+marked 2-cells is marked; one with an unmarked face is not.
 """
 
 import itertools
 
 import numpy as np
 
-from .cells import VCell2, cells_equal, fams_equal, identity_2cell, make_2cell
+from .cells import VCell2, cells_equal, fams_equal, identity_2cell
 from .errors import OutOfBounds, PasteError
 from .finset import compose_fn, identity_fn
 from .span import feet_pairs, match_by_signature
@@ -53,7 +58,7 @@ def _canonical_iso_ex(a, b):
             "this": _decode_sig(a, info[1]),
             "other": _decode_sig(b, info[2]),
         }
-    return make_2cell(a, b, table), None
+    return VCell2._of(a, b, table), None
 
 
 def canonical_cell_iso(a, b):
@@ -98,7 +103,8 @@ def two_cells_equal(x, y):
 
 
 def paste(faces):
-    """Stack 2-cells top to bottom, bridging adjacent boundaries."""
+    """Stack 2-cells top to bottom, bridging adjacent boundaries; the
+    result is marked when every face is."""
     faces = list(faces)
     if not faces:
         raise PasteError("nothing to paste: no faces given")
@@ -107,8 +113,9 @@ def paste(faces):
         bridge, info = _bridge(acc.tgt, face.src)
         if bridge is None:
             raise PasteError("adjacent boundaries cannot be bridged", acc.tgt, face.src, info)
-        acc = VCell2(acc.src, face.tgt,
-                     compose_fn(compose_fn(acc.apex_map, bridge), face.apex_map))
+        make = VCell2._of if acc._checked and face._checked else VCell2
+        acc = make(acc.src, face.tgt,
+                   compose_fn(compose_fn(acc.apex_map, bridge), face.apex_map))
     return acc
 
 
@@ -144,7 +151,7 @@ def find_2cells(src, tgt, limit=8):
             raise OutOfBounds("more than %d candidate 2-cells" % limit)
     groups = np.split(cand, np.cumsum(counts)[:-1]) if counts.size else []
     return [
-        VCell2(src, tgt, np.array(combo, dtype=np.int64))
+        VCell2._of(src, tgt, np.array(combo, dtype=np.int64))
         for combo in itertools.product(*groups)
     ]
 
@@ -154,4 +161,4 @@ def find_unique_2cell(src, tgt):
     options = _candidate_options(src, tgt)
     if options is None or (options[0] != 1).any():
         return None
-    return VCell2(src, tgt, options[1])
+    return VCell2._of(src, tgt, options[1])

@@ -7,6 +7,7 @@ from spanv.cells import (
     Column,
     InvalidCell,
     VCell1,
+    VCell2,
     VFam,
     braiding_cell,
     cells_equal,
@@ -223,6 +224,18 @@ def test_vertical_composition_and_inverse():
     assert inv is not None
     ok, _ = two_cells_equal(inv, down)
     assert ok
+
+
+def test_an_inverse_has_the_inverse_map_checked_or_not():
+    # this canonical iso is no involution, so its inverse map differs from
+    # the map itself; the marked iso is inverted without a check and an
+    # unmarked copy through make_2cell, both to a marked inverse
+    s, t = _parallel_pair(0, na=6)
+    up = canonical_cell_iso(s, t)
+    assert not np.array_equal(up.u[up.u], np.arange(6))
+    for two in (up, VCell2(s, t, up.u)):
+        inv = invert_2cell(two)
+        assert inv._checked and np.array_equal(inv.u, np.argsort(up.u))
 
 
 def test_horizontal_composition_interchange():

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spanv import cells as cells_module
 from spanv import hopfcat, vbackend
-from spanv.cells import Column, InvalidCell
+from spanv.cells import Column, InvalidCell, VCell1, VCell2, make_2cell
 from spanv.errors import (NotAGroupoid, NotFirm, NotInvertible, NotOverX2, ShapeMismatch,
-                          UnsupportedBackend)
+                          SpanVError, UnsupportedBackend)
 from spanv.finset import (UNIT, FinFn, FinSet, SubsetApex, diagonal_fn, identity_fn, pullback,
                           terminal_fn)
 from spanv.hopfcat import (
@@ -1818,6 +1819,121 @@ def test_linearise_keeps_every_bridged_report():
         failing += any(r["status"] == "fail" for r in want)
         assert span_reports(linearise(v, MatBackend(prime=3))) == want, v
     assert (len(cats), failing) == (31, 20)
+
+
+def _checking_every_derived_cell(patch, refused):
+    """Build each derived cell through the public checks: VCell1._of as
+    VCell1(...) and VCell2._of as make_2cell, recording every refusal."""
+    marked, inside = VCell2._of, []
+
+    def checked_1cell(dom, cod, span, alphas):
+        try:
+            return VCell1(dom, cod, span, alphas)
+        except SpanVError as err:
+            refused.append(err)
+            raise
+
+    def checked_2cell(src, tgt, u):
+        if inside:
+            # make_2cell's own result, after its check
+            return marked(src, tgt, u)
+        inside.append(True)
+        try:
+            return make_2cell(src, tgt, u)
+        except SpanVError as err:
+            refused.append(err)
+            raise
+        finally:
+            inside.pop()
+
+    patch.setattr(VCell1, "_of", staticmethod(checked_1cell))
+    patch.setattr(VCell2, "_of", staticmethod(checked_2cell))
+
+
+def _bridged_reports(v):
+    if isinstance(v, FrobVCat):
+        return [r.as_dict() for r in check_frobenius(frobcat_to_spanv(v)).results]
+    bim, anti = hopfcat_to_spanv(v)
+    results = check_oplax_bimonoid(bim).results
+    if anti is not None:
+        results += check_oplax_hopf(bim, anti).results
+    return [r.as_dict() for r in results]
+
+
+def _trivial_reports(G):
+    """Every span-layer check of a groupoid's trivial-backend structures,
+    with its forced structure cells and the Morita isos of its antipode."""
+    mon, com, _, bim, anti, frob = groupoid_structures(G)
+    results = (check_frobenius(frob).results + check_oplax_bimonoid(bim).results
+               + check_oplax_hopf(bim, anti).results)
+    ctx = antipode_context(bim, anti)
+    maps = [cell.u.tolist() for cell in (*infer_unique_structure_cells(mon, com),
+                                         *morita_uniqueness_iso(bim, ctx, ctx))]
+    return [r.as_dict() for r in results], maps
+
+
+def test_every_derived_cell_passes_the_public_checks(monkeypatch):
+    # a composite, tensor, braiding or identity of checked 1-cells and a
+    # composite, tensor, inverse, pasting, canonical iso or found 2-cell of
+    # checked 2-cells is built without a check; routed back through the
+    # public checks, none is refused and every report stays the same
+    rng = random.Random(28)
+    cats = _groupoid_families(range(1, 4), _action_category())
+    cats += [linearise(v, MatBackend(prime=3)) for v in cats]
+    cats += [w for v in [group_algebra_hopf(3, k) for k in range(1, 7)]
+             + [mat_frobenius_example(3, n) for n in range(1, 4)] for w in [v, *_mutants(v, rng)]]
+    groupoids = [make(n) for make in (codiscrete_groupoid, discrete_groupoid,
+                                      cyclic_group_groupoid) for n in range(1, 4)]
+    groupoids.append(_union_groupoid())
+    cases = ([lambda v=v: _bridged_reports(v) for v in cats]
+             + [lambda G=G: _trivial_reports(G) for G in groupoids])
+    want = [case() for case in cases]
+    refused = []
+    with monkeypatch.context() as patch:
+        _checking_every_derived_cell(patch, refused)
+        got = [case() for case in cases]
+    assert refused == []
+    assert got == want
+    failing = sum(any(r["status"] == "fail" for r in reports) for reports in want[:len(cats)])
+    assert (len(cats), len(groupoids), failing) == (124, 10, 93)
+
+
+def _counting_calls(patch, counts, *functions):
+    """Count the calls of each function wherever a spanv module binds it."""
+    for fn in functions:
+        def counted(*args, fn=fn):
+            counts[fn.__name__] += 1
+            return fn(*args)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "spanv":
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        patch.setattr(module, attr, counted)
+
+
+def test_a_bridged_check_checks_each_cell_once_where_it_enters(monkeypatch):
+    # the structure cells enter through try_make_2cell and the field cells
+    # through the public VCell1, called by the bridge; every cell the
+    # checks derive from them is built without checking it again
+    init = VCell1.__init__
+    for v in (groupoid_to_hopfcat(codiscrete_groupoid(3)), group_algebra_hopf(3, 4)):
+        counts, callers = dict.fromkeys(
+            ("make_2cell", "try_make_2cell", "first_wrong_end", "VCell1"), 0), set()
+
+        def public(cell, *args):
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            counts["VCell1"] += 1
+            init(cell, *args)
+
+        with monkeypatch.context() as patch:
+            _counting_calls(patch, counts, cells_module.make_2cell,
+                            cells_module.try_make_2cell, cells_module.first_wrong_end)
+            patch.setattr(VCell1, "__init__", public)
+            bim, anti = hopfcat_to_spanv(v)
+            assert check_oplax_bimonoid(bim).ok and check_oplax_hopf(bim, anti).ok
+        assert counts["make_2cell"] == counts["try_make_2cell"] == 6
+        assert counts["first_wrong_end"] == counts["VCell1"] > 0
+        assert callers == {"spanv.hopfcat"}
 
 
 def test_linearise_runs_from_finite_sets_to_matrices():

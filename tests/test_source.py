@@ -3,8 +3,9 @@ object-dtype arrays, no dense Kronecker products or identities, no
 tabulated apex maps in pasting or the structures layer, no loop in the
 FinSet codec, no join that loops over values, no division in whole-domain
 evaluation, no identity word rebuilt outside FinSet, no enriched grid
-read by index arithmetic of hopfcat's own and no groupoid law written
-outside hopfcat's law rows."""
+read by index arithmetic of hopfcat's own, no groupoid law written
+outside hopfcat's law rows and no cell built unchecked outside the
+derivations of checked cells."""
 
 import ast
 import re
@@ -287,3 +288,29 @@ def test_groupoid_laws_are_written_only_as_law_rows():
     callers = {node.name for tree in _modules().values() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and "_of_tables" in _called_names(node)}
     assert callers == {"codiscrete_groupoid", "cyclic_group_groupoid", "discrete_groupoid"}
+
+
+def test_only_derivations_build_cells_unchecked():
+    # a cell is checked where it enters, by the public VCell1 or by
+    # make_2cell; the private constructors build only what holds by
+    # construction from checked cells, and only VCell2._of marks a 2-cell
+    builders = {"VCell1": set(), "VCell2": set()}
+    marks = []
+    for tree in _modules().values():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Attribute) and node.attr == "_of"
+                        and getattr(node.value, "id", None) in builders):
+                    builders[node.value.id].add(function.name)
+                if (isinstance(node, ast.Attribute) and node.attr == "_checked"
+                        and isinstance(node.ctx, ast.Store)):
+                    marks.append(function.name)
+    assert builders == {
+        "VCell1": {"identity_cell", "compose_cells", "tensor_cells", "braiding_cell"},
+        "VCell2": {"make_2cell", "identity_2cell", "hcompose_2cells", "tensor_2cells",
+                   "invert_2cell", "vcompose_2cells", "_canonical_iso_ex", "paste",
+                   "find_2cells", "find_unique_2cell"},
+    }
+    assert marks == ["_of"]

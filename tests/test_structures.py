@@ -26,6 +26,7 @@ from spanv.cells import (
     tensor_fams,
     try_make_2cell,
     unit_fam,
+    vcompose_2cells,
 )
 from spanv.errors import NotBimodule, TriangleViolation
 from spanv.finset import (
@@ -720,6 +721,58 @@ def test_tensor_of_a_mutated_2cell_fails_as_the_tabulated_tensor(moved):
     assert lazy.value.element == tabulated.value.element
     first = {"left": 1 * y.src.span.apex.size, "right": 2, "both": 2}[moved]
     assert str(lazy.value).endswith("apex element %d" % first)
+
+
+def _swapped(two, i, j):
+    """two with entries i and j of its apex map swapped: a bijection when
+    two's is, and not a 2-cell when their targets' legs differ, built
+    unchecked."""
+    u = two.u.copy()
+    u[[i, j]] = u[[j, i]]
+    return VCell2(two.src, two.tgt, u)
+
+
+def _whiskered(two, post):
+    """two then post as tabulated source, target and apex map: a pair
+    (s, q) of the source composite goes to (u(s), q)."""
+    src = cells_module.compose_cells(two.src, post)
+    tgt = cells_module.compose_cells(two.tgt, post)
+    s, q = np.divmod(src.span.apex.members, post.span.apex.size)
+    u = np.searchsorted(tgt.span.apex.members, two.u[s] * post.span.apex.size + q)
+    return _tabulated(src), _tabulated(tgt), u
+
+
+def _refusal(make):
+    with pytest.raises(TriangleViolation) as err:
+        make()
+    return type(err.value), str(err.value), err.value.element
+
+
+@pytest.mark.parametrize("route", ["framed", "inverse", "paste", "vcompose"])
+def test_a_cell_built_from_an_unchecked_2cell_is_checked(route):
+    # theta's targets 0 and 2 have the same right leg and different left
+    # legs, so swapping them keeps theta invertible and whiskerable after
+    # mlt but fails the left triangle: each route refuses it as make_2cell
+    # refuses the tabulated result, and a pasting keeps it unmarked
+    _, _, _, bim, _, _ = groupoid_structures(codiscrete_groupoid(2))
+    theta, mlt = bim.theta, bim.monoid.mlt
+    swapped = _swapped(theta, 0, 2)
+    assert theta._checked and not swapped._checked
+    if route == "inverse":
+        assert invert_2cell(theta)._checked
+        got = _refusal(lambda: invert_2cell(swapped))
+        want = _refusal(lambda: make_2cell(_tabulated(theta.tgt), _tabulated(theta.src),
+                                           np.argsort(swapped.u)))
+    else:
+        stack = {"framed": lambda x: x,
+                 "paste": lambda x: paste([x, identity_2cell(x.tgt)]),
+                 "vcompose": lambda x: vcompose_2cells(x, identity_2cell(x.tgt))}[route]
+        assert stack(theta)._checked and framed(stack(theta), post=mlt)._checked
+        assert not stack(swapped)._checked
+        got = _refusal(lambda: framed(stack(swapped), post=mlt))
+        want = _refusal(lambda: make_2cell(*_whiskered(swapped, mlt)))
+    assert got == want
+    assert got[1].startswith("left leg disagrees")
 
 
 def _tabulating(monkeypatch):
