@@ -104,8 +104,9 @@ class Column:
         return Column(self.values, len(index), codes)
 
     def along(self, fn):
-        """Entry s is self[fn(s)]; a constant column never reads fn's table."""
-        codes = None if self.codes is None else self.codes[fn.table]
+        """Entry s is self[fn(s)]; a constant column never reads fn's
+        table, and along the identity on positions the codes are shared."""
+        codes = self.codes if self.codes is None or fn.positional else self.codes[fn.table]
         return Column(self.values, fn.dom.size, codes)
 
     def map(self, fn):
@@ -292,8 +293,8 @@ def compose_cells(a, b):
     span = Span(a.span.left, apex, b.span.right,
                 compose_fn(p1, a.span.f), compose_fn(p2, b.span.g))
     backend = a.backend
-    alphas = a.alphas.take(p1.table).zip_with(
-        b.alphas.take(p2.table), backend.compose_many, backend.mor_key)
+    alphas = a.alphas.along(p1).zip_with(
+        b.alphas.along(p2), backend.compose_many, backend.mor_key)
     return VCell1._of(a.dom, b.cod, span, alphas)
 
 
@@ -416,7 +417,7 @@ def _pair_positions(comp, left, right):
     if is_identity_cell(right):
         return np.arange(left.span.apex.size, dtype=np.int64), left.span.g.table
     # the composite's apex is a subset of left apex x right apex
-    return np.divmod(comp.span.apex.members, right.span.apex.size)
+    return comp.span.apex.pair_positions()
 
 
 def _pair_encode(comp, left, right, lpos, rpos):

@@ -9,6 +9,11 @@ the pair codes ``i * right.size + j`` of positions in its two factors:
 the factorised form of a pullback, whose codes stay below the product of
 two sizes that fit in memory.  Decoding a pair decodes both factors, so
 an apex element's atomic coordinates never depend on how it was built.
+A pullback along a bijection is a graph: the pairs (i, h(i)) of a
+function h, one per position i of the other side, in that order.  Its
+apex stores the table of h and no codes, and its first projection is the
+identity on positions, which has no table until one is read: composing
+along it reads the other function on the apex, and copies nothing.
 
 A function is a table of codomain positions; between two FinSets, a
 reindexing word (see ``reindex_fn``); or the tensor product of two
@@ -140,7 +145,10 @@ class SubsetApex:
     """A subset of left x right, listed by strictly increasing pair codes
     i * right.size + j of a position i in left and j in right.  Without
     members it is every pair, the full product: a pair code is then its
-    own position, and the list is built only if something reads it."""
+    own position, and the list is built only if something reads it.  The
+    graph form, which only ``pullback`` builds, is the graph of a table h
+    from left's positions to right's: element i is the pair (i, h[i]).
+    It stores h, and builds the list only if something reads it."""
 
     def __init__(self, left, right, members=None):
         bound = left.size * right.size
@@ -150,6 +158,7 @@ class SubsetApex:
         self.right = right
         self.shape = left.shape + right.shape
         self.full = members is None
+        self.graph = None
         if self.full:
             self.size = bound
             return
@@ -166,9 +175,28 @@ class SubsetApex:
         self.members = members
         self.size = int(members.size)
 
+    @classmethod
+    def _of_graph(cls, left, right, h):
+        # h comes from pullback, a table of right's positions, one per
+        # position of left
+        apex = cls.__new__(cls)
+        apex.left, apex.right, apex.shape = left, right, left.shape + right.shape
+        apex.full, apex.graph, apex.size = False, h, left.size
+        return apex
+
     @cached_property
     def members(self):
-        return np.arange(self.size, dtype=np.int64)
+        codes = np.arange(self.size, dtype=np.int64)
+        if self.graph is not None:
+            codes *= self.right.size
+            codes += self.graph
+        return codes
+
+    def pair_positions(self):
+        """The positions in left and in right of every element, in order."""
+        if self.graph is not None:
+            return np.arange(self.size, dtype=np.int64), self.graph
+        return np.divmod(self.members, self.right.size)
 
     def position_of(self, codes):
         """The positions of the given pair codes, each of them a member."""
@@ -176,6 +204,12 @@ class SubsetApex:
         if self.full:
             pos = codes
             found = (codes >= 0) & (codes < self.size)
+        elif self.graph is not None:
+            # i * right.size + j is a member exactly when h[i] == j; an
+            # empty right leaves the graph empty, and any divisor finds nothing
+            pos, j = np.divmod(codes, max(self.right.size, 1))
+            found = (pos >= 0) & (pos < self.size)
+            found[found] = self.graph[pos[found]] == j[found]
         else:
             pos = np.searchsorted(self.members, codes)
             found = pos < self.size
@@ -189,9 +223,10 @@ class SubsetApex:
         """The atomic coordinates of the elements at these positions: the
         left factor's coordinates, then the right factor's."""
         codes = np.asarray(positions, dtype=np.int64)
-        if not self.full:
-            codes = self.members[codes]
-        i, j = np.divmod(codes, self.right.size)
+        if self.graph is not None:
+            i, j = codes, self.graph[codes]
+        else:
+            i, j = np.divmod(codes if self.full else self.members[codes], self.right.size)
         return np.concatenate([self.left.decode(i), self.right.decode(j)], axis=-1)
 
     def __eq__(self, other):
@@ -244,7 +279,10 @@ class FinFn:
     functions.  A word's or a product's table is built when first read.
     A map into a one-element set that ``compose_fn`` tabulates keeps a
     zero-stride table: every read sees zeros, and a write raises
-    ValueError."""
+    ValueError.  ``positional`` marks the identity on positions between
+    two sets of one size, the first projection of a graph."""
+
+    positional = False
 
     def __init__(self, dom, cod, table=None, word=None, factors=None):
         self.dom = dom
@@ -402,6 +440,24 @@ class FinFn:
         return self.dom.size == self.cod.size and self.is_injective()
 
 
+class _Positions(FinFn):
+    """Position i to position i of a set of the same size: the first
+    projection of a graph.  Its table is built only if something reads
+    it; composing or reading along it copies nothing."""
+
+    positional = True
+
+    def __init__(self, dom, cod):
+        self.dom, self.cod, self.word, self.factors = dom, cod, None, None
+
+    @cached_property
+    def table(self):
+        return np.arange(self.dom.size, dtype=np.int64)
+
+    def at(self, positions):
+        return np.asarray(positions, dtype=np.int64)
+
+
 def identity_fn(x):
     if isinstance(x, FinSet):
         return FinFn(x, x, word=x.axes)
@@ -424,6 +480,12 @@ def compose_fn(f, g):
     if g.cod.size == 1:
         # the constant 0, which reads neither f nor g
         return FinFn._of_table(f.dom, g.cod, _constant(f.dom.size))
+    if f.positional:
+        # g read on f's domain: a product keeps its factors, since f's
+        # positions are g's; anything else shares g's table
+        if g.factors is not None:
+            return FinFn(f.dom, g.cod, factors=g.factors)
+        return FinFn._of_table(f.dom, g.cod, g.table)
     return FinFn._of_table(f.dom, g.cod, g.at(f.table))
 
 
@@ -444,25 +506,29 @@ def pullback(f, g):
     Returns (P, p1, p2) where P is the SubsetApex of the product of the
     two domains listing the pairs that agree in the codomain, ascending
     in the first position and then in the second, and p1, p2 are the
-    projections.
+    projections.  Along a permuting word g, P is the graph of f ; g^-1
+    and p1 is the identity on positions.
     """
     if f.cod != g.cod:
         raise CodMismatch("pullback needs a shared codomain, got %r and %r" % (f.cod, g.cod))
     a, b = f.dom, g.dom
     if a.size * b.size > _MAX_SIZE:
         raise OutOfBounds("product of sizes %d and %d is too large" % (a.size, b.size))
-    ordered = g.permutes() and (f.word is not None or f.factors is not None)
-    if ordered:
-        # the graph of f ; g^-1, a word or a grid, so f is never tabulated
-        a_idx = np.arange(a.size, dtype=np.int64)
-        b_idx = (_renamed(f, g) if f.factors is not None
-                 else FinFn(a, b, word=[f.word[j] for j in g.inverse().word]).table)
-    elif f.permutes() and g.factors is not None:
-        a_idx, b_idx = _renamed(g, f), np.arange(b.size, dtype=np.int64)
-    elif f.word is not None and not f.permutes() and g.factors is not None:
-        a_idx, b_idx = _split_join(f, g)
-    elif not g.permutes() and (f.permutes() or g.factors is None and (
-            f.factors is not None or f.word is not None and g.word is None and b.size <= a.size)):
+    if g.permutes():
+        # f ; g^-1 is a word, a grid or a table read through a word, so a
+        # word or a product f is never tabulated
+        inverse = g.inverse()
+        h = (_renamed(f, g) if f.factors is not None
+             else FinFn(a, b, word=[f.word[j] for j in inverse.word]).table if f.word is not None
+             else inverse.at(f.table))
+        apex = SubsetApex._of_graph(a, b, h)
+        return apex, _Positions(apex, a), FinFn._of_table(apex, b, h)
+    ordered = False
+    if f.word is not None and g.factors is not None:
+        a_idx, b_idx = ((_renamed(g, f), np.arange(b.size, dtype=np.int64)) if f.permutes()
+                        else _split_join(f, g))
+    elif f.permutes() or g.factors is None and (
+            f.factors is not None or f.word is not None and g.word is None and b.size <= a.size):
         # join g's values into f instead; into a word's fibres only if g has no more points
         b_idx, a_idx = _join(_values(g), f)
     else:

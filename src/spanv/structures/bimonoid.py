@@ -27,9 +27,9 @@ from .base import (
 class _Parts:
     """Shared ingredients for the axiom rows of one bimonoid.  The
     mixing tail and the sharing head are built on first read, since
-    structure_cell_boundaries reads only the tail, and live until the
-    last row that reads them: that row builds its faces through
-    ``last_read``, which frees the composite before they are pasted."""
+    structure_cell_boundaries reads neither, and live until the last row
+    that reads them: that row builds its faces through ``last_read``,
+    which frees the composite before they are pasted."""
 
     def __init__(self, monoid, comonoid):
         self.m = monoid.mlt
@@ -67,7 +67,10 @@ class _Parts:
 def structure_cell_boundaries(monoid, comonoid):
     """Source and target 1-cells of the four structure 2-cells."""
     p = _Parts(monoid, comonoid)
-    split = compose_chain(tensor_chain(p.d, p.d), p.mix)
+    # the left fold: d x d then the interchange is a graph on d x d's
+    # apex, which m x m is pulled back along, so the mixing tail, as
+    # large as m x m's apex, is never built
+    split = compose_chain(tensor_chain(p.d, p.d), p._mid, tensor_chain(p.m, p.m))
     return {
         "theta": (compose_chain(p.m, p.d), split),
         "theta0": (compose_chain(p.j, p.d), tensor_chain(p.j, p.j)),

@@ -33,7 +33,7 @@ from spanv.errors import (
     ShapeMismatch,
     TriangleViolation,
 )
-from spanv.finset import FinFn, FinSet, identity_fn
+from spanv.finset import FinFn, FinSet, identity_fn, pullback
 from spanv.pasting import (
     canonical_cell_iso,
     find_2cells,
@@ -103,6 +103,27 @@ def test_tensor_cells_krons_components():
     f = _point_cell(be, a, a, 0, 0, be.mor([[1, 2], [3, 4]]))
     t = tensor_cells(f, f)
     assert np.array_equal(t.alphas[0], np.kron(f.alphas[0], f.alphas[0]) % 5)
+
+
+def test_a_composite_along_a_bijection_shares_its_left_leg():
+    # the braiding's left leg is the identity word, so the pullback is a
+    # graph whose first projection is the identity on positions: the
+    # composite's left leg is a's own table, and a column read along the
+    # projection keeps its codes
+    be = TrivialBackend()
+    x = FinSet((3,))
+    fam, square = VFam(be, x), VFam(be, FinSet((3, 3)))
+    apex = FinSet((4,))
+    a = VCell1(fam, square, Span(x, apex, square.base, FinFn(apex, x, [2, 0, 1, 1]),
+                                 FinFn(apex, square.base, [5, 1, 7, 0])), None)
+    braiding = braiding_cell(fam, fam)
+    composite = compose_cells(a, braiding)
+    assert composite.span.apex.graph is not None
+    assert composite.span.f.table is a.span.f.table
+    assert composite.span.g.table.tolist() == [7, 3, 5, 0]
+    _, p1, _ = pullback(a.span.g, braiding.span.f)
+    column = Column(["u", "v"], 4, [0, 1, 1, 0])
+    assert column.along(p1).codes is column.codes and "table" not in vars(p1)
 
 
 def test_identity_absorbed_in_composition():

@@ -909,3 +909,39 @@ def test_input_checks_hold_under_python_O():
     assert "right leg ends at FinSet(2,)" in lines[0][5]
     assert lines[0][6].endswith("got word (0, 0)") and lines[0][7].endswith("got word None")
     assert all(line.endswith("column of 3 entries with one of 2") for line in lines[0][8:])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_pullback_along_a_bijection_is_a_graph_read_as_its_member_list(data):
+    # along a permuting word g the apex is the graph of f ; g^-1, which
+    # stores no member codes and whose first projection stores no table;
+    # it answers every reader as the member list of the same pairs does
+    g = data.draw(word_fns(permuting=True))
+    kind = data.draw(st.sampled_from(["table", "word", *PRODUCT_KINDS]))
+    f = (data.draw(table_fns(g.cod)) if kind == "table"
+         else data.draw(any_words_into(g.cod)) if kind == "word"
+         else data.draw(products_into(g.cod, kind.split(" x "))))
+    apex, p1, p2 = pullback(f, g)
+    ref, r1, r2 = pullback(_tabled(f), _tabled(g))
+    assert apex.graph is not None and ref.graph is None and not ref.full
+    assert p1.positional and "table" not in vars(p1)
+    assert apex.size == ref.size == f.dom.size
+    every = np.arange(ref.size, dtype=np.int64)
+    assert np.array_equal(apex.decode(every), ref.decode(every))
+    assert np.array_equal(apex.position_of(ref.members), every)
+    width, bound = g.dom.size, f.dom.size * g.dom.size
+    outside = [-1, bound] + [i * width + (j + 1) % width
+                             for i, j in enumerate(r2.table.tolist()[:3]) if width > 1]
+    for code in outside:
+        probe = np.append(ref.members[:2], code)
+        messages = []
+        for each in (apex, ref):
+            with pytest.raises(TableOutOfRange) as err:
+                each.position_of(probe)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert "members" not in vars(apex)
+    assert apex == ref and ref == apex and hash(apex) == hash(ref)
+    assert np.array_equal(apex.members, ref.members)
+    assert np.array_equal(p1.table, r1.table) and np.array_equal(p2.table, r2.table)

@@ -4,8 +4,8 @@ tabulated apex maps in pasting or the structures layer, no loop in the
 FinSet codec, no join that loops over values, no division in whole-domain
 evaluation, no identity word rebuilt outside FinSet, no enriched grid
 read by index arithmetic of hopfcat's own, no groupoid law written
-outside hopfcat's law rows and no cell built unchecked outside the
-derivations of checked cells."""
+outside hopfcat's law rows, no cell built unchecked outside the
+derivations of checked cells and no graph apex built outside pullback."""
 
 import ast
 import re
@@ -314,3 +314,11 @@ def test_only_derivations_build_cells_unchecked():
                    "find_2cells", "find_unique_2cell"},
     }
     assert marks == ["_of"]
+
+
+def test_only_pullback_builds_a_graph_apex():
+    # a graph apex stores its table and no member codes, so its rows are
+    # right only because pullback builds it along a bijection
+    builders = {function.name for tree in _modules().values() for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef) and "_of_graph" in _used_names(function)}
+    assert builders == {"pullback"}

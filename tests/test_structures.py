@@ -546,10 +546,12 @@ def test_rows_and_tables_that_ascend_are_never_sorted(monkeypatch):
 
 
 def test_interchange_against_a_product_builds_no_array_of_its_size(monkeypatch):
-    # On codiscrete n=7 the build pulls the interchange, a permuting word
-    # on 7^8 points, back along a product of two tables of 343 entries:
-    # its 117,649 pairs are a grid sum of the two tables' renamed values.
-    # No array of 7^8 entries, which takes at least 7^8 bytes, is built.
+    # On codiscrete n=7 the bimonoid check's mixing tail (ax1 to ax2b)
+    # pulls the interchange, a permuting word on 7^8 points, back along a
+    # product of two tables of 343 entries: its 117,649 pairs are a grid
+    # sum of the two tables' renamed values.  No array of 7^8 entries,
+    # which takes at least 7^8 bytes, is built.
+    _, _, _, bim, _, _ = groupoid_structures(codiscrete_groupoid(7))
     joins, pullback = [], cells_module.pullback
 
     def record_pullback(f, g):
@@ -566,9 +568,44 @@ def test_interchange_against_a_product_builds_no_array_of_its_size(monkeypatch):
 
     monkeypatch.setattr(cells_module, "pullback", record_pullback)
     monkeypatch.setattr(span_module, "pullback", record_pullback)
-    groupoid_structures(codiscrete_groupoid(7))
+    assert check_oplax_bimonoid(bim).ok
     assert joins
     assert all(size == 7 ** 6 and peak < 7 ** 8 for peak, size in joins)
+
+
+def test_the_trivial_build_makes_no_array_of_the_mixing_tails_size():
+    # theta's target is built as the left fold (d x d) ; (1 s 1) ; (m x m),
+    # which never makes the n^6 mixing tail: the traced peak of the build
+    # of codiscrete n=10 was 53.4 MB with the tail, and is under 1 MB
+    G = codiscrete_groupoid(10)
+    tracemalloc.start()
+    try:
+        groupoid_structures(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+def test_a_composite_along_a_bijection_stores_one_array_of_its_size():
+    # ax3 whiskers (e x e x 1), whose apex has n^6 elements, with e, whose
+    # left leg is the identity: the pullback is a graph, the composite's
+    # left leg is the identity on positions and its right leg maps into
+    # the unit, so only the graph's table has the apex's size (a member
+    # list stored the codes, an arange left leg and the right positions:
+    # 2.9 MB at n=7)
+    n = 7
+    _, comonoid, _, _, _, _ = groupoid_structures(codiscrete_groupoid(n))
+    e, one = comonoid.lcu, identity_cell(comonoid.carrier)
+    head = tensor_cells(tensor_cells(e, e), one)
+    tracemalloc.start()
+    try:
+        composite = cells_module.compose_cells(head, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert composite.span.apex.size == n ** 6
+    assert peak < 2 * 8 * n ** 6, peak
 
 
 def test_a_bimonoid_check_holds_only_the_memory_it_reads():
@@ -670,6 +707,13 @@ def test_no_array_of_n7_entries_is_stored(monkeypatch):
             made.append(of_table(*args))
             return made[-1]
         monkeypatch.setattr(FinFn, "_of_table", record_table)
+    # so do graph apexes, which pullback builds along a bijection
+    of_graph = SubsetApex._of_graph
+
+    def record_graph(*args):
+        made.append(of_graph(*args))
+        return made[-1]
+    monkeypatch.setattr(SubsetApex, "_of_graph", record_graph)
     n = 4
     _, _, _, bim, anti, frob = groupoid_structures(codiscrete_groupoid(n))
     assert check_oplax_bimonoid(bim).ok
